@@ -1,11 +1,5 @@
 """Exact enumeration and asymptotics of 2-level matroids via UMR-trees."""
 
-from .powerseries import MultisetRestriction, PowerSeries, at_least, exactly, odd_at_least
+from .powerseries import PowerSeries
 
-__all__ = [
-    "MultisetRestriction",
-    "PowerSeries",
-    "at_least",
-    "exactly",
-    "odd_at_least",
-]
+__all__ = ["PowerSeries"]

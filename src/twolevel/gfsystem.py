@@ -7,8 +7,9 @@ and bounding series plus the forest series MSet(T).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
-from .powerseries import PowerSeries, Rational, at_least, exactly, odd_at_least
+from .powerseries import PowerSeries
 
 
 @dataclass(frozen=True)
@@ -40,27 +41,38 @@ class SelfDualSeries:
     s_bound: PowerSeries
 
 
-def _schedule(order: int):
-    # Growing truncation: pass k pins coefficient k (each right-hand side
-    # gains at least one order of agreement).  Two full passes then a residual
-    # check make the convergence assumption verifiable.
-    yield from range(2, order + 1)
-    yield order
-    yield order
+def _fixed_point(rhs, known, unknowns: int):
+    """Solve ys = rhs(*known, *ys) for a tuple of series ys, seeded with zeros.
+
+    The system must be well founded: coefficient m of every right-hand side
+    depends only on coefficients below m of the unknowns.  Pass m runs at
+    truncation m and so pins coefficient m; a final pass at full order must
+    then reproduce the solution.
+    """
+    order = known[0].order
+    ys = (PowerSeries.zeros(order),) * unknowns
+    for m in range(order + 1):
+        new = rhs(*(a.truncate(m) for a in (*known, *ys)))
+        ys = tuple(y.extended(order) for y in new)
+    if tuple(rhs(*known, *ys)) != ys:
+        raise ArithmeticError("fixed point did not converge to residual 0")
+    return ys
 
 
-def _pointed_rhs(a_R, a_M, a_U, leg):
-    order = a_R.order
-    two = PowerSeries.constant(2, order)
-    new_R = (a_M + a_U + leg).mset_restricted(at_least(2))
-    new_M = (a_R + a_U + leg).mset_restricted(at_least(2))
+def _pointed_rhs(leg, a_R, a_M, a_U):
+    one = PowerSeries.one(leg.order)
+    f_R = a_M + a_U + leg
+    f_M = a_R + a_U + leg
     s = a_R + a_M + a_U + leg
     e = s.mset()
-    lin = PowerSeries.zeros(order)
-    for r in range(1, order + 1):
+    lin = s
+    for r in range(2, leg.order + 1):
         lin = lin + s.substitute_power(r)
-    m2 = s.mset_restricted(exactly(2))
-    new_U = e * lin - s - 2 * m2 - 2 * e + two + 2 * s + 2 * m2
+    # R and M: multisets of at least two components.  U: the terms in s_n
+    # cancel (1 + 1 - 2), so coefficient n needs only lower ones.
+    new_R = f_R.mset() - one - f_R
+    new_M = f_M.mset() - one - f_M
+    new_U = e * lin + s - 2 * e + 2 * one
     return new_R, new_M, new_U
 
 
@@ -69,104 +81,75 @@ def solve_pointed(order: int) -> PointedSeries:
     if order < 2:
         raise ValueError("order must be >= 2")
     leg = PowerSeries.x(order)
-    a_R = a_M = a_U = PowerSeries.zeros(order)
-    for m in _schedule(order):
-        r, s, u = _pointed_rhs(
-            a_R.truncate(m), a_M.truncate(m), a_U.truncate(m), leg.truncate(m)
-        )
-        a_R, a_M, a_U = r.extended(order), s.extended(order), u.extended(order)
-    r, s, u = _pointed_rhs(a_R, a_M, a_U, leg)
-    if (r, s, u) != (a_R, a_M, a_U):
-        raise ArithmeticError("pointed fixed point did not converge to residual 0")
+    a_R, a_M, a_U = _fixed_point(_pointed_rhs, (leg,), 3)
     return PointedSeries(a_R, a_M, a_U, leg)
 
 
 def pointed_residuals(p: PointedSeries) -> tuple[PowerSeries, PowerSeries, PowerSeries]:
     """Defining-equation residuals; all-zero for a valid fixed point."""
-    r, s, u = _pointed_rhs(p.a_R, p.a_M, p.a_U, p.a_leg)
+    r, s, u = _pointed_rhs(p.a_leg, p.a_R, p.a_M, p.a_U)
     return r - p.a_R, s - p.a_M, u - p.a_U
 
 
 def assemble_T(p: PointedSeries) -> UnrootedSeries:
     """Unrooted series by the dissymmetry identity T = T_v + T_e - T_d."""
     a_R, a_M, a_U, leg = p.a_R, p.a_M, p.a_U, p.a_leg
-    t_e = (
-        a_M * (a_R + a_U + leg)
-        + a_R * (a_U + leg)
-        + a_U.mset_restricted(exactly(2))
-        + leg * a_U
-    )
+    s = a_R + a_M + a_U + leg
+    t_e = a_M * (a_R + a_U + leg) + a_R * (a_U + leg) + a_U.mset2() + leg * a_U
     t_d = (
         a_M * (a_R + a_U + leg)
         + a_R * (a_M + a_U + leg)
-        + a_U * (a_M + a_R + a_U + leg)
+        + a_U * s
         + leg * (a_R + a_M + a_U)
     )
     t_bullet = leg * (a_R + a_M + a_U)
-    t_R = a_R - (a_M + a_U + leg).mset_restricted(exactly(2))
-    t_M = a_M - (a_R + a_U + leg).mset_restricted(exactly(2))
-    t_U = a_U - (a_R + a_M + a_U + leg).mset_restricted(at_least(3))
+    t_R = a_R - (a_M + a_U + leg).mset2()
+    t_M = a_M - (a_R + a_U + leg).mset2()
+    # multisets of at least three components
+    t_U = a_U - (s.mset() - PowerSeries.one(s.order) - s - s.mset2())
     t_v = t_R + t_M + t_U + t_bullet
     t = t_v + t_e - t_d
     return UnrootedSeries(t, t_v, t_e, t_d)
 
 
-def _selfdual_rhs(p: PointedSeries, s_U: PowerSeries, variant: str) -> PowerSeries:
+def _selfdual_rhs(variant, a_R, a_M, a_U, leg, s_U):
     if variant == "paper":
         pairs = (
-            p.a_R.substitute_power(2)
-            + p.a_M.substitute_power(2)
-            + (p.a_U - s_U).substitute_power(2)
+            a_R.substitute_power(2)
+            + a_M.substitute_power(2)
+            + (a_U - s_U).substitute_power(2)
         )
     elif variant == "corrected":
-        # one contribution per unordered dual pair {t, t*}
-        pairs = p.a_R.substitute_power(2) + ((p.a_U - s_U) / 2).substitute_power(2)
+        # one contribution per unordered dual pair {t, t*}; halved after the
+        # substitution, where the iterate's unsettled top coefficient is gone
+        pairs = a_R.substitute_power(2) + (a_U - s_U).substitute_power(2) / 2
     else:
         raise ValueError(f"unknown self-dual variant {variant!r}")
-    core = s_U + p.a_leg
-    return core.mset_restricted(odd_at_least(3)) + pairs.mset_restricted(
-        at_least(1)
-    ) * core.mset_restricted(odd_at_least(1))
+    core = s_U + leg
+    odd = core.mset_odd()
+    # odd multisets of at least three, plus pair multisets times odd ones
+    return (odd - core + (pairs.mset() - PowerSeries.one(core.order)) * odd,)
 
 
 def compute_selfdual(p: PointedSeries, variant: str) -> PowerSeries:
     """Self-dual U-pointed series, "paper" or "corrected" pair counting."""
-    order = p.a_U.order
-    s_U = PowerSeries.zeros(order)
-    for m in _schedule(order):
-        pm = PointedSeries(
-            p.a_R.truncate(m), p.a_M.truncate(m), p.a_U.truncate(m), p.a_leg.truncate(m)
-        )
-        s_U = _selfdual_rhs(pm, s_U.truncate(m), variant).extended(order)
-    if _selfdual_rhs(p, s_U, variant) != s_U:
-        raise ArithmeticError("self-dual fixed point did not converge to residual 0")
+    (s_U,) = _fixed_point(partial(_selfdual_rhs, variant),
+                          (p.a_R, p.a_M, p.a_U, p.a_leg), 1)
     return s_U
 
 
-def _s_bound_rhs(p: PointedSeries, n_U: PowerSeries, s: PowerSeries) -> PowerSeries:
-    pairs = (
-        p.a_R.substitute_power(2)
-        + p.a_M.substitute_power(2)
-        + n_U.substitute_power(2)
-    )
-    core = s + p.a_leg
-    return core.mset_restricted(at_least(3)) + pairs.mset_restricted(
-        at_least(1)
-    ) * core.mset_restricted(at_least(1))
+def _s_bound_rhs(a_R, a_M, n_U, leg, s):
+    pairs = a_R.substitute_power(2) + a_M.substitute_power(2) + n_U.substitute_power(2)
+    one = PowerSeries.one(leg.order)
+    core = s + leg
+    e = core.mset()
+    # multisets of at least three, plus nonempty pair multisets times nonempty ones
+    return (e - one - core - core.mset2() + (pairs.mset() - one) * (e - one),)
 
 
 def compute_s_bound(p: PointedSeries, s_U_paper: PowerSeries) -> PowerSeries:
     """Bounding series dominating the self-dual pointed series."""
-    order = p.a_U.order
-    n_U = p.a_U - s_U_paper
-    s = PowerSeries.zeros(order)
-    for m in _schedule(order):
-        pm = PointedSeries(
-            p.a_R.truncate(m), p.a_M.truncate(m), p.a_U.truncate(m), p.a_leg.truncate(m)
-        )
-        s = _s_bound_rhs(pm, n_U.truncate(m), s.truncate(m)).extended(order)
-    if _s_bound_rhs(p, n_U, s) != s:
-        raise ArithmeticError("bounding-series fixed point did not converge")
+    (s,) = _fixed_point(_s_bound_rhs, (p.a_R, p.a_M, p.a_U - s_U_paper, p.a_leg), 1)
     return s
 
 

@@ -9,8 +9,6 @@ from __future__ import annotations
 
 from itertools import combinations
 
-import networkx as nx
-
 BASES_CAP = 14
 ISO_CAP = 12
 
@@ -282,18 +280,6 @@ def is_2connected(m: Matroid) -> bool:
         if greedy_rank(t) + greedy_rank(full ^ t) == total:
             return False
     return True
-
-
-def basis_graph(m: Matroid) -> nx.Graph:
-    """Graph on bases, adjacent when the symmetric difference has size 2."""
-    bs = list(bases(m))
-    g = nx.Graph()
-    g.add_nodes_from(bs)
-    for i, b1 in enumerate(bs):
-        for b2 in bs[i + 1 :]:
-            if len(b1 ^ b2) == 2:
-                g.add_edge(b1, b2)
-    return g
 
 
 def circuit_axioms_ok(m: Matroid) -> bool:

@@ -1,50 +1,27 @@
-"""Truncated univariate formal power series with exact rational coefficients.
+"""Truncated univariate formal power series with integer coefficients.
+
+Every series of this package counts objects, so coefficients are plain
+``int``.  The multiset operator is the Euler transform, whose divisions are
+exact; any division that leaves a remainder raises ``ArithmeticError``.
 
 All operations are pure and eager: a binary operation on series of different
 truncation orders truncates to the shorter one, never zero-extends.  The one
-deliberate exception is :meth:`PowerSeries.extended`, used by fixed-point
-solvers that manage their own truncation schedule.
+deliberate exception is :meth:`PowerSeries.extended`, used by the fixed-point
+solver that manages its own truncation.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from operator import index
 
-try:
-    from gmpy2 import mpq as Rational
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
-    from fractions import Fraction as Rational
-
-_ZERO = Rational(0)
-_ONE = Rational(1)
+# The coefficient type; bench/run.py records its name in every run.
+Rational = int
 
 
-@dataclass(frozen=True)
-class MultisetRestriction:
-    """Restriction of the multiset operator to a set of component counts."""
-
-    kind: str  # "at_least" | "exactly" | "odd_at_least"
-    k: int
-
-    def __post_init__(self):
-        if self.kind not in ("at_least", "exactly", "odd_at_least"):
-            raise ValueError(f"unknown restriction kind {self.kind!r}")
-        if self.k < 0:
-            raise ValueError("restriction bound must be nonnegative")
-
-
-def at_least(k: int) -> MultisetRestriction:
-    """Multisets with at least k components."""
-    return MultisetRestriction("at_least", k)
-
-
-def exactly(k: int) -> MultisetRestriction:
-    """Multisets with exactly k components."""
-    return MultisetRestriction("exactly", k)
-
-
-def odd_at_least(k: int) -> MultisetRestriction:
-    """Multisets with an odd number of components, at least k."""
-    return MultisetRestriction("odd_at_least", k)
+def _exact_div(num: int, den: int) -> int:
+    q, r = divmod(num, den)
+    if r:
+        raise ArithmeticError(f"inexact division {num}/{den}")
+    return q
 
 
 class PowerSeries:
@@ -53,7 +30,8 @@ class PowerSeries:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs):
-        cs = tuple(c if type(c) is type(_ZERO) else Rational(c) for c in coeffs)
+        # operator.index accepts integers only; it never truncates a value
+        cs = tuple(map(index, coeffs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
         self._coeffs = cs
@@ -62,21 +40,17 @@ class PowerSeries:
 
     @classmethod
     def zeros(cls, order: int) -> "PowerSeries":
-        return cls([_ZERO] * (order + 1))
+        return cls([0] * (order + 1))
 
     @classmethod
     def one(cls, order: int) -> "PowerSeries":
-        return cls([_ONE] + [_ZERO] * order)
-
-    @classmethod
-    def constant(cls, c, order: int) -> "PowerSeries":
-        return cls([Rational(c)] + [_ZERO] * order)
+        return cls([1] + [0] * order)
 
     @classmethod
     def x(cls, order: int) -> "PowerSeries":
         if order < 1:
             raise ValueError("order must be >= 1 to hold x")
-        return cls([_ZERO, _ONE] + [_ZERO] * (order - 1))
+        return cls([0, 1] + [0] * (order - 1))
 
     @classmethod
     def from_coeffs(cls, coeffs, order: int | None = None) -> "PowerSeries":
@@ -112,7 +86,7 @@ class PowerSeries:
         """Explicit zero-extension; only meaningful for solver iterates."""
         if order <= self.order:
             return self.truncate(order)
-        return PowerSeries(self._coeffs + (_ZERO,) * (order - self.order))
+        return PowerSeries(self._coeffs + (0,) * (order - self.order))
 
     def valuation(self) -> int | None:
         for i, c in enumerate(self._coeffs):
@@ -120,18 +94,13 @@ class PowerSeries:
                 return i
         return None
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self._coeffs)
-
     def integer_coeffs(self) -> list:
-        if not self.is_integral():
-            raise ArithmeticError("series has non-integer coefficients")
-        return [int(c) for c in self._coeffs]
+        return list(self._coeffs)
 
     def eval_float(self, x: float) -> float:
         total = 0.0
         for c in reversed(self._coeffs):
-            total = total * x + float(c)
+            total = total * x + c
         return total
 
     def __eq__(self, other):
@@ -150,45 +119,40 @@ class PowerSeries:
     def __add__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries(
-            [a + b for a, b in zip(self._coeffs[: n + 1], other._coeffs[: n + 1])]
-        )
+        return PowerSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
 
     def __sub__(self, other):
         if not isinstance(other, PowerSeries):
             return NotImplemented
-        n = min(self.order, other.order)
-        return PowerSeries(
-            [a - b for a, b in zip(self._coeffs[: n + 1], other._coeffs[: n + 1])]
-        )
+        return PowerSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
 
     def __neg__(self):
         return PowerSeries([-c for c in self._coeffs])
 
     def scale(self, c) -> "PowerSeries":
-        c = Rational(c)
+        c = index(c)
         return PowerSeries([c * a for a in self._coeffs])
 
     def __rmul__(self, other):
-        if isinstance(other, (int, type(_ZERO))):
+        if isinstance(other, int):
             return self.scale(other)
         return NotImplemented
 
     def __truediv__(self, other):
+        """Exact division by an integer; raises ArithmeticError on a remainder."""
         if isinstance(other, int):
-            return self.scale(Rational(1, other))
+            return PowerSeries([_exact_div(c, other) for c in self._coeffs])
         return NotImplemented
 
     def __mul__(self, other):
         if not isinstance(other, PowerSeries):
-            if isinstance(other, (int, type(_ZERO))):
+            if isinstance(other, int):
                 return self.scale(other)
             return NotImplemented
         n = min(self.order, other.order)
         a = self._coeffs
         b = other._coeffs
-        out = [_ZERO] * (n + 1)
+        out = [0] * (n + 1)
         for i in range(n + 1):
             ai = a[i]
             if not ai:
@@ -199,24 +163,7 @@ class PowerSeries:
                     out[i + j] += ai * bj
         return PowerSeries(out)
 
-    # -- transcendental / combinatorial operators ----------------------
-
-    def exp(self) -> "PowerSeries":
-        """Formal exponential; requires zero constant term."""
-        if self._coeffs[0]:
-            raise ValueError("exp requires zero constant term")
-        n = self.order
-        a = self._coeffs
-        b = [_ZERO] * (n + 1)
-        b[0] = _ONE
-        for m in range(1, n + 1):
-            s = _ZERO
-            for k in range(1, m + 1):
-                ak = a[k]
-                if ak:
-                    s += (k * ak) * b[m - k]
-            b[m] = s / m
-        return PowerSeries(b)
+    # -- combinatorial operators ---------------------------------------
 
     def substitute_power(self, r: int) -> "PowerSeries":
         """Return a(x^r), truncated to this series' order."""
@@ -225,61 +172,41 @@ class PowerSeries:
         if r == 1:
             return self
         n = self.order
-        out = [_ZERO] * (n + 1)
-        for i, c in enumerate(self._coeffs):
-            if r * i > n:
-                break
-            out[r * i] = c
+        out = [0] * (n + 1)
+        out[::r] = self._coeffs[: n // r + 1]
         return PowerSeries(out)
 
-    def _polya_sum(self, signed: bool = False) -> "PowerSeries":
-        # sum_{r>=1} (±1)^(r+?) a(x^r)/r; terms with r > order vanish (a_0 = 0)
-        n = self.order
-        out = [_ZERO] * (n + 1)
-        for r in range(1, n + 1):
-            w = Rational(-1, r) if signed and r % 2 else Rational(1, r)
-            for i, c in enumerate(self._coeffs):
-                if r * i > n:
-                    break
-                if i and c:
-                    out[r * i] += w * c
-        return PowerSeries(out)
+    def mset(self, signed: bool = False) -> "PowerSeries":
+        """Multiset operator MSet = exp(sum_r a(x^r)/r), as the Euler transform.
 
-    def mset(self) -> "PowerSeries":
-        """Unrestricted multiset operator exp(sum_r a(x^r)/r)."""
-        if self._coeffs[0]:
+        n*b_n = sum_{k=1..n} c_k*b_(n-k) with c_k = sum_{d|k} d*a_d; every
+        division is exact.  With ``signed`` the term of a(x^r) carries the
+        sign (-1)^r, which counts each multiset with the sign (-1)^(number of
+        components).
+        """
+        a = self._coeffs
+        if a[0]:
             raise ValueError("multiset operator requires zero constant term")
-        return self._polya_sum().exp()
-
-    def _mset_exactly(self, m: int) -> "PowerSeries":
-        # coefficient of u^m in exp(sum_r (u^r/r) a(x^r)), as a series in x
-        if m == 0:
-            return PowerSeries.one(self.order)
         n = self.order
-        layers = [PowerSeries.zeros(n)]  # u-degree 0 handled separately
-        for r in range(1, m + 1):
-            layers.append(self.substitute_power(r) / r)
-        # exp recurrence in the u-grading
-        e = [PowerSeries.one(n)] + [PowerSeries.zeros(n)] * m
-        for d in range(1, m + 1):
-            acc = PowerSeries.zeros(n)
-            for k in range(1, d + 1):
-                acc = acc + (k * layers[k]) * e[d - k]
-            e[d] = acc / d
-        return e[m]
+        c = [0] * (n + 1)
+        for d in range(1, n + 1):
+            da = d * a[d]
+            if da:
+                for r, k in enumerate(range(d, n + 1, d), 1):
+                    c[k] += -da if signed and r % 2 else da
+        b = [1] + [0] * n
+        for m in range(1, n + 1):
+            b[m] = _exact_div(sum(c[k] * b[m - k] for k in range(1, m + 1)), m)
+        return PowerSeries(b)
 
-    def mset_restricted(self, res: MultisetRestriction) -> "PowerSeries":
-        if self._coeffs[0]:
-            raise ValueError("multiset operator requires zero constant term")
-        if res.kind == "exactly":
-            return self._mset_exactly(res.k)
-        if res.kind == "at_least":
-            out = self.mset()
-            for m in range(res.k):
-                out = out - self._mset_exactly(m)
-            return out
-        # odd_at_least
-        odd_total = (self.mset() - self._polya_sum(signed=True).exp()) / 2
-        for m in range(1, res.k, 2):
-            odd_total = odd_total - self._mset_exactly(m)
-        return odd_total
+    def mset2(self) -> "PowerSeries":
+        """Multisets of exactly two components, (a^2 + a(x^2)) / 2."""
+        return (self * self + self.substitute_power(2)) / 2
+
+    def mset_odd(self) -> "PowerSeries":
+        """Multisets with an odd number of components, (MSet - signed MSet) / 2."""
+        return (self.mset() - self.mset(signed=True)) / 2
+
+    # Names of the former rational API that bench/tracer.py still wraps;
+    # nothing calls them.
+    exp = mset_restricted = None

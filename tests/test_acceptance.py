@@ -16,7 +16,7 @@ from twolevel import cli
 from twolevel import gfsystem as gf
 from twolevel import matroid as mat
 from twolevel import umrtree as umr
-from twolevel.powerseries import PowerSeries, at_least, exactly, odd_at_least
+from twolevel.powerseries import PowerSeries
 
 
 def report(number: int, passed: bool, summary: str) -> None:
@@ -149,30 +149,37 @@ def test_criterion_5_property_suites():
         m1 = umr.tree_to_matroid(t, random.Random(rng.random()))
         if not mat.is_isomorphic(m0, m1):
             failures.append("base-point invariance")
-    # multiset operators vs direct multiset counting (support <= 3, order 8)
+    # multiset operators of the solver vs direct multiset counting
+    # (support <= 3, order 8), one count per size and number of components
     for _ in range(cases):
         counts = [0] * 4
         for _ in range(3):
             counts[rng.randint(1, 3)] += rng.randint(0, 2)
         s = PowerSeries.from_coeffs(counts, 8)
         objects = [(size, i) for size in (1, 2, 3) for i in range(counts[size])]
-        direct = [0] * 9
+        direct = [[0] * 9 for _ in range(9)]  # direct[m][total]
         for m in range(9):
             for combo in combinations_with_replacement(objects, m):
                 total = sum(sz for sz, _ in combo)
                 if total <= 8:
-                    direct[total] += 1
-        if s.mset().integer_coeffs() != direct:
-            failures.append("mset counting")
-        k = rng.randint(0, 3)
-        got = s.mset_restricted(exactly(k)).integer_coeffs()
-        want = [0] * 9
-        for combo in combinations_with_replacement(objects, k):
-            total = sum(sz for sz, _ in combo)
-            if total <= 8:
-                want[total] += 1
-        if got != want:
-            failures.append("mset exactly")
+                    direct[m][total] += 1
+
+        def counted(keep):
+            return [sum(direct[m][n] for m in range(9) if keep(m)) for n in range(9)]
+
+        one = PowerSeries.one(8)
+        operators = {
+            "mset": (s.mset(), lambda m: True),
+            "mset >= 1": (s.mset() - one, lambda m: m >= 1),
+            "mset >= 2": (s.mset() - one - s, lambda m: m >= 2),
+            "mset >= 3": (s.mset() - one - s - s.mset2(), lambda m: m >= 3),
+            "mset2": (s.mset2(), lambda m: m == 2),
+            "odd": (s.mset_odd(), lambda m: m % 2 == 1),
+            "odd >= 3": (s.mset_odd() - s, lambda m: m % 2 == 1 and m >= 3),
+        }
+        for name, (got, keep) in operators.items():
+            if got.integer_coeffs() != counted(keep):
+                failures.append(name)
     symmetric = gf.solve_pointed(30)
     if symmetric.a_R != symmetric.a_M:
         failures.append("A_R = A_M")

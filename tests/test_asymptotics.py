@@ -161,7 +161,7 @@ class TestSelfDualGrowth:
 
 class TestEmpiricalGrowth:
     def test_richardson_rate_geometric(self):
-        s = PowerSeries.from_coeffs([2.0**n for n in range(12)])
+        s = PowerSeries.from_coeffs([2**n for n in range(12)])
         assert asy.richardson_rate(s) == pytest.approx(2.0, abs=1e-12)
 
     def test_richardson_needs_three_terms(self):

@@ -1,6 +1,8 @@
 import csv
 import io
 import json
+import subprocess
+import sys
 
 import pytest
 
@@ -87,6 +89,16 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH" in buf.getvalue()
 
+    def test_iso_cap_skips_matroid_checks(self, capsys):
+        code, out, _ = run(["--order", "10", "--tree-cap", "7", "--iso-cap", "5",
+                            "--format", "json", "verify"], capsys)
+        assert code == 0
+        status = {(r["n"], r["check"]): r["status"] for r in json.loads(out)["data"]}
+        assert status[5, "matroids_distinct"] == status[5, "selfdual_matroid"] == "ok"
+        assert status[6, "matroids_distinct"] == status[6, "selfdual_matroid"] == "skipped"
+        assert status[7, "matroids_distinct"] == "skipped"
+        assert "MISMATCH" not in status.values()
+
     def test_reports_p6_and_duality_checks(self, capsys):
         code, out, _ = run(["--order", "8", "--tree-cap", "4", "verify"], capsys)
         assert code == 0
@@ -121,6 +133,15 @@ class TestBound:
         assert table["3"][1:4] == ["2", "0", "1"]
         assert table["4"][1:4] == ["4", "2", "3"]
 
+    @pytest.mark.parametrize("order", [5, 7])
+    def test_order_below_tree_cap(self, capsys, order):
+        code, out, _ = run(["--order", str(order), "--format", "csv", "bound"], capsys)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))[1:]
+        exact = [r for r in rows if r[-1] == "exact"]
+        assert [r[0] for r in exact] == [str(n) for n in range(3, order + 1)]
+        assert exact[2][1:4] == ["10", "0", "5"]
+
     def test_asymptotic_rows_present(self, capsys):
         code, out, _ = run(["bound"], capsys)
         assert code == 0
@@ -133,3 +154,11 @@ class TestDeterminism:
         _, out1, _ = run(["--order", "10", "--format", "json", "coeffs", "sbound"], capsys)
         _, out2, _ = run(["--order", "10", "--format", "json", "coeffs", "sbound"], capsys)
         assert out1 == out2
+
+
+class TestImports:
+    def test_cli_does_not_load_networkx(self):
+        probe = "import sys, twolevel.cli; print('networkx' in sys.modules)"
+        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                             text=True, check=True).stdout
+        assert out.strip() == "False"

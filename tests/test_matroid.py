@@ -1,7 +1,6 @@
 import random
 from itertools import combinations
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -142,21 +141,6 @@ class TestConnectivity:
 
     def test_p6_is_2connected(self):
         assert mat.is_2connected(mat.P6)
-
-
-class TestBasisGraph:
-    def test_u42_is_octahedron(self):
-        g = mat.basis_graph(mat.uniform(4, 2))
-        assert nx.is_isomorphic(g, nx.octahedral_graph())
-
-    def test_basis_graph_connected(self):
-        for m in (mat.uniform(5, 2), mat.P6):
-            assert nx.is_connected(mat.basis_graph(m))
-
-    def test_dual_has_isomorphic_basis_graph(self):
-        g1 = mat.basis_graph(mat.uniform(5, 2))
-        g2 = mat.basis_graph(mat.uniform(5, 3))
-        assert nx.is_isomorphic(g1, g2)
 
 
 class TestCircuitAxioms:
