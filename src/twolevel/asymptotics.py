@@ -7,9 +7,21 @@ n^(-5/2) * rho^(-n) growth estimates, and locates the first branch point of
 the bounding series for self-dual trees in (0, sqrt(rho)]; the shipped bound
 has one at x = 0.39300, so it grows like 2.5445^n rather than rho^(-n/2).
 
+Every equation is written once, in :mod:`twolevel.gfsystem`, and runs over
+two rings.  Integer ``PowerSeries`` give the exact counts.  The float ring
+here (:class:`Jet` over a :class:`JetPoint` x(X)) gives the value of the same
+right-hand side along x(X), as a polynomial in X:
+
+- at a constant point x(X) = x0, with one unknown set to its value plus X,
+  the X^0 coefficient is the value and the X^1 coefficient the exact inner
+  derivative (branch-point Newton, self-dual scan); with the expansion of T
+  at r = 1 it gives the forest series, its tail taken at rho;
+- at x(X) = rho (1 - X^2), with the unknowns set to their expansions, it
+  is the residual of the singular expansion, or the expansion of T.
+
 Polynomials in X are plain numpy coefficient arrays (index = power of X)
-truncated after degree DEG.  Everything here is float arithmetic on the exact
-series computed in :mod:`twolevel.gfsystem`.
+truncated after degree DEG.  FD_STEP remains only for the Jacobians of the
+outer Newton and Gauss-Newton iterations.
 """
 from __future__ import annotations
 
@@ -18,6 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import gfsystem as gf
 from .powerseries import PowerSeries
 
 DEG = 5
@@ -75,28 +88,6 @@ class AsymptoticEstimate:
         return self.amplitude * n**self.poly_exponent * self.growth_rate**n
 
 
-# -- numeric evaluation helpers ------------------------------------------
-
-def tail_value(series: PowerSeries, x: float, r_min: int = 2,
-               harmonic: bool = True) -> float:
-    """sum_{r >= r_min} series(x^r) (/r if harmonic), to geometric cutoff."""
-    if not 0 <= x < 1:
-        raise ValueError("tail evaluation requires 0 <= x < 1")
-    total = 0.0
-    r = r_min
-    xr = x**r
-    while xr > TAIL_EPS:
-        term = series.eval_float(xr)
-        total += term / r if harmonic else term
-        r += 1
-        xr *= x
-    return total
-
-
-def _float_coeffs(series: PowerSeries) -> np.ndarray:
-    return np.array([float(c) for c in series.coeffs])
-
-
 # -- X-polynomial arithmetic ---------------------------------------------
 
 def xp(*coeffs) -> np.ndarray:
@@ -106,11 +97,7 @@ def xp(*coeffs) -> np.ndarray:
 
 
 def xp_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    out = np.zeros(DEG + 1)
-    for i in range(DEG + 1):
-        if p[i]:
-            out[i:] += p[i] * q[: DEG + 1 - i]
-    return out
+    return np.convolve(p, q)[: DEG + 1]
 
 
 def xp_pow(p: np.ndarray, r: int) -> np.ndarray:
@@ -121,86 +108,157 @@ def xp_pow(p: np.ndarray, r: int) -> np.ndarray:
 
 
 def xp_exp(p: np.ndarray) -> np.ndarray:
-    """exp of an X-polynomial (constant term allowed)."""
-    q = p.copy()
-    c0 = q[0]
-    q[0] = 0.0
-    out = xp(1.0)
-    term = xp(1.0)
-    for j in range(1, DEG + 1):
-        term = xp_mul(term, q) / j
-        out += term
-    return math.exp(c0) * out
+    """exp of an X-polynomial (constant term allowed), from E' = p' E."""
+    out = xp(math.exp(p[0]))
+    for n in range(1, DEG + 1):
+        out[n] = sum(k * p[k] * out[n - k] for k in range(1, n + 1)) / n
+    return out
 
 
 def series_at_xpoly(series: PowerSeries, arg: np.ndarray) -> np.ndarray:
-    """Expansion of series(arg(X)) as an X-polynomial.
+    """Expansion of series(arg(X)) as an X-polynomial, by Horner's rule.
 
-    The series is a plain truncated polynomial; its derivatives at the
-    constant term arg[0] are exact, so the only error is the truncation of
-    the series itself (negligible when |arg[0]| is well inside the radius).
+    The series is a plain truncated polynomial, so the only error is its
+    truncation (negligible when |arg[0]| is well inside the radius).
     """
-    x0 = arg[0]
-    dx = arg.copy()
-    dx[0] = 0.0
-    # Taylor coefficients f^(j)(x0)/j! via repeated polynomial differentiation
-    taylor = np.zeros(DEG + 1)
-    work = _float_coeffs(series)
-    for j in range(DEG + 1):
+    out = xp()
+    for c in reversed(series.coeffs):
+        out = xp_mul(out, arg)
+        out[0] += float(c)
+    return out
+
+
+# -- the float ring -------------------------------------------------------
+
+class JetPoint:
+    """The argument x(X) of a ring evaluation; caches the leaves read at it."""
+
+    def __init__(self, x_of_X: np.ndarray):
+        if not abs(x_of_X[0]) < 1:
+            raise ValueError("ring evaluation requires |x(0)| < 1")
+        self.x = x_of_X
+        self._leaves: dict[PowerSeries, Jet] = {}
+
+    def leaf(self, series: PowerSeries, at1: np.ndarray | None = None) -> "Jet":
+        """series(x(X)^r) as a ring element; ``at1`` replaces its value at r = 1."""
+        base = self._leaves.get(series)
+        if base is None:
+            base = self._leaves[series] = _leaf(series, self.x)
+        if at1 is None:
+            return base
+        return Jet(base.x0, lambda r: at1 if r == 1 else base(r))
+
+
+def _leaf(series: PowerSeries, x_of_X: np.ndarray) -> "Jet":
+    """r -> series(x(X)^r); past the cutoff only the constant term is left."""
+    x0 = float(x_of_X[0])
+    constant = not np.any(x_of_X[1:])
+    coeffs = [float(c) for c in reversed(series.coeffs)]  # converted once
+
+    def at(r: int) -> np.ndarray:
+        y = x0**r
+        if abs(y) <= TAIL_EPS:
+            return xp(coeffs[-1])
+        if not constant:
+            return series_at_xpoly(series, xp_pow(x_of_X, r))
         v = 0.0
-        for c in work[::-1]:
-            v = v * x0 + c
-        taylor[j] = v / math.factorial(j)
-        work = work[1:] * np.arange(1, len(work)) if len(work) > 1 else np.zeros(1)
-    out = xp(taylor[0])
-    dpow = xp(1.0)
-    for j in range(1, DEG + 1):
-        dpow = xp_mul(dpow, dx)
-        out += taylor[j] * dpow
-    return out
+        for c in coeffs:  # one Horner pass
+            v = v * y + c
+        return xp(v)
+
+    return Jet(x0, at, memo=True)
 
 
-def tail_xpoly(series: PowerSeries, x_of_X: np.ndarray, r_min: int = 2,
-               harmonic: bool = True) -> np.ndarray:
-    """Expansion of sum_{r >= r_min} series(x^r) (/r) around the branch point.
+class Jet:
+    """Element f of the float ring: r -> f(x(X)^r) as X-polynomials, on demand.
 
-    Each term series(x(X)^r) is analytic there (|x(X)^r| <= rho^r < rho), so
-    the tail is a plain X-polynomial.
+    The right-hand sides of :mod:`twolevel.gfsystem` run on these unchanged:
+    ring operations act on each r separately, a(x^k) reads index k r, and
+    MSet at r is exp(sum_k f(x^(r k))/k) over k = 1 and every further k
+    with |x(0)|^(r k) > TAIL_EPS.
     """
-    rho = x_of_X[0]
-    out = np.zeros(DEG + 1)
-    r = r_min
-    while rho**r > TAIL_EPS:
-        term = series_at_xpoly(series, xp_pow(x_of_X, r))
-        out += term / r if harmonic else term
-        r += 1
-    return out
+
+    __slots__ = ("x0", "_at", "_memo")
+
+    def __init__(self, x0: float, at, memo: bool = False):
+        self.x0 = x0
+        self._at = at
+        # only values that cost a Horner pass or a sum over k are kept; the
+        # rest are a few array operations, cheaper to redo than to hold
+        self._memo: dict[int, np.ndarray] | None = {} if memo else None
+
+    def __call__(self, r: int = 1) -> np.ndarray:
+        if self._memo is None:
+            return self._at(r)
+        v = self._memo.get(r)
+        if v is None:
+            v = self._memo[r] = self._at(r)
+        return v
+
+    def _multiples(self, r: int) -> range:
+        k = 1
+        while abs(self.x0) ** (r * (k + 1)) > TAIL_EPS:
+            k += 1
+        return range(1, k + 1)
+
+    def _zip(self, other, op) -> "Jet":
+        if isinstance(other, int):  # a constant, the same at every r
+            c = xp(other)
+            return Jet(self.x0, lambda r: op(self(r), c))
+        if not isinstance(other, Jet):
+            return NotImplemented
+        return Jet(self.x0, lambda r: op(self(r), other(r)))
+
+    def __add__(self, other):
+        return self._zip(other, np.add)
+
+    def __sub__(self, other):
+        return self._zip(other, np.subtract)
+
+    def __mul__(self, other):
+        return self._zip(other, xp_mul)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k: int) -> "Jet":
+        return Jet(self.x0, lambda r: self(r) / k)
+
+    def substitute_power(self, k: int) -> "Jet":
+        return Jet(self.x0, lambda r: self(k * r))
+
+    def substitution_sum(self) -> "Jet":
+        return Jet(self.x0, lambda r: sum(self(r * k) for k in self._multiples(r)), memo=True)
+
+    def mset(self, signed: bool = False) -> "Jet":
+        sign = -1.0 if signed else 1.0
+        return Jet(self.x0, lambda r: xp_exp(
+            sum(self(r * k) * (sign**k / k) for k in self._multiples(r))), memo=True)
+
+    mset2 = PowerSeries.mset2
+    mset_odd = PowerSeries.mset_odd
 
 
 # -- characteristic system -----------------------------------------------
 
-def _system_values(x: float, a: float, u: float,
-                   slice1: PowerSeries, slice2: PowerSeries):
-    """Right-hand sides and their s-derivatives on the symmetric slice.
+def _pointed_residuals(point: JetPoint, a: np.ndarray, u: np.ndarray,
+                       a_R: PowerSeries, a_U: PowerSeries):
+    """F_R - a and F_U - u over the ring, with a_R = a_M = a and a_U = u at r = 1."""
+    A = point.leaf(a_R, a)
+    U = point.leaf(a_U, u)
+    new_R, _, new_U = gf._pointed_rhs(point.leaf(PowerSeries.x(a_R.order)), A, A, U)
+    return new_R() - a, new_U() - u
 
-    slice1 = a_R + a_U + leg (argument class of the R equation),
-    slice2 = 2 a_R + a_U + leg (argument class of the U equation);
-    both enter only through tails at x^r, r >= 2, hence carry no (a, u)
-    dependence.
+
+def _char_residual(point: JetPoint, a: float, u: float,
+                   a_R: PowerSeries, a_U: PowerSeries) -> np.ndarray:
+    """Fixed-point residuals at (x, a, u) and det of their (a, u)-Jacobian.
+
+    With one unknown set to its value plus X, the X^1 coefficients of the
+    residuals are a column of J - I, J the Jacobian of the symmetric slice.
     """
-    s1 = a + u + x
-    s2 = 2.0 * a + u + x
-    t1 = tail_value(slice1, x)
-    t2 = tail_value(slice2, x)
-    lt = tail_value(slice2, x, harmonic=False)
-    e1 = math.exp(s1 + t1)
-    e2 = math.exp(s2 + t2)
-    lin = s2 + lt
-    f_R = e1 - 1.0 - s1
-    f_U = e2 * lin + s2 - 2.0 * e2 + 2.0
-    d1 = e1 - 1.0  # dF_R/ds1
-    d2 = e2 * lin + e2 + 1.0 - 2.0 * e2  # dF_U/ds2
-    return f_R, f_U, d1, d2
+    r_a, s_a = _pointed_residuals(point, xp(a, 1.0), xp(u), a_R, a_U)
+    r_u, s_u = _pointed_residuals(point, xp(a), xp(u, 1.0), a_R, a_U)
+    return np.array([r_a[0], s_a[0], r_a[1] * s_u[1] - r_u[1] * s_a[1]])
 
 
 def solve_char_system(
@@ -213,50 +271,29 @@ def solve_char_system(
     """Newton iteration for the branch point of the pointed system.
 
     Unknowns (x, a, u) with a the common R/M value.  Conditions: a and u are
-    fixed by the system and the symmetric-slice Jacobian
-    J = [[d1, d1], [2 d2, d2]] satisfies det(I - J) = 0.
+    fixed by the system and the symmetric-slice Jacobian J satisfies
+    det(I - J) = 0.
     """
-    leg = PowerSeries.x(a_R.order)
-    slice1 = a_R + a_U + leg
-    slice2 = a_R + a_R + a_U + leg
-
-    def residual(v: np.ndarray) -> np.ndarray:
-        x, a, u = v
-        f_R, f_U, d1, d2 = _system_values(x, a, u, slice1, slice2)
-        det = (1.0 - d1) * (1.0 - d2) - 2.0 * d1 * d2
-        return np.array([f_R - a, f_U - u, det])
-
-    v = np.array(seed, dtype=float)
+    x, a, u = seed
     for _ in range(max_iter):
-        g = residual(v)
+        here = JetPoint(xp(x))
+        g = _char_residual(here, a, u, a_R, a_U)
         if np.max(np.abs(g)) < tol:
-            return CharSolution(rho=v[0], a_R=v[1], a_U=v[2])
-        jac = np.empty((3, 3))
-        for j in range(3):
-            vp = v.copy()
-            vp[j] += FD_STEP
-            jac[:, j] = (residual(vp) - g) / FD_STEP
-        v = v - np.linalg.solve(jac, g)
+            return CharSolution(rho=x, a_R=a, a_U=u)
+        jac = np.column_stack((
+            _char_residual(JetPoint(xp(x + FD_STEP)), a, u, a_R, a_U),
+            _char_residual(here, a + FD_STEP, u, a_R, a_U),
+            _char_residual(here, a, u + FD_STEP, a_R, a_U),
+        ))
+        x, a, u = (x, a, u) - np.linalg.solve((jac - g[:, None]) / FD_STEP, g)
     raise ArithmeticError("branch-point Newton iteration did not converge")
 
 
 # -- singular expansions --------------------------------------------------
 
-def _residual_xpolys(char: CharSolution, a_poly: np.ndarray, u_poly: np.ndarray,
-                     slice1: PowerSeries, slice2: PowerSeries):
-    rho = char.rho
-    x_of_X = xp(rho, 0.0, -rho)
-    s1 = a_poly + u_poly + x_of_X
-    s2 = 2.0 * a_poly + u_poly + x_of_X
-    t1 = tail_xpoly(slice1, x_of_X)
-    t2 = tail_xpoly(slice2, x_of_X)
-    lt = tail_xpoly(slice2, x_of_X, harmonic=False)
-    e1 = xp_exp(s1 + t1)
-    e2 = xp_exp(s2 + t2)
-    lin = s2 + lt
-    r_a = e1 - xp(1.0) - s1 - a_poly
-    r_u = xp_mul(e2, lin) + s2 - 2.0 * e2 + xp(2.0) - u_poly
-    return r_a, r_u
+def _branch_point(rho: float) -> JetPoint:
+    """x(X) = rho (1 - X^2)."""
+    return JetPoint(xp(rho, 0.0, -rho))
 
 
 def singular_expansions(
@@ -275,14 +312,12 @@ def singular_expansions(
     the step is a least-squares solve; the reported low-order coefficients
     are unaffected.
     """
-    leg = PowerSeries.x(a_R.order)
-    slice1 = a_R + a_U + leg
-    slice2 = a_R + a_R + a_U + leg
+    point = _branch_point(char.rho)
 
     def residual(v: np.ndarray) -> np.ndarray:
         a_poly = np.concatenate(([char.a_R], v[:DEG]))
         u_poly = np.concatenate(([char.a_U], v[DEG:]))
-        r_a, r_u = _residual_xpolys(char, a_poly, u_poly, slice1, slice2)
+        r_a, r_u = _pointed_residuals(point, a_poly, u_poly, a_R, a_U)
         return np.concatenate((r_a[1:], r_u[1:]))
 
     v = np.full(2 * DEG, 0.0)
@@ -311,76 +346,40 @@ def singular_expansions(
 
 def char_residual_norm(char: CharSolution, a_R: PowerSeries, a_U: PowerSeries) -> float:
     """Max-norm of the branch-point defining equations at the solution."""
-    leg = PowerSeries.x(a_R.order)
-    slice1 = a_R + a_U + leg
-    slice2 = a_R + a_R + a_U + leg
-    f_R, f_U, d1, d2 = _system_values(char.rho, char.a_R, char.a_U, slice1, slice2)
-    det = (1.0 - d1) * (1.0 - d2) - 2.0 * d1 * d2
-    return max(abs(f_R - char.a_R), abs(f_U - char.a_U), abs(det))
+    g = _char_residual(JetPoint(xp(char.rho)), char.a_R, char.a_U, a_R, a_U)
+    return float(np.max(np.abs(g)))
 
 
 def expansion_residual_norm(char: CharSolution, exp_: SingularExpansion,
                             a_R: PowerSeries, a_U: PowerSeries) -> float:
     """Max-norm of the matched residual coefficients X^0..X^3."""
-    leg = PowerSeries.x(a_R.order)
-    slice1 = a_R + a_U + leg
-    slice2 = a_R + a_R + a_U + leg
-    r_a, r_u = _residual_xpolys(char, exp_.a, exp_.u, slice1, slice2)
+    r_a, r_u = _pointed_residuals(_branch_point(char.rho), exp_.a, exp_.u, a_R, a_U)
     return float(max(np.max(np.abs(r_a[:4])), np.max(np.abs(r_u[:4]))))
 
 
 # -- singular expansion of T and the forest series ------------------------
 
-def _mset2_xpoly(p: np.ndarray, cls: PowerSeries, x_of_X: np.ndarray) -> np.ndarray:
-    """Pair-multiset value (p(X)^2 + cls(x(X)^2)) / 2."""
-    return (xp_mul(p, p) + series_at_xpoly(cls, xp_pow(x_of_X, 2))) / 2.0
-
-
 def expand_T(exp_: SingularExpansion, a_R: PowerSeries, a_U: PowerSeries) -> np.ndarray:
     """Singular expansion of the unrooted series T via dissymmetry.
 
-    Built from the pointed expansions by the same algebra used on exact
-    series in :func:`twolevel.gfsystem.assemble_T`.
+    :func:`twolevel.gfsystem.assemble_T` evaluated over the ring at the
+    branch point, with the pointed expansions at r = 1.
     """
-    rho = exp_.rho
-    x_of_X = xp(rho, 0.0, -rho)
-    a, u = exp_.a, exp_.u
-    leg = PowerSeries.x(a_R.order)
-    slice1 = a_R + a_U + leg  # class at an R (or M) vertex
-    slice2 = a_R + a_R + a_U + leg  # class at a U vertex
-    s1 = a + u + x_of_X
-    s2 = 2.0 * a + u + x_of_X
-    # vertex-pointed parts
-    t_R = a - _mset2_xpoly(s1, slice1, x_of_X)
-    t_M = t_R
-    e2 = xp_exp(s2 + tail_xpoly(slice2, x_of_X))
-    mset_ge3 = e2 - xp(1.0) - s2 - _mset2_xpoly(s2, slice2, x_of_X)
-    t_U = u - mset_ge3
-    t_bullet = xp_mul(x_of_X, 2.0 * a + u)
-    t_v = t_R + t_M + t_U + t_bullet
-    # edge- and directed-edge-pointed parts
-    t_e = (
-        xp_mul(a, a + u + x_of_X)
-        + xp_mul(a, u + x_of_X)
-        + _mset2_xpoly(u, a_U, x_of_X)
-        + xp_mul(x_of_X, u)
-    )
-    t_d = (
-        2.0 * xp_mul(a, a + u + x_of_X)
-        + xp_mul(u, s2)
-        + xp_mul(x_of_X, 2.0 * a + u)
-    )
-    return t_v + t_e - t_d
+    point = _branch_point(exp_.rho)
+    A = point.leaf(a_R, exp_.a)
+    p = gf.PointedSeries(A, A, point.leaf(a_U, exp_.u), point.leaf(PowerSeries.x(a_R.order)))
+    return gf.assemble_T(p).t()
 
 
 def expand_forests(t_poly: np.ndarray, t_series: PowerSeries, rho: float) -> np.ndarray:
     """Singular expansion of the forest series MSet(T).
 
     The tail factor exp(sum_{r>=2} T(x^r)/r) is analytic at rho and enters as
-    its value there; its X^2 variation is an analytic term that cannot affect
-    the transferred asymptotics, so by convention it is not expanded.
+    its value there (MSet at the constant point rho); its X^2 variation is an
+    analytic term that cannot affect the transferred asymptotics, so by
+    convention it is not expanded.
     """
-    return math.exp(tail_value(t_series, rho)) * xp_exp(t_poly)
+    return JetPoint(xp(rho)).leaf(t_series, t_poly).mset()()
 
 
 def transfer(poly: np.ndarray, rho: float, tol: float = 1e-8) -> AsymptoticEstimate:
@@ -421,22 +420,13 @@ def verify_selfdual_growth(
     "No branch point" only means that no seed converged; the bound would then
     grow like rho^(-n/2) up to polynomial factors.
     """
-    leg_order = s_bound.order
-    leg = PowerSeries.x(leg_order)
-    core_cls = s_bound + leg
+    leg = PowerSeries.x(s_bound.order)
 
-    def f_and_fs(x: float, s: float):
-        c = s + x
-        h = tail_value(core_cls, x)
-        e_core = math.exp(c + h)
-        q = core_cls.eval_float(x * x)
-        # the pair class lives at x^2: MSet contributes P((x^r)^2) = P((x^2)^r)
-        x2 = x * x
-        p_val = pair_series.eval_float(x2) + tail_value(pair_series, x2)
-        e_pair = math.exp(p_val)
-        f = (e_core - 1.0 - c - (c * c + q) / 2.0) + (e_pair - 1.0) * (e_core - 1.0)
-        f_s = (e_core - 1.0 - c) + (e_pair - 1.0) * e_core
-        return f, f_s
+    def residual(point: JetPoint, s: float) -> np.ndarray:
+        # F and dF/ds are the X^0 and X^1 coefficients with s + X at r = 1
+        (f,) = gf._s_bound_rhs(point.leaf(pair_series), point.leaf(leg),
+                               point.leaf(s_bound, xp(s, 1.0)))
+        return np.array([s, 1.0]) - f()[:2]
 
     x_max = math.sqrt(rho)
     x_cap = min(1.2 * x_max, 0.999)  # past here the series evaluations diverge
@@ -446,16 +436,14 @@ def verify_selfdual_growth(
             root = False
             for _ in range(80):
                 try:
-                    f, f_s = f_and_fs(x, s)
-                    g = np.array([s - f, 1.0 - f_s])
+                    here = JetPoint(xp(x))
+                    g = residual(here, s)
                     if np.max(np.abs(g)) < tol:
                         root = True
                         break
-                    jac = np.empty((2, 2))
-                    for j, (dx, ds) in enumerate(((FD_STEP, 0.0), (0.0, FD_STEP))):
-                        fp, fsp = f_and_fs(x + dx, s + ds)
-                        jac[:, j] = (np.array([s + ds - fp, 1.0 - fsp]) - g) / FD_STEP
-                    step = np.linalg.solve(jac, -g)
+                    jac = np.column_stack((residual(JetPoint(xp(x + FD_STEP)), s),
+                                           residual(here, s + FD_STEP)))
+                    step = np.linalg.solve((jac - g[:, None]) / FD_STEP, -g)
                 except (OverflowError, np.linalg.LinAlgError):
                     break
                 x, s = x + step[0], s + step[1]
@@ -466,20 +454,3 @@ def verify_selfdual_growth(
                     no_branch_point=False, x_max=x_max, branch_x=x, branch_s=s
                 )
     return BranchPointReport(no_branch_point=True, x_max=x_max)
-
-
-# -- empirical growth from coefficients ------------------------------------
-
-def richardson_rate(series: PowerSeries) -> float:
-    """Extrapolated growth rate from the last two coefficient ratios.
-
-    For c_n ~ C n^a R^n the ratio r_n = c_n / c_(n-1) = R (1 + a/n + ...),
-    so n r_n - (n - 1) r_(n-1) cancels the 1/n term.
-    """
-    n = series.order
-    if n < 3:
-        raise ValueError("need at least three coefficients")
-    c = series.coeffs
-    r_n = c[n] / c[n - 1]
-    r_p = c[n - 1] / c[n - 2]
-    return float(n * r_n - (n - 1) * r_p)

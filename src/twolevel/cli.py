@@ -196,12 +196,8 @@ def cmd_verify(args, config: RunConfig) -> int:
 
 def cmd_asympt(args, config: RunConfig) -> int:
     p = gf.solve_pointed(config.order)
-    try:
-        char = asy.solve_char_system(p.a_R, p.a_U, tol=config.tol)
-        se = asy.singular_expansions(char, p.a_R, p.a_U, tol=config.tol)
-    except ArithmeticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    char = asy.solve_char_system(p.a_R, p.a_U, tol=config.tol)
+    se = asy.singular_expansions(char, p.a_R, p.a_U, tol=config.tol)
     t = gf.assemble_T(p)
     t_poly = asy.expand_T(se, p.a_R, p.a_U)
     f_poly = asy.expand_forests(t_poly, t.t, char.rho)

@@ -3,6 +3,10 @@
 Solves the coupled fixed-point equations for the pointed tree series, assembles
 the unrooted series T(x) by the dissymmetry identity, and derives the self-dual
 and bounding series plus the forest series MSet(T).
+
+The right-hand sides use only +, -, *, integer constants, division by an
+integer, a(x^k), sum_r a(x^r) and the multiset operators, so
+:mod:`twolevel.asymptotics` runs the same code over its float ring.
 """
 from __future__ import annotations
 
@@ -60,19 +64,16 @@ def _fixed_point(rhs, known, unknowns: int):
 
 
 def _pointed_rhs(leg, a_R, a_M, a_U):
-    one = PowerSeries.one(leg.order)
     f_R = a_M + a_U + leg
     f_M = a_R + a_U + leg
     s = a_R + a_M + a_U + leg
     e = s.mset()
-    lin = s
-    for r in range(2, leg.order + 1):
-        lin = lin + s.substitute_power(r)
+    lin = s.substitution_sum()
     # R and M: multisets of at least two components.  U: the terms in s_n
     # cancel (1 + 1 - 2), so coefficient n needs only lower ones.
-    new_R = f_R.mset() - one - f_R
-    new_M = f_M.mset() - one - f_M
-    new_U = e * lin + s - 2 * e + 2 * one
+    new_R = f_R.mset() - 1 - f_R
+    new_M = f_M.mset() - 1 - f_M
+    new_U = e * lin + s - 2 * e + 2
     return new_R, new_M, new_U
 
 
@@ -106,7 +107,7 @@ def assemble_T(p: PointedSeries) -> UnrootedSeries:
     t_R = a_R - (a_M + a_U + leg).mset2()
     t_M = a_M - (a_R + a_U + leg).mset2()
     # multisets of at least three components
-    t_U = a_U - (s.mset() - PowerSeries.one(s.order) - s - s.mset2())
+    t_U = a_U - (s.mset() - 1 - s - s.mset2())
     t_v = t_R + t_M + t_U + t_bullet
     t = t_v + t_e - t_d
     return UnrootedSeries(t, t_v, t_e, t_d)
@@ -128,7 +129,7 @@ def _selfdual_rhs(variant, a_R, a_M, a_U, leg, s_U):
     core = s_U + leg
     odd = core.mset_odd()
     # odd multisets of at least three, plus pair multisets times odd ones
-    return (odd - core + (pairs.mset() - PowerSeries.one(core.order)) * odd,)
+    return (odd - core + (pairs.mset() - 1) * odd,)
 
 
 def compute_selfdual(p: PointedSeries, variant: str) -> PowerSeries:
@@ -138,18 +139,18 @@ def compute_selfdual(p: PointedSeries, variant: str) -> PowerSeries:
     return s_U
 
 
-def _s_bound_rhs(a_R, a_M, n_U, leg, s):
-    pairs = a_R.substitute_power(2) + a_M.substitute_power(2) + n_U.substitute_power(2)
-    one = PowerSeries.one(leg.order)
+def _s_bound_rhs(pairs, leg, s):
     core = s + leg
     e = core.mset()
+    pair_sets = pairs.substitute_power(2).mset()  # the pair class lives at x^2
     # multisets of at least three, plus nonempty pair multisets times nonempty ones
-    return (e - one - core - core.mset2() + (pairs.mset() - one) * (e - one),)
+    return (e - 1 - core - core.mset2() + (pair_sets - 1) * (e - 1),)
 
 
 def compute_s_bound(p: PointedSeries, s_U_paper: PowerSeries) -> PowerSeries:
     """Bounding series dominating the self-dual pointed series."""
-    (s,) = _fixed_point(_s_bound_rhs, (p.a_R, p.a_M, p.a_U - s_U_paper, p.a_leg), 1)
+    pairs = p.a_R + p.a_M + (p.a_U - s_U_paper)
+    (s,) = _fixed_point(_s_bound_rhs, (pairs, p.a_leg), 1)
     return s
 
 

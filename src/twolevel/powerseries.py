@@ -117,11 +117,15 @@ class PowerSeries:
     # -- ring operations ----------------------------------------------
 
     def __add__(self, other):
+        if isinstance(other, int):  # a constant
+            return PowerSeries((self._coeffs[0] + other,) + self._coeffs[1:])
         if not isinstance(other, PowerSeries):
             return NotImplemented
         return PowerSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
 
     def __sub__(self, other):
+        if isinstance(other, int):
+            return self + -other
         if not isinstance(other, PowerSeries):
             return NotImplemented
         return PowerSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
@@ -175,6 +179,13 @@ class PowerSeries:
         out = [0] * (n + 1)
         out[::r] = self._coeffs[: n // r + 1]
         return PowerSeries(out)
+
+    def substitution_sum(self) -> "PowerSeries":
+        """sum_{r>=1} a(x^r) for a with zero constant term, truncated."""
+        total = self
+        for r in range(2, self.order + 1):
+            total = total + self.substitute_power(r)
+        return total
 
     def mset(self, signed: bool = False) -> "PowerSeries":
         """Multiset operator MSet = exp(sum_r a(x^r)/r), as the Euler transform.

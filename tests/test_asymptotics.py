@@ -40,14 +40,17 @@ class TestXPolyHelpers:
         assert np.allclose(out[3:], 0.0)
 
     def test_tail_value_geometric(self):
-        # sum_{r>=1} x^r / r = -log(1-x); here from r=2
-        leg = PowerSeries.x(2)
-        got = asy.tail_value(leg, 0.5)
-        assert got == pytest.approx(-math.log(0.5) - 0.5, abs=1e-12)
+        # MSet(x) = exp(sum_{r>=1} x^r / r) = 1 / (1 - x), tail cut by the point
+        leg = asy.JetPoint(asy.xp(0.5)).leaf(PowerSeries.x(2))
+        got = leg.mset()()
+        assert got[0] == pytest.approx(2.0, abs=1e-12)
+        assert np.all(got[1:] == 0.0)
 
     def test_tail_value_rejects_bad_argument(self):
         with pytest.raises(ValueError):
-            asy.tail_value(PowerSeries.x(2), 1.5)
+            asy.JetPoint(asy.xp(1.5))
+        with pytest.raises(ValueError):
+            asy.JetPoint(asy.xp(-1.0, 0.5))
 
 
 class TestCharSystem:
@@ -159,11 +162,70 @@ class TestSelfDualGrowth:
         assert rep.describe().startswith("no branch point")
 
 
-class TestEmpiricalGrowth:
-    def test_richardson_rate_geometric(self):
-        s = PowerSeries.from_coeffs([2**n for n in range(12)])
-        assert asy.richardson_rate(s) == pytest.approx(2.0, abs=1e-12)
+class TestJetRing:
+    """The float ring against the integer ring on the right-hand sides of gfsystem.
 
-    def test_richardson_needs_three_terms(self):
-        with pytest.raises(ValueError):
-            asy.richardson_rate(PowerSeries.from_coeffs([1, 2], 2))
+    Float side: every input a leaf of its exact order-30 series, at
+    x(X) = 0.1 + X and at the constant point x(X) = 0.1.  Integer side: the
+    same inputs, zero-extended to order 90 so that its truncation is far
+    below the tolerance at 0.1; its first 31 coefficients are the solved
+    series.  The float values must be the integer results' Taylor jets at
+    0.1 (their values, at the constant point), through X^DEG.
+    """
+
+    @pytest.fixture(params=[(0.1, 1.0), (0.1,)], ids=["jet", "constant"])
+    def both(self, request):
+        x_of_X = asy.xp(*request.param)
+        point = asy.JetPoint(x_of_X)
+
+        def inputs(*series):
+            return [point.leaf(s) for s in series], [s.extended(90) for s in series]
+
+        def check(ring_result, int_result, solved):
+            assert int_result.truncate(solved.order) == solved
+            want = asy.series_at_xpoly(int_result, x_of_X)
+            np.testing.assert_allclose(ring_result(), want, rtol=1e-12, atol=0)
+
+        return inputs, check
+
+    def test_pointed_rhs(self, both, pointed30):
+        inputs, check = both
+        p = pointed30
+        ring, ints = inputs(p.a_leg, p.a_R, p.a_M, p.a_U)
+        for got, want, solved in zip(gf._pointed_rhs(*ring), gf._pointed_rhs(*ints),
+                                     (p.a_R, p.a_M, p.a_U)):
+            check(got, want, solved)
+
+    def test_assemble_T(self, both, pointed30, unrooted30):
+        inputs, check = both
+        p = pointed30
+        ring, ints = inputs(p.a_R, p.a_M, p.a_U, p.a_leg)
+        check(gf.assemble_T(gf.PointedSeries(*ring)).t,
+              gf.assemble_T(gf.PointedSeries(*ints)).t, unrooted30.t)
+
+    def test_s_bound_rhs(self, both, pointed30, selfdual30):
+        inputs, check = both
+        p = pointed30
+        pairs = p.a_R + p.a_M + (p.a_U - selfdual30.s_U_paper)
+        ring, ints = inputs(pairs, p.a_leg, selfdual30.s_bound)
+        (got,), (want,) = gf._s_bound_rhs(*ring), gf._s_bound_rhs(*ints)
+        check(got, want, selfdual30.s_bound)
+
+    @pytest.mark.parametrize("variant", ["paper", "corrected"])
+    def test_selfdual_rhs(self, both, pointed30, selfdual30, variant):
+        # covers mset_odd and exact halving on the float ring
+        inputs, check = both
+        p = pointed30
+        s_U = getattr(selfdual30, f"s_U_{variant}")
+        ring, ints = inputs(p.a_R, p.a_M, p.a_U, p.a_leg, s_U)
+        (got,), (want,) = (gf._selfdual_rhs(variant, *ring),
+                           gf._selfdual_rhs(variant, *ints))
+        check(got, want, s_U)
+
+    def test_inner_derivative_is_x1_coefficient(self, pointed30):
+        # MSet(s + x) at r = 1 with s = s0 + X: d/ds exp(s + x + tail) = itself
+        point = asy.JetPoint(asy.xp(0.15))
+        s = point.leaf(pointed30.a_U, asy.xp(0.05, 1.0))
+        e = (s + point.leaf(pointed30.a_leg)).mset()()
+        assert e[1] == pytest.approx(e[0], rel=1e-14)
+        assert e[2] == pytest.approx(e[0] / 2, rel=1e-14)

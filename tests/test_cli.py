@@ -123,6 +123,11 @@ class TestAsympt:
         assert consts["rho"] == "0.2048958409"
         assert float(consts["A1"]) == pytest.approx(-0.23137622, abs=1e-6)
 
+    def test_no_convergence_is_one_error_line(self, capsys):
+        code, out, err = run(["--tol", "1e-30", "asympt"], capsys)
+        assert code == 1 and out == ""
+        assert err == "error: branch-point Newton iteration did not converge\n"
+
 
 class TestBound:
     def test_exact_rows(self, capsys):

@@ -73,6 +73,19 @@ class TestBasics:
         assert (3 * s).coeff(1) == 6
         assert (s / 2).coeff(1) == 1
 
+    def test_constants_add_to_the_constant_term(self):
+        s = series([5, 2])
+        assert s + 2 == s + 2 * PowerSeries.one(ORDER)
+        assert (s - 7).coeffs[:2] == (-2, 2)
+        with pytest.raises(TypeError):
+            s + 0.5
+
+    def test_substitution_sum_is_divisor_sum(self):
+        # [x^n] sum_{r>=1} a(x^r) = sum_{d | n} a_d
+        s = series([0, 1, 2, 3, 4, 5, 6, 7, 8])
+        want = [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(ORDER + 1)]
+        assert s.substitution_sum().integer_coeffs() == want
+
     def test_division_is_exact(self):
         with pytest.raises(ArithmeticError):
             series([2, 3, 4]) / 2
