@@ -8,8 +8,9 @@ the bounding series for self-dual trees in (0, sqrt(rho)]; the shipped bound
 has one at x = 0.39300, so it grows like 2.5445^n rather than rho^(-n/2).
 
 Every equation is written once, in :mod:`twolevel.gfsystem`, and runs over
-two rings.  Integer ``PowerSeries`` give the exact counts.  The float ring
-here (:class:`Jet` over a :class:`JetPoint` x(X)) gives the value of the same
+three rings.  Integer series give the exact counts (``OnlineSeries`` in the
+fixed-point solver, ``PowerSeries`` elsewhere).  The float ring here
+(:class:`Jet` over a :class:`JetPoint` x(X)) gives the value of the same
 right-hand side along x(X), as a polynomial in X:
 
 - at a constant point x(X) = x0, with one unknown set to its value plus X,

@@ -79,13 +79,12 @@ def _named_series(name: str, config: RunConfig):
         return gf.assemble_T(p).t
     if name == "forest":
         return gf.compute_forests(gf.assemble_T(p).t)
-    sd = gf.solve_selfdual(p)
     if name == "SU_paper":
-        return sd.s_U_paper
+        return gf.compute_selfdual(p, "paper")
     if name == "SU_corrected":
-        return sd.s_U_corrected
+        return gf.compute_selfdual(p, "corrected")
     if name == "sbound":
-        return sd.s_bound
+        return gf.compute_s_bound(p, gf.compute_selfdual(p, "paper"))
     raise ValueError(f"unknown series {name!r}")
 
 

@@ -5,15 +5,16 @@ the unrooted series T(x) by the dissymmetry identity, and derives the self-dual
 and bounding series plus the forest series MSet(T).
 
 The right-hand sides use only +, -, *, integer constants, division by an
-integer, a(x^k), sum_r a(x^r) and the multiset operators, so
-:mod:`twolevel.asymptotics` runs the same code over its float ring.
+integer, a(x^k), sum_r a(x^r) and the multiset operators, so the fixed-point
+solver runs them over the online integer ring and :mod:`twolevel.asymptotics`
+over its float ring.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
 
-from .powerseries import PowerSeries
+from .powerseries import OnlineSeries, PowerSeries
 
 
 @dataclass(frozen=True)
@@ -46,21 +47,48 @@ class SelfDualSeries:
 
 
 def _fixed_point(rhs, known, unknowns: int):
-    """Solve ys = rhs(*known, *ys) for a tuple of series ys, seeded with zeros.
+    """Solve ys = rhs(*known, *ys) for a tuple of series ys, one index at a time.
 
-    The system must be well founded: coefficient m of every right-hand side
-    depends only on coefficients below m of the unknowns.  Pass m runs at
-    truncation m and so pins coefficient m; a final pass at full order must
-    then reproduce the solution.
+    The right-hand sides are built once over the online ring.  The system must
+    be well founded: coefficient n of every right-hand side has zero slope in
+    coefficient n of the unknowns, so it is exact while the unknowns read a
+    provisional 0 there.  Each unknown is then settled at n, and every node
+    that reads an unknown forgets coefficient n, to recompute it on the next
+    demand.  A final eager pass over ``PowerSeries`` must reproduce the
+    solution.
     """
     order = known[0].order
-    ys = (PowerSeries.zeros(order),) * unknowns
-    for m in range(order + 1):
-        new = rhs(*(a.truncate(m) for a in (*known, *ys)))
-        ys = tuple(y.extended(order) for y in new)
-    if tuple(rhs(*known, *ys)) != ys:
+    ys = [OnlineSeries.unknown() for _ in range(unknowns)]
+    outs = rhs(*map(OnlineSeries.known, known), *ys)
+    readers = _readers(outs, ys)
+    for n in range(order + 1):
+        values = [out[n] for out in outs]
+        for node in readers:
+            node.forget(n)
+        for y, v in zip(ys, values):
+            y.settle(n, v)
+    solution = tuple(PowerSeries(y.upto(order)) for y in ys)
+    if tuple(rhs(*known, *solution)) != solution:
         raise ArithmeticError("fixed point did not converge to residual 0")
-    return ys
+    return solution
+
+
+def _readers(outs, ys) -> list:
+    """The nodes below ``outs`` that read an unknown, the unknowns excluded."""
+    reads = {id(y): True for y in ys}
+    found = []
+
+    def visit(node):
+        key = id(node)
+        if key not in reads:
+            reads[key] = any([visit(i) for i in node.inputs])  # visit every input
+            if reads[key]:
+                found.append(node)
+        return reads[key]
+
+    for out in outs:
+        visit(out)
+    return found
 
 
 def _pointed_rhs(leg, a_R, a_M, a_U):
@@ -122,7 +150,7 @@ def _selfdual_rhs(variant, a_R, a_M, a_U, leg, s_U):
         )
     elif variant == "corrected":
         # one contribution per unordered dual pair {t, t*}; halved after the
-        # substitution, where the iterate's unsettled top coefficient is gone
+        # substitution, which reads only coefficients the solver has settled
         pairs = a_R.substitute_power(2) + (a_U - s_U).substitute_power(2) / 2
     else:
         raise ValueError(f"unknown self-dual variant {variant!r}")

@@ -4,14 +4,15 @@ Every series of this package counts objects, so coefficients are plain
 ``int``.  The multiset operator is the Euler transform, whose divisions are
 exact; any division that leaves a remainder raises ``ArithmeticError``.
 
-All operations are pure and eager: a binary operation on series of different
-truncation orders truncates to the shorter one, never zero-extends.  The one
-deliberate exception is :meth:`PowerSeries.extended`, used by the fixed-point
-solver that manages its own truncation.
+All operations of :class:`PowerSeries` are pure and eager: a binary operation
+on series of different truncation orders truncates to the shorter one, never
+zero-extends.  :class:`OnlineSeries` is the same ring computed online, one
+coefficient at a time, for the fixed-point solver.
 """
 from __future__ import annotations
 
-from operator import index
+from functools import cache
+from operator import add, index, mul, sub
 
 # The coefficient type; bench/run.py records its name in every run.
 Rational = int
@@ -81,12 +82,6 @@ class PowerSeries:
         if order >= self.order:
             return self
         return PowerSeries(self._coeffs[: order + 1])
-
-    def extended(self, order: int) -> "PowerSeries":
-        """Explicit zero-extension; only meaningful for solver iterates."""
-        if order <= self.order:
-            return self.truncate(order)
-        return PowerSeries(self._coeffs + (0,) * (order - self.order))
 
     def valuation(self) -> int | None:
         for i, c in enumerate(self._coeffs):
@@ -220,4 +215,146 @@ class PowerSeries:
 
     # Names of the former rational API that bench/tracer.py still wraps;
     # nothing calls them.
-    exp = mset_restricted = None
+    exp = mset_restricted = extended = None
+
+
+@cache
+def _divisors(n: int) -> tuple[int, ...]:
+    return tuple(d for d in range(1, n + 1) if n % d == 0)
+
+
+def _middle(a: list, b: list):
+    """n -> sum_(0<i<n) a[i] b[n-i] for two growing coefficient lists.
+
+    The sum reads only indices below n, which are settled by the time it is
+    asked for, so it is kept for when a node recomputes coefficient n.
+    """
+    memo = [0, 0]
+
+    def at(n: int) -> int:
+        if memo[0] != n:
+            memo[:] = n, sum(map(mul, a[1:n], b[n - 1:0:-1]))
+        return memo[1]
+
+    return at
+
+
+class OnlineSeries:
+    """Series of the online ring: each coefficient is computed on first demand.
+
+    An element holds the coefficients computed so far and a step that
+    computes coefficient n from its inputs' coefficients up to n (McIlroy,
+    "Power series, power serious", 1999; van der Hoeven, "Relax, but don't
+    be too lazy", 2002).  The right-hand sides of :mod:`twolevel.gfsystem`
+    run on it unchanged, which lets the fixed-point solver read them one
+    index at a time: an unknown reads 0 at an index until it is settled
+    there, and a node that read the provisional 0 forgets that index.
+    """
+
+    __slots__ = ("_c", "_step", "inputs")
+
+    def __init__(self, step, inputs=(), coeffs=None):
+        self._c = [] if coeffs is None else coeffs
+        self._step = step
+        self.inputs = inputs
+
+    @classmethod
+    def known(cls, series: PowerSeries) -> "OnlineSeries":
+        def beyond(n):
+            raise IndexError(f"coefficient {n} outside truncation order {series.order}")
+
+        return cls(beyond, coeffs=list(series.coeffs))
+
+    @classmethod
+    def unknown(cls) -> "OnlineSeries":
+        return cls(lambda n: 0)
+
+    def upto(self, n: int) -> list:
+        """The coefficient list, computed through index n."""
+        c = self._c
+        while len(c) <= n:
+            c.append(self._step(len(c)))
+        return c
+
+    def __getitem__(self, n: int) -> int:
+        return self.upto(n)[n]
+
+    def forget(self, n: int) -> None:
+        del self._c[n:]
+
+    def settle(self, n: int, value: int) -> None:
+        """Fix an unknown's coefficient n, replacing its provisional 0."""
+        del self._c[n:]
+        self._c.append(value)
+
+    # -- ring operations ----------------------------------------------
+
+    def _zip(self, other, op) -> "OnlineSeries":
+        if isinstance(other, int):  # a constant
+            return OnlineSeries(lambda n: op(self[n], 0 if n else other), (self,))
+        if not isinstance(other, OnlineSeries):
+            return NotImplemented
+        return OnlineSeries(lambda n: op(self[n], other[n]), (self, other))
+
+    def __add__(self, other):
+        return self._zip(other, add)
+
+    def __sub__(self, other):
+        return self._zip(other, sub)
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return OnlineSeries(lambda n: other * self[n], (self,))
+        if not isinstance(other, OnlineSeries):
+            return NotImplemented
+        a, b = self._c, other._c
+        middle = _middle(a, b)
+
+        def step(n):
+            self.upto(n)
+            other.upto(n)
+            return a[0] * b[n] + middle(n) + a[n] * b[0] if n else a[0] * b[0]
+
+        return OnlineSeries(step, (self, other))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, int):
+            return NotImplemented
+        return OnlineSeries(lambda n: _exact_div(self[n], other), (self,))
+
+    # -- combinatorial operators ---------------------------------------
+
+    def substitute_power(self, r: int) -> "OnlineSeries":
+        if r < 1:
+            raise ValueError("substitution power must be >= 1")
+        if r == 1:
+            return self
+        return OnlineSeries(lambda n: 0 if n % r else self[n // r], (self,))
+
+    def substitution_sum(self) -> "OnlineSeries":
+        return OnlineSeries(lambda n: sum(self[d] for d in _divisors(n)) if n else 0,
+                            (self,))
+
+    def mset(self, signed: bool = False) -> "OnlineSeries":
+        """The Euler transform of :meth:`PowerSeries.mset`, kept running."""
+        def c_step(n):
+            return sum(-d * self[d] if signed and n // d % 2 else d * self[d]
+                       for d in _divisors(n)) if n else 0
+
+        c = OnlineSeries(c_step, (self,))
+        b = []
+        middle = _middle(c._c, b)
+
+        def step(n):
+            if n == 0:
+                if self[0]:
+                    raise ValueError("multiset operator requires zero constant term")
+                return 1
+            return _exact_div(c[n] + middle(n), n)  # c_n b_0 + sum_(0<k<n) c_k b_(n-k)
+
+        return OnlineSeries(step, (self, c), b)
+
+    mset2 = PowerSeries.mset2
+    mset_odd = PowerSeries.mset_odd

@@ -179,7 +179,8 @@ class TestJetRing:
         point = asy.JetPoint(x_of_X)
 
         def inputs(*series):
-            return [point.leaf(s) for s in series], [s.extended(90) for s in series]
+            return ([point.leaf(s) for s in series],
+                    [PowerSeries.from_coeffs(s.coeffs, 90) for s in series])
 
         def check(ring_result, int_result, solved):
             assert int_result.truncate(solved.order) == solved

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twolevel.powerseries import PowerSeries
+from twolevel.powerseries import OnlineSeries, PowerSeries
 
 ORDER = 8
 
@@ -38,7 +38,7 @@ class TestBasics:
     def test_truncate_and_extend(self):
         s = series([1, 2, 3], order=4)
         assert s.truncate(2).coeffs == (1, 2, 3)
-        assert s.extended(6).coeffs == (1, 2, 3, 0, 0, 0, 0)
+        assert PowerSeries.from_coeffs(s.coeffs, 6).coeffs == (1, 2, 3, 0, 0, 0, 0)
 
     def test_binary_ops_truncate_to_shorter(self):
         a = series([1, 1], order=5)
@@ -204,3 +204,46 @@ class TestMultisetIdentities:
     def test_mset_requires_zero_constant(self):
         with pytest.raises(ValueError):
             series([1, 1]).mset()
+
+
+def online(s):
+    return OnlineSeries.known(s)
+
+
+def online_coeffs(s):
+    return tuple(s.upto(ORDER)[: ORDER + 1])
+
+
+class TestOnlineSeries:
+    @given(series_strategy, series_strategy, no_constant_strategy, st.integers(-3, 3))
+    @settings(max_examples=50)
+    def test_operations_match_eager(self, a, b, c, k):
+        pairs = (
+            (a + b, online(a) + online(b)),
+            (a - k, online(a) - k),
+            (a * b, online(a) * online(b)),
+            (k * a, k * online(a)),
+            (2 * a / 2, 2 * online(a) / 2),
+            (a.substitute_power(3), online(a).substitute_power(3)),
+            (c.substitution_sum(), online(c).substitution_sum()),
+            (c.mset(), online(c).mset()),
+            (c.mset(signed=True), online(c).mset(signed=True)),
+            (c.mset2(), online(c).mset2()),
+            (c.mset_odd(), online(c).mset_odd()),
+        )
+        for eager, lazy in pairs:
+            assert online_coeffs(lazy) == eager.coeffs
+
+    def test_mset_requires_zero_constant(self):
+        with pytest.raises(ValueError):
+            online(series([1, 1])).mset()[0]
+
+    def test_division_is_exact(self):
+        half = online(series([0, 3])) / 2
+        assert half[0] == 0
+        with pytest.raises(ArithmeticError):
+            half[1]
+
+    def test_known_series_ends_at_its_order(self):
+        with pytest.raises(IndexError):
+            online(series([1]))[ORDER + 1]
