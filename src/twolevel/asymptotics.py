@@ -20,16 +20,15 @@ right-hand side along x(X), as a polynomial in X:
 - at x(X) = rho (1 - X^2), with the unknowns set to their expansions, it
   is the residual of the singular expansion, or the expansion of T.
 
-Polynomials in X are plain numpy coefficient arrays (index = power of X)
-truncated after degree DEG.  FD_STEP remains only for the Jacobians of the
-outer Newton and Gauss-Newton iterations.
+Polynomials in X are plain lists of DEG + 1 floats (index = power of X),
+truncated after degree DEG, and the linear solves are Gaussian elimination.
+FD_STEP remains only for the Jacobians of the outer Newton and Gauss-Newton
+iterations.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from . import gfsystem as gf
 from .powerseries import PowerSeries
@@ -55,8 +54,8 @@ class SingularExpansion:
     """Expansions a(x), u(x) in powers of X = sqrt(1 - x/rho), degree <= DEG."""
 
     rho: float
-    a: np.ndarray
-    u: np.ndarray
+    a: list[float]
+    u: list[float]
 
 
 @dataclass(frozen=True)
@@ -91,24 +90,40 @@ class AsymptoticEstimate:
 
 # -- X-polynomial arithmetic ---------------------------------------------
 
-def xp(*coeffs) -> np.ndarray:
-    out = np.zeros(DEG + 1)
-    out[: len(coeffs)] = coeffs
-    return out
+def xp(*coeffs: float) -> list[float]:
+    return [float(c) for c in coeffs] + [0.0] * (DEG + 1 - len(coeffs))
 
 
-def xp_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.convolve(p, q)[: DEG + 1]
+def xp_mul(p: list[float], q: list[float]) -> list[float]:
+    """Product truncated after X^DEG (DEG = 5), unrolled."""
+    p0, p1, p2, p3, p4, p5 = p
+    q0, q1, q2, q3, q4, q5 = q
+    return [p0 * q0, p0 * q1 + p1 * q0, p0 * q2 + p1 * q1 + p2 * q0,
+            p0 * q3 + p1 * q2 + p2 * q1 + p3 * q0,
+            p0 * q4 + p1 * q3 + p2 * q2 + p3 * q1 + p4 * q0,
+            p0 * q5 + p1 * q4 + p2 * q3 + p3 * q2 + p4 * q1 + p5 * q0]
 
 
-def xp_pow(p: np.ndarray, r: int) -> np.ndarray:
+def _xp_add(p: list[float], q: list[float]) -> list[float]:
+    return [a + b for a, b in zip(p, q)]
+
+
+def _xp_sub(p: list[float], q: list[float]) -> list[float]:
+    return [a - b for a, b in zip(p, q)]
+
+
+def _xp_sum(polys) -> list[float]:
+    return [sum(cs) for cs in zip(*polys)]
+
+
+def xp_pow(p: list[float], r: int) -> list[float]:
     out = xp(1.0)
     for _ in range(r):
         out = xp_mul(out, p)
     return out
 
 
-def xp_exp(p: np.ndarray) -> np.ndarray:
+def xp_exp(p: list[float]) -> list[float]:
     """exp of an X-polynomial (constant term allowed), from E' = p' E."""
     out = xp(math.exp(p[0]))
     for n in range(1, DEG + 1):
@@ -116,7 +131,7 @@ def xp_exp(p: np.ndarray) -> np.ndarray:
     return out
 
 
-def series_at_xpoly(series: PowerSeries, arg: np.ndarray) -> np.ndarray:
+def series_at_xpoly(series: PowerSeries, arg: list[float]) -> list[float]:
     """Expansion of series(arg(X)) as an X-polynomial, by Horner's rule.
 
     The series is a plain truncated polynomial, so the only error is its
@@ -134,13 +149,13 @@ def series_at_xpoly(series: PowerSeries, arg: np.ndarray) -> np.ndarray:
 class JetPoint:
     """The argument x(X) of a ring evaluation; caches the leaves read at it."""
 
-    def __init__(self, x_of_X: np.ndarray):
+    def __init__(self, x_of_X: list[float]):
         if not abs(x_of_X[0]) < 1:
             raise ValueError("ring evaluation requires |x(0)| < 1")
         self.x = x_of_X
         self._leaves: dict[PowerSeries, Jet] = {}
 
-    def leaf(self, series: PowerSeries, at1: np.ndarray | None = None) -> "Jet":
+    def leaf(self, series: PowerSeries, at1: list[float] | None = None) -> "Jet":
         """series(x(X)^r) as a ring element; ``at1`` replaces its value at r = 1."""
         base = self._leaves.get(series)
         if base is None:
@@ -150,13 +165,13 @@ class JetPoint:
         return Jet(base.x0, lambda r: at1 if r == 1 else base(r))
 
 
-def _leaf(series: PowerSeries, x_of_X: np.ndarray) -> "Jet":
+def _leaf(series: PowerSeries, x_of_X: list[float]) -> "Jet":
     """r -> series(x(X)^r); past the cutoff only the constant term is left."""
-    x0 = float(x_of_X[0])
-    constant = not np.any(x_of_X[1:])
+    x0 = x_of_X[0]
+    constant = not any(x_of_X[1:])
     coeffs = [float(c) for c in reversed(series.coeffs)]  # converted once
 
-    def at(r: int) -> np.ndarray:
+    def at(r: int) -> list[float]:
         y = x0**r
         if abs(y) <= TAIL_EPS:
             return xp(coeffs[-1])
@@ -185,10 +200,10 @@ class Jet:
         self.x0 = x0
         self._at = at
         # only values that cost a Horner pass or a sum over k are kept; the
-        # rest are a few array operations, cheaper to redo than to hold
-        self._memo: dict[int, np.ndarray] | None = {} if memo else None
+        # rest are a few list operations, cheaper to redo than to hold
+        self._memo: dict[int, list[float]] | None = {} if memo else None
 
-    def __call__(self, r: int = 1) -> np.ndarray:
+    def __call__(self, r: int = 1) -> list[float]:
         if self._memo is None:
             return self._at(r)
         v = self._memo.get(r)
@@ -211,10 +226,10 @@ class Jet:
         return Jet(self.x0, lambda r: op(self(r), other(r)))
 
     def __add__(self, other):
-        return self._zip(other, np.add)
+        return self._zip(other, _xp_add)
 
     def __sub__(self, other):
-        return self._zip(other, np.subtract)
+        return self._zip(other, _xp_sub)
 
     def __mul__(self, other):
         return self._zip(other, xp_mul)
@@ -222,36 +237,83 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, k: int) -> "Jet":
-        return Jet(self.x0, lambda r: self(r) / k)
+        return Jet(self.x0, lambda r: [c / k for c in self(r)])
 
     def substitute_power(self, k: int) -> "Jet":
         return Jet(self.x0, lambda r: self(k * r))
 
     def substitution_sum(self) -> "Jet":
-        return Jet(self.x0, lambda r: sum(self(r * k) for k in self._multiples(r)), memo=True)
+        return Jet(self.x0, lambda r: _xp_sum(self(r * k) for k in self._multiples(r)),
+                   memo=True)
 
     def mset(self, signed: bool = False) -> "Jet":
         sign = -1.0 if signed else 1.0
         return Jet(self.x0, lambda r: xp_exp(
-            sum(self(r * k) * (sign**k / k) for k in self._multiples(r))), memo=True)
+            _xp_sum([c * (sign**k / k) for c in self(r * k)] for k in self._multiples(r))),
+            memo=True)
 
     mset2 = PowerSeries.mset2
     mset_odd = PowerSeries.mset_odd
 
 
+# -- small dense linear solves -------------------------------------------
+
+def _solve(a: list[list[float]], b: list[float], rank: int | None = None) -> list[float]:
+    """Solve a v = b by Gaussian elimination with complete pivoting.
+
+    With ``rank`` given, only that many pivots are taken and the remaining
+    variables are set to 0: the basic solution of a system of that rank.  A
+    zero pivot raises ZeroDivisionError (the matrix is singular).
+    """
+    n = len(b)
+    m = [[*row, rhs] for row, rhs in zip(a, b)]
+    cols = list(range(n))  # cols[j]: the variable now in column j
+    rank = n if rank is None else rank
+    for k in range(rank):
+        i, j = max(((i, j) for i in range(k, n) for j in range(k, n)),
+                   key=lambda ij: abs(m[ij[0]][ij[1]]))
+        if m[i][j] == 0.0:
+            raise ZeroDivisionError("singular matrix")
+        m[k], m[i] = m[i], m[k]
+        for row in m:
+            row[k], row[j] = row[j], row[k]
+        cols[k], cols[j] = cols[j], cols[k]
+        pivot = m[k]
+        for row in m[k + 1:]:
+            f = row[k] / pivot[k]
+            for c in range(k, n + 1):
+                row[c] -= f * pivot[c]
+    v = [0.0] * n
+    for k in reversed(range(rank)):
+        v[cols[k]] = (m[k][n] - sum(m[k][c] * v[cols[c]] for c in range(k + 1, n))) / m[k][k]
+    return v
+
+
+def _newton_step(g: list[float], shifted: list[list[float]],
+                 rank: int | None = None) -> list[float]:
+    """The step -J^-1 g, with column j of J the forward difference
+    (shifted[j] - g) / FD_STEP of the residual g along unknown j."""
+    jac = [[(col[i] - gi) / FD_STEP for col in shifted] for i, gi in enumerate(g)]
+    return _solve(jac, [-gi for gi in g], rank)
+
+
+def _converged(g: list[float], tol: float) -> bool:
+    return all(abs(gi) < tol for gi in g)  # False on a NaN
+
+
 # -- characteristic system -----------------------------------------------
 
-def _pointed_residuals(point: JetPoint, a: np.ndarray, u: np.ndarray,
+def _pointed_residuals(point: JetPoint, a: list[float], u: list[float],
                        a_R: PowerSeries, a_U: PowerSeries):
     """F_R - a and F_U - u over the ring, with a_R = a_M = a and a_U = u at r = 1."""
     A = point.leaf(a_R, a)
     U = point.leaf(a_U, u)
     new_R, _, new_U = gf._pointed_rhs(point.leaf(PowerSeries.x(a_R.order)), A, A, U)
-    return new_R() - a, new_U() - u
+    return _xp_sub(new_R(), a), _xp_sub(new_U(), u)
 
 
 def _char_residual(point: JetPoint, a: float, u: float,
-                   a_R: PowerSeries, a_U: PowerSeries) -> np.ndarray:
+                   a_R: PowerSeries, a_U: PowerSeries) -> list[float]:
     """Fixed-point residuals at (x, a, u) and det of their (a, u)-Jacobian.
 
     With one unknown set to its value plus X, the X^1 coefficients of the
@@ -259,7 +321,7 @@ def _char_residual(point: JetPoint, a: float, u: float,
     """
     r_a, s_a = _pointed_residuals(point, xp(a, 1.0), xp(u), a_R, a_U)
     r_u, s_u = _pointed_residuals(point, xp(a), xp(u, 1.0), a_R, a_U)
-    return np.array([r_a[0], s_a[0], r_a[1] * s_u[1] - r_u[1] * s_a[1]])
+    return [r_a[0], s_a[0], r_a[1] * s_u[1] - r_u[1] * s_a[1]]
 
 
 def solve_char_system(
@@ -279,14 +341,14 @@ def solve_char_system(
     for _ in range(max_iter):
         here = JetPoint(xp(x))
         g = _char_residual(here, a, u, a_R, a_U)
-        if np.max(np.abs(g)) < tol:
+        if _converged(g, tol):
             return CharSolution(rho=x, a_R=a, a_U=u)
-        jac = np.column_stack((
+        dx, da, du = _newton_step(g, [
             _char_residual(JetPoint(xp(x + FD_STEP)), a, u, a_R, a_U),
             _char_residual(here, a + FD_STEP, u, a_R, a_U),
             _char_residual(here, a, u + FD_STEP, a_R, a_U),
-        ))
-        x, a, u = (x, a, u) - np.linalg.solve((jac - g[:, None]) / FD_STEP, g)
+        ])
+        x, a, u = x + dx, a + da, u + du
     raise ArithmeticError("branch-point Newton iteration did not converge")
 
 
@@ -308,59 +370,55 @@ def singular_expansions(
 
     The constant terms are pinned to the branch-point values; the ten
     coefficients A_1..A_5, U_1..U_5 are found by Gauss-Newton on the ten
-    residual coefficients of X^1..X^5.  The linearization is rank-deficient
-    by one (the top-order coefficients are only fixed at order DEG + 2), so
-    the step is a least-squares solve; the reported low-order coefficients
-    are unaffected.
+    residual coefficients of X^1..X^5.  The linearization has rank
+    2 DEG - 1: its null direction lies in (A_5, U_5), which only X^6 would
+    fix.  Each step is therefore the basic solution, with 2 DEG - 1 complete
+    pivots and the remaining unknown left unchanged; the ring is triangular
+    in X, so the reported low-order coefficients are unaffected.
     """
     point = _branch_point(char.rho)
 
-    def residual(v: np.ndarray) -> np.ndarray:
-        a_poly = np.concatenate(([char.a_R], v[:DEG]))
-        u_poly = np.concatenate(([char.a_U], v[DEG:]))
-        r_a, r_u = _pointed_residuals(point, a_poly, u_poly, a_R, a_U)
-        return np.concatenate((r_a[1:], r_u[1:]))
+    def polys(v: list[float]) -> tuple[list[float], list[float]]:
+        return [char.a_R, *v[:DEG]], [char.a_U, *v[DEG:]]
 
-    v = np.full(2 * DEG, 0.0)
+    def residual(v: list[float]) -> list[float]:
+        r_a, r_u = _pointed_residuals(point, *polys(v), a_R, a_U)
+        return r_a[1:] + r_u[1:]
+
+    v = [0.0] * (2 * DEG)
     v[0] = v[DEG] = -0.2
     for _ in range(max_iter):
         g = residual(v)
-        if np.max(np.abs(g)) < tol:
+        if _converged(g, tol):
             break
-        jac = np.empty((2 * DEG, 2 * DEG))
-        for j in range(2 * DEG):
-            vp = v.copy()
-            vp[j] += FD_STEP
-            jac[:, j] = (residual(vp) - g) / FD_STEP
-        step, *_ = np.linalg.lstsq(jac, -g, rcond=None)
-        v = v + step
+        shifted = [residual([vi + FD_STEP * (i == j) for i, vi in enumerate(v)])
+                   for j in range(2 * DEG)]
+        v = [vi + di for vi, di in zip(v, _newton_step(g, shifted, rank=2 * DEG - 1))]
     else:
         raise ArithmeticError("singular-expansion matching did not converge")
-    a_poly = np.concatenate(([char.a_R], v[:DEG]))
-    u_poly = np.concatenate(([char.a_U], v[DEG:]))
+    a_poly, u_poly = polys(v)
     if a_poly[1] > 0:  # fix the branch X -> -X so the X^1 term is negative
-        signs = (-1.0) ** np.arange(DEG + 1)
-        a_poly *= signs
-        u_poly *= signs
+        a_poly = [-c if k % 2 else c for k, c in enumerate(a_poly)]
+        u_poly = [-c if k % 2 else c for k, c in enumerate(u_poly)]
     return SingularExpansion(rho=char.rho, a=a_poly, u=u_poly)
 
 
 def char_residual_norm(char: CharSolution, a_R: PowerSeries, a_U: PowerSeries) -> float:
     """Max-norm of the branch-point defining equations at the solution."""
     g = _char_residual(JetPoint(xp(char.rho)), char.a_R, char.a_U, a_R, a_U)
-    return float(np.max(np.abs(g)))
+    return max(map(abs, g))
 
 
 def expansion_residual_norm(char: CharSolution, exp_: SingularExpansion,
                             a_R: PowerSeries, a_U: PowerSeries) -> float:
     """Max-norm of the matched residual coefficients X^0..X^3."""
     r_a, r_u = _pointed_residuals(_branch_point(char.rho), exp_.a, exp_.u, a_R, a_U)
-    return float(max(np.max(np.abs(r_a[:4])), np.max(np.abs(r_u[:4]))))
+    return max(map(abs, r_a[:4] + r_u[:4]))
 
 
 # -- singular expansion of T and the forest series ------------------------
 
-def expand_T(exp_: SingularExpansion, a_R: PowerSeries, a_U: PowerSeries) -> np.ndarray:
+def expand_T(exp_: SingularExpansion, a_R: PowerSeries, a_U: PowerSeries) -> list[float]:
     """Singular expansion of the unrooted series T via dissymmetry.
 
     :func:`twolevel.gfsystem.assemble_T` evaluated over the ring at the
@@ -372,7 +430,7 @@ def expand_T(exp_: SingularExpansion, a_R: PowerSeries, a_U: PowerSeries) -> np.
     return gf.assemble_T(p).t()
 
 
-def expand_forests(t_poly: np.ndarray, t_series: PowerSeries, rho: float) -> np.ndarray:
+def expand_forests(t_poly: list[float], t_series: PowerSeries, rho: float) -> list[float]:
     """Singular expansion of the forest series MSet(T).
 
     The tail factor exp(sum_{r>=2} T(x^r)/r) is analytic at rho and enters as
@@ -383,7 +441,7 @@ def expand_forests(t_poly: np.ndarray, t_series: PowerSeries, rho: float) -> np.
     return JetPoint(xp(rho)).leaf(t_series, t_poly).mset()()
 
 
-def transfer(poly: np.ndarray, rho: float, tol: float = 1e-8) -> AsymptoticEstimate:
+def transfer(poly: list[float], rho: float, tol: float = 1e-8) -> AsymptoticEstimate:
     """Growth estimate from the X^3 coefficient of a singular expansion.
 
     Requires a pure square-root branch point: the X^1 coefficient must vanish
@@ -423,31 +481,31 @@ def verify_selfdual_growth(
     """
     leg = PowerSeries.x(s_bound.order)
 
-    def residual(point: JetPoint, s: float) -> np.ndarray:
+    def residual(point: JetPoint, s: float) -> list[float]:
         # F and dF/ds are the X^0 and X^1 coefficients with s + X at r = 1
         (f,) = gf._s_bound_rhs(point.leaf(pair_series), point.leaf(leg),
                                point.leaf(s_bound, xp(s, 1.0)))
-        return np.array([s, 1.0]) - f()[:2]
+        f0, f1 = f()[:2]
+        return [s - f0, 1.0 - f1]
 
     x_max = math.sqrt(rho)
     x_cap = min(1.2 * x_max, 0.999)  # past here the series evaluations diverge
-    for x0 in np.linspace(0.1 * x_max, x_max, 8):
+    for x0 in (x_max * (0.1 + 0.9 * i / 7) for i in range(8)):
         for s0 in (0.0, 0.1, 0.3, 0.6):
-            x, s = float(x0), float(s0)
+            x, s = x0, s0
             root = False
             for _ in range(80):
                 try:
                     here = JetPoint(xp(x))
                     g = residual(here, s)
-                    if np.max(np.abs(g)) < tol:
+                    if _converged(g, tol):
                         root = True
                         break
-                    jac = np.column_stack((residual(JetPoint(xp(x + FD_STEP)), s),
-                                           residual(here, s + FD_STEP)))
-                    step = np.linalg.solve((jac - g[:, None]) / FD_STEP, -g)
-                except (OverflowError, np.linalg.LinAlgError):
+                    dx, ds = _newton_step(g, [residual(JetPoint(xp(x + FD_STEP)), s),
+                                              residual(here, s + FD_STEP)])
+                except (OverflowError, ZeroDivisionError):
                     break
-                x, s = x + step[0], s + step[1]
+                x, s = x + dx, s + ds
                 if not (0.0 < x < x_cap and -1.0 < s < 10.0):
                     break
             if root and 0.0 < x <= x_max + 1e-9 and s > 0.0:

@@ -202,9 +202,9 @@ def cmd_asympt(args, config: RunConfig) -> int:
     f_poly = asy.expand_forests(t_poly, t.t, char.rho)
     est_t = asy.transfer(t_poly, char.rho)
     est_f = asy.transfer(f_poly, char.rho)
-    sd = gf.solve_selfdual(p)
-    pair = p.a_R + p.a_M + (p.a_U - sd.s_U_paper)
-    report = asy.verify_selfdual_growth(sd.s_bound, pair, char.rho)
+    s_U_paper = gf.compute_selfdual(p, "paper")
+    pair = p.a_R + p.a_M + (p.a_U - s_U_paper)
+    report = asy.verify_selfdual_growth(gf.compute_s_bound(p, s_U_paper), pair, char.rho)
     char_res = asy.char_residual_norm(char, p.a_R, p.a_U)
     exp_res = asy.expansion_residual_norm(char, se, p.a_R, p.a_U)
     rows = [["rho", _fmt_real(char.rho), _fmt_real(char_res)],

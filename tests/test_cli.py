@@ -1,8 +1,10 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -161,9 +163,31 @@ class TestDeterminism:
         assert out1 == out2
 
 
+def run_python(probe: str) -> str:
+    """Run ``probe`` in a fresh interpreter that imports this checkout's twolevel."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, check=True, env=env).stdout
+
+
 class TestImports:
     def test_cli_does_not_load_networkx(self):
         probe = "import sys, twolevel.cli; print('networkx' in sys.modules)"
-        out = subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                             text=True, check=True).stdout
-        assert out.strip() == "False"
+        assert run_python(probe).strip() == "False"
+
+    def test_cli_does_not_load_numpy(self):
+        probe = "import sys, twolevel.cli; print('numpy' in sys.modules)"
+        assert run_python(probe).strip() == "False"
+
+    def test_commands_run_without_numpy(self):
+        # numpy = None makes any `import numpy` raise ImportError
+        probe = (
+            "import sys; sys.modules['numpy'] = None\n"
+            "from twolevel import cli\n"
+            "print(cli.main(['asympt']), cli.main(['bound']))"
+        )
+        out = run_python(probe)
+        assert out.splitlines()[-1] == "0 0"
+        assert "branch point at x = 0.39300104" in out
