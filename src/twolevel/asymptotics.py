@@ -14,16 +14,17 @@ fixed-point solver, ``PowerSeries`` elsewhere).  The float ring here
 right-hand side along x(X), as a polynomial in X:
 
 - at a constant point x(X) = x0, with one unknown set to its value plus X,
-  the X^0 coefficient is the value and the X^1 coefficient the exact inner
-  derivative (branch-point Newton, self-dual scan); with the expansion of T
-  at r = 1 it gives the forest series, its tail taken at rho;
+  the X^0 coefficient is the value, the X^1 coefficient the exact inner
+  derivative (branch-point Newton, self-dual scan) and the X^2 coefficient
+  half the second one (the self-dual scan's s-column); with the expansion
+  of T at r = 1 it gives the forest series, its tail taken at rho;
 - at x(X) = rho (1 - X^2), with the unknowns set to their expansions, it
   is the residual of the singular expansion, or the expansion of T.
 
 Polynomials in X are plain lists of DEG + 1 floats (index = power of X),
 truncated after degree DEG, and the linear solves are Gaussian elimination.
-FD_STEP remains only for the Jacobians of the outer Newton and Gauss-Newton
-iterations.
+FD_STEP remains only for the x-columns of the self-dual scan and for the
+Jacobians of the outer Newton and Gauss-Newton iterations.
 """
 from __future__ import annotations
 
@@ -191,7 +192,9 @@ class Jet:
     The right-hand sides of :mod:`twolevel.gfsystem` run on these unchanged:
     ring operations act on each r separately, a(x^k) reads index k r, and
     MSet at r is exp(sum_k f(x^(r k))/k) over k = 1 and every further k
-    with |x(0)|^(r k) > TAIL_EPS.
+    with |x0|^(r k) > TAIL_EPS.  The cutoff point x0 is x(0) for a leaf,
+    x0^k after substitute_power(k), and the larger in absolute value of the
+    operands' for a sum or product.
     """
 
     __slots__ = ("x0", "_at", "_memo")
@@ -223,7 +226,10 @@ class Jet:
             return Jet(self.x0, lambda r: op(self(r), c))
         if not isinstance(other, Jet):
             return NotImplemented
-        return Jet(self.x0, lambda r: op(self(r), other(r)))
+        # the cutoff of the operand that reaches further, so that no sum or
+        # product cuts a term that one of its operands still needs
+        x0 = max(self.x0, other.x0, key=abs)
+        return Jet(x0, lambda r: op(self(r), other(r)))
 
     def __add__(self, other):
         return self._zip(other, _xp_add)
@@ -240,7 +246,8 @@ class Jet:
         return Jet(self.x0, lambda r: [c / k for c in self(r)])
 
     def substitute_power(self, k: int) -> "Jet":
-        return Jet(self.x0, lambda r: self(k * r))
+        # f(x^k) is cut where x0^k is, as a leaf at the point x0^k would be
+        return Jet(self.x0**k, lambda r: self(k * r))
 
     def substitution_sum(self) -> "Jet":
         return Jet(self.x0, lambda r: _xp_sum(self(r * k) for k in self._multiples(r)),
@@ -472,8 +479,11 @@ def verify_selfdual_growth(
     (0, sqrt(rho)].
 
     The pair class lives at x^2, so its own singularity sits at
-    x = sqrt(rho), which caps the window.  A 2D Newton search for
-    (s = F, dF/ds = 1) is run from a seed grid; a found root is a report
+    x = sqrt(rho): past it pairs(x^2) diverges, the truncated evaluations no
+    longer describe the system, and a root there would not be a branch point
+    of the bound.  A 2D Newton search for (s = F, dF/ds = 1) is therefore run
+    from a seed grid inside the window (0, sqrt(rho)], and a seed is
+    abandoned as soon as an iterate leaves it.  A found root is a report
     outcome, not an error, and sets the growth rate 1/branch_x of the bound.
     The shipped bound coalesces at x = 0.39300, before sqrt(rho) = 0.45265.
     "No branch point" only means that no seed converged; the bound would then
@@ -481,35 +491,36 @@ def verify_selfdual_growth(
     """
     leg = PowerSeries.x(s_bound.order)
 
-    def residual(point: JetPoint, s: float) -> list[float]:
-        # F and dF/ds are the X^0 and X^1 coefficients with s + X at r = 1
+    def taylor(x: float, s: float) -> list[float]:
+        # F, F_s and F_ss / 2 are the X^0..X^2 coefficients with s + X at r = 1
+        point = JetPoint(xp(x))
         (f,) = gf._s_bound_rhs(point.leaf(pair_series), point.leaf(leg),
                                point.leaf(s_bound, xp(s, 1.0)))
-        f0, f1 = f()[:2]
-        return [s - f0, 1.0 - f1]
+        return f()
 
     x_max = math.sqrt(rho)
-    x_cap = min(1.2 * x_max, 0.999)  # past here the series evaluations diverge
     for x0 in (x_max * (0.1 + 0.9 * i / 7) for i in range(8)):
         for s0 in (0.0, 0.1, 0.3, 0.6):
             x, s = x0, s0
-            root = False
             for _ in range(80):
                 try:
-                    here = JetPoint(xp(x))
-                    g = residual(here, s)
+                    f = taylor(x, s)
+                    g = [s - f[0], 1.0 - f[1]]
                     if _converged(g, tol):
-                        root = True
+                        if s > 0.0:
+                            return BranchPointReport(
+                                no_branch_point=False, x_max=x_max, branch_x=x, branch_s=s
+                            )
                         break
-                    dx, ds = _newton_step(g, [residual(JetPoint(xp(x + FD_STEP)), s),
-                                              residual(here, s + FD_STEP)])
+                    # the x-column is a forward difference; the s-column is
+                    # exact, d/ds (s - F, 1 - F_s) = (1 - F_s, -F_ss)
+                    h = taylor(x + FD_STEP, s)
+                    dx, ds = _solve([[(f[0] - h[0]) / FD_STEP, 1.0 - f[1]],
+                                     [(f[1] - h[1]) / FD_STEP, -2.0 * f[2]]],
+                                    [-g[0], -g[1]])
                 except (OverflowError, ZeroDivisionError):
                     break
                 x, s = x + dx, s + ds
-                if not (0.0 < x < x_cap and -1.0 < s < 10.0):
+                if not (0.0 < x <= x_max and -1.0 < s < 10.0):
                     break
-            if root and 0.0 < x <= x_max + 1e-9 and s > 0.0:
-                return BranchPointReport(
-                    no_branch_point=False, x_max=x_max, branch_x=x, branch_s=s
-                )
     return BranchPointReport(no_branch_point=True, x_max=x_max)

@@ -124,9 +124,10 @@ def assemble_T(p: PointedSeries) -> UnrootedSeries:
     """Unrooted series by the dissymmetry identity T = T_v + T_e - T_d."""
     a_R, a_M, a_U, leg = p.a_R, p.a_M, p.a_U, p.a_leg
     s = a_R + a_M + a_U + leg
-    t_e = a_M * (a_R + a_U + leg) + a_R * (a_U + leg) + a_U.mset2() + leg * a_U
+    m_edges = a_M * (a_R + a_U + leg)  # edges with an M end; t_e and t_d both count them
+    t_e = m_edges + a_R * (a_U + leg) + a_U.mset2() + leg * a_U
     t_d = (
-        a_M * (a_R + a_U + leg)
+        m_edges
         + a_R * (a_M + a_U + leg)
         + a_U * s
         + leg * (a_R + a_M + a_U)

@@ -1,9 +1,11 @@
 """Exhaustive enumeration of UMR-trees and their induced matroids.
 
 Trees are generated by rooting at a vertex (children are pointed subtrees) and
-deduplicated by a canonical form taken as the minimum encoding over all
-rootings.  The same pointed-subtree generator independently realizes the
-pointed series counted in :mod:`twolevel.gfsystem`.
+deduplicated by a canonical form: the minimum rooted encoding over the one or
+two vertices of the tree's centre, which every isomorphism preserves, so two
+rootings at most are encoded instead of all of them.  The same pointed-subtree
+generator independently realizes the pointed series counted in
+:mod:`twolevel.gfsystem`.
 """
 from __future__ import annotations
 
@@ -232,13 +234,30 @@ def _encode(tree: UMRTree, v: int, parent: int | None, adj) -> tuple:
 
 
 def canonical_form(tree: UMRTree) -> tuple:
-    """Minimum rooted encoding over all rootings of the tree."""
+    """Minimum rooted encoding over the centre of the tree."""
     s = len(tree.labels)
     adj = [[] for _ in range(s)]
     for i, j in tree.edges:
         adj[i].append(j)
         adj[j].append(i)
-    return min(_encode(tree, v, None, adj) for v in range(s))
+    return min(_encode(tree, v, None, adj) for v in _centre(adj))
+
+
+def _centre(adj) -> list[int]:
+    """The one or two vertices left after peeling leaves layer by layer."""
+    degree = [len(ws) for ws in adj]
+    layer = [v for v, d in enumerate(degree) if d <= 1]
+    left = len(adj)
+    while left > 2:
+        left -= len(layer)
+        peeled = []
+        for v in layer:
+            for w in adj[v]:
+                degree[w] -= 1
+                if degree[w] == 1:
+                    peeled.append(w)
+        layer = peeled
+    return layer
 
 
 def dual_tree(tree: UMRTree) -> UMRTree:

@@ -15,6 +15,11 @@ def close(want):
     return pytest.approx(want, rel=1e-5, abs=1e-8)
 
 
+def _pairs(p, sd):
+    """The pair class of the self-dual bound, as `cmd_asympt` builds it."""
+    return p.a_R + p.a_M + (p.a_U - sd.s_U_paper)
+
+
 class TestXPolyHelpers:
     def test_xp_mul(self):
         p = asy.xp(1.0, 2.0)
@@ -182,11 +187,8 @@ class TestSelfDualGrowth:
     def test_scan_finds_subcritical_branch_point(self, pointed30, selfdual30, char30):
         # honest outcome: the bounding-series system coalesces before
         # sqrt(rho); the scan reports the point instead of claiming none
-        pair = pointed30.a_R + pointed30.a_M + (
-            pointed30.a_U - selfdual30.s_U_paper
-        )
         report = asy.verify_selfdual_growth(
-            selfdual30.s_bound, pair, char30.rho
+            selfdual30.s_bound, _pairs(pointed30, selfdual30), char30.rho
         )
         assert not report.no_branch_point
         assert report.branch_x == pytest.approx(0.393001, abs=1e-4)
@@ -196,6 +198,69 @@ class TestSelfDualGrowth:
     def test_report_describe_positive_case(self):
         rep = asy.BranchPointReport(no_branch_point=True, x_max=0.45)
         assert rep.describe().startswith("no branch point")
+
+    def test_scan_evaluation_count(self, pointed30, selfdual30, char30, monkeypatch):
+        # seeds are dropped as they leave (0, sqrt(rho)] and each step costs
+        # two evaluations; with a wider window and a finite-difference
+        # s-column the same scan makes 316
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return rhs(*args)
+
+        rhs = gf._s_bound_rhs
+        monkeypatch.setattr(gf, "_s_bound_rhs", counted)
+        report = asy.verify_selfdual_growth(selfdual30.s_bound, _pairs(pointed30, selfdual30),
+                                            char30.rho)
+        assert not report.no_branch_point
+        assert len(calls) <= 80
+
+    def test_exact_s_column(self, pointed30, selfdual30):
+        # -2 (F_ss / 2), from the X^2 coefficient, against a forward
+        # difference of 1 - F_s in s at x = 0.39
+        def taylor(s):
+            point = asy.JetPoint(asy.xp(0.39))
+            (f,) = gf._s_bound_rhs(point.leaf(_pairs(pointed30, selfdual30)),
+                                   point.leaf(pointed30.a_leg),
+                                   point.leaf(selfdual30.s_bound, asy.xp(s, 1.0)))
+            return f()
+
+        h = asy.FD_STEP
+        f, g = taylor(0.45), taylor(0.45 + h)
+        assert -2.0 * f[2] == pytest.approx(((1.0 - g[1]) - (1.0 - f[1])) / h, rel=1e-5)
+
+
+class TestJetTailCutoff:
+    """A substituted or combined element is cut at the point it is read at."""
+
+    X0 = 0.4
+
+    def leaf(self, pointed30):
+        return asy.JetPoint(asy.xp(self.X0)).leaf(pointed30.a_R)
+
+    def test_substitution_stops_at_the_leafs_cutoff(self, pointed30):
+        f = self.leaf(pointed30)
+        for r in (1, 2, 3):
+            ks = f.substitute_power(2)._multiples(r)
+            # index 2 r k is read; the leaf gives more than its constant
+            # term there, and not one step further
+            assert all(self.X0 ** (2 * r * k) > asy.TAIL_EPS for k in ks)
+            assert self.X0 ** (2 * r * (ks[-1] + 1)) <= asy.TAIL_EPS
+
+    def test_sum_keeps_the_larger_cutoff(self, pointed30):
+        f = self.leaf(pointed30)
+        g = f.substitute_power(2)
+        assert g.x0 == pytest.approx(self.X0**2)
+        assert (f + g).x0 == (g + f).x0 == (f * g).x0 == (g - f).x0 == self.X0
+
+    def test_mset_of_substituted_leaf_is_exact(self, pointed30):
+        # the reads past the leaf's cutoff are its constant term 0, so the
+        # cut sum is the uncut one, bit for bit
+        f = self.leaf(pointed30)
+        uncut = asy.xp_exp(asy._xp_sum([c / k for c in f(2 * k)] for k in f._multiples(1)))
+        assert len(f.substitute_power(2)._multiples(1)) < len(f._multiples(1))
+        assert f.substitute_power(2).mset()() == uncut
 
 
 class TestJetRing:
@@ -282,6 +347,21 @@ class TestPinnedConstants:
         "T3": 0.1792176644510199,
         "C": 0.07583455460326684, "c_polytope": 0.03791727730163342,
     }
+
+    def test_selfdual_scan(self, char30, pointed30, selfdual30):
+        # the root is that of the older scan (a wider window, a finite-
+        # difference s-column), though the Newton path to it changed
+        report = asy.verify_selfdual_growth(selfdual30.s_bound, _pairs(pointed30, selfdual30),
+                                            char30.rho)
+        assert report.branch_x == pytest.approx(0.3930010376370808, rel=0, abs=1e-9)
+        assert report.branch_s == pytest.approx(0.465261382005694, rel=0, abs=1e-9)
+
+    def test_selfdual_scan_window_below_branch_point(self, pointed30, selfdual30):
+        # sqrt(0.1) = 0.316 lies below the branch point at 0.393
+        report = asy.verify_selfdual_growth(selfdual30.s_bound, _pairs(pointed30, selfdual30),
+                                            0.1)
+        assert report.no_branch_point
+        assert report.x_max == pytest.approx(math.sqrt(0.1))
 
     def test_order30_values(self, char30, expansion30, pointed30):
         t_poly = asy.expand_T(expansion30, pointed30.a_R, pointed30.a_U)

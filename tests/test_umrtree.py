@@ -87,6 +87,28 @@ class TestEnumeration:
             )
 
 
+    def test_canonical_form_invariant_under_vertex_permutation(self):
+        # the centre, and so the canonical form, follows any renumbering
+        rng = random.Random(7)
+        for t in umr.enumerate_umr_trees(7):
+            perm = list(range(len(t.labels)))
+            rng.shuffle(perm)
+            labels, legs = [None] * len(perm), [None] * len(perm)
+            for v, pv in enumerate(perm):
+                labels[pv], legs[pv] = t.labels[v], t.legs[v]
+            edges = tuple((perm[i], perm[j]) for i, j in t.edges)
+            moved = UMRTree(tuple(labels), edges, tuple(legs))
+            assert umr.canonical_form(moved) == umr.canonical_form(t)
+
+    def test_centre(self):
+        path = [[1], [0, 2], [1, 3], [2]]
+        assert sorted(umr._centre(path)) == [1, 2]
+        star = [[1, 2, 3], [0], [0], [0]]
+        assert umr._centre(star) == [0]
+        assert umr._centre([[]]) == [0]
+        assert sorted(umr._centre([[1], [0]])) == [0, 1]
+
+
 class TestDuality:
     def test_dual_is_involution(self):
         for t in umr.enumerate_umr_trees(6):
