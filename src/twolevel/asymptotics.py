@@ -2,7 +2,7 @@
 
 The pointed system has a common square-root branch point at x = rho.  This
 module locates it by Newton iteration, computes singular expansions in
-X = sqrt(1 - x/rho) by residual matching, transfers the X^3 coefficient to
+X = sqrt(1 - x/rho) one order at a time, transfers the X^3 coefficient to
 n^(-5/2) * rho^(-n) growth estimates, and locates the first branch point of
 the bounding series for self-dual trees in (0, sqrt(rho)]; the shipped bound
 has one at x = 0.39300, so it grows like 2.5445^n rather than rho^(-n/2).
@@ -23,8 +23,9 @@ right-hand side along x(X), as a polynomial in X:
 
 Polynomials in X are plain lists of DEG + 1 floats (index = power of X),
 truncated after degree DEG, and the linear solves are Gaussian elimination.
-FD_STEP remains only for the x-columns of the self-dual scan and for the
-Jacobians of the outer Newton and Gauss-Newton iterations.
+The singular expansion is solved order by order in X, with the exact J - I at
+rho.  FD_STEP remains only for the Jacobian of the branch-point Newton
+iteration and for the x-column of the self-dual scan.
 """
 from __future__ import annotations
 
@@ -265,70 +266,69 @@ class Jet:
 
 # -- small dense linear solves -------------------------------------------
 
-def _solve(a: list[list[float]], b: list[float], rank: int | None = None) -> list[float]:
-    """Solve a v = b by Gaussian elimination with complete pivoting.
-
-    With ``rank`` given, only that many pivots are taken and the remaining
-    variables are set to 0: the basic solution of a system of that rank.  A
-    zero pivot raises ZeroDivisionError (the matrix is singular).
-    """
+def _solve(a: list[list[float]], b: list[float]) -> list[float]:
+    """Solve a v = b by Gaussian elimination with partial pivoting; a zero
+    pivot (a singular matrix) raises ZeroDivisionError."""
     n = len(b)
     m = [[*row, rhs] for row, rhs in zip(a, b)]
-    cols = list(range(n))  # cols[j]: the variable now in column j
-    rank = n if rank is None else rank
-    for k in range(rank):
-        i, j = max(((i, j) for i in range(k, n) for j in range(k, n)),
-                   key=lambda ij: abs(m[ij[0]][ij[1]]))
-        if m[i][j] == 0.0:
+    for k in range(n):
+        i = max(range(k, n), key=lambda i: abs(m[i][k]))
+        if m[i][k] == 0.0:
             raise ZeroDivisionError("singular matrix")
         m[k], m[i] = m[i], m[k]
-        for row in m:
-            row[k], row[j] = row[j], row[k]
-        cols[k], cols[j] = cols[j], cols[k]
         pivot = m[k]
         for row in m[k + 1:]:
             f = row[k] / pivot[k]
             for c in range(k, n + 1):
                 row[c] -= f * pivot[c]
     v = [0.0] * n
-    for k in reversed(range(rank)):
-        v[cols[k]] = (m[k][n] - sum(m[k][c] * v[cols[c]] for c in range(k + 1, n))) / m[k][k]
+    for k in reversed(range(n)):
+        v[k] = (m[k][n] - sum(m[k][c] * v[c] for c in range(k + 1, n))) / m[k][k]
     return v
 
 
-def _newton_step(g: list[float], shifted: list[list[float]],
-                 rank: int | None = None) -> list[float]:
+def _newton_step(g: list[float], shifted: list[list[float]]) -> list[float]:
     """The step -J^-1 g, with column j of J the forward difference
     (shifted[j] - g) / FD_STEP of the residual g along unknown j."""
     jac = [[(col[i] - gi) / FD_STEP for col in shifted] for i, gi in enumerate(g)]
-    return _solve(jac, [-gi for gi in g], rank)
+    return _solve(jac, [-gi for gi in g])
 
 
 def _converged(g: list[float], tol: float) -> bool:
     return all(abs(gi) < tol for gi in g)  # False on a NaN
 
 
+def _dot(p, q) -> float:
+    return p[0] * q[0] + p[1] * q[1]
+
+
 # -- characteristic system -----------------------------------------------
 
 def _pointed_residuals(point: JetPoint, a: list[float], u: list[float],
                        a_R: PowerSeries, a_U: PowerSeries):
-    """F_R - a and F_U - u over the ring, with a_R = a_M = a and a_U = u at r = 1."""
-    A = point.leaf(a_R, a)
-    U = point.leaf(a_U, u)
-    new_R, _, new_U = gf._pointed_rhs(point.leaf(PowerSeries.x(a_R.order)), A, A, U)
+    """F_R - a and F_U - u over the ring, with a_R = a and a_U = u at r = 1."""
+    new_R, new_U = gf._pointed_rhs(point.leaf(PowerSeries.x(a_R.order)),
+                                   point.leaf(a_R, a), point.leaf(a_U, u))
     return _xp_sub(new_R(), a), _xp_sub(new_U(), u)
+
+
+def _linearization(point: JetPoint, a: float, u: float,
+                   a_R: PowerSeries, a_U: PowerSeries):
+    """Fixed-point residuals at (x, a, u) and the exact J - I there.
+
+    With one unknown set to its value plus X, the X^1 coefficients of the
+    residuals are a column of J - I, J the Jacobian in (a, u).
+    """
+    r_a, s_a = _pointed_residuals(point, xp(a, 1.0), xp(u), a_R, a_U)
+    r_u, s_u = _pointed_residuals(point, xp(a), xp(u, 1.0), a_R, a_U)
+    return [r_a[0], s_a[0]], [[r_a[1], r_u[1]], [s_a[1], s_u[1]]]
 
 
 def _char_residual(point: JetPoint, a: float, u: float,
                    a_R: PowerSeries, a_U: PowerSeries) -> list[float]:
-    """Fixed-point residuals at (x, a, u) and det of their (a, u)-Jacobian.
-
-    With one unknown set to its value plus X, the X^1 coefficients of the
-    residuals are a column of J - I, J the Jacobian of the symmetric slice.
-    """
-    r_a, s_a = _pointed_residuals(point, xp(a, 1.0), xp(u), a_R, a_U)
-    r_u, s_u = _pointed_residuals(point, xp(a), xp(u, 1.0), a_R, a_U)
-    return [r_a[0], s_a[0], r_a[1] * s_u[1] - r_u[1] * s_a[1]]
+    """Fixed-point residuals at (x, a, u) and det(J - I)."""
+    g, ((p, q), (r, s)) = _linearization(point, a, u, a_R, a_U)
+    return [*g, p * s - q * r]
 
 
 def solve_char_system(
@@ -341,8 +341,7 @@ def solve_char_system(
     """Newton iteration for the branch point of the pointed system.
 
     Unknowns (x, a, u) with a the common R/M value.  Conditions: a and u are
-    fixed by the system and the symmetric-slice Jacobian J satisfies
-    det(I - J) = 0.
+    fixed by the system and its Jacobian J in (a, u) satisfies det(I - J) = 0.
     """
     x, a, u = seed
     for _ in range(max_iter):
@@ -371,43 +370,49 @@ def singular_expansions(
     a_R: PowerSeries,
     a_U: PowerSeries,
     tol: float = 1e-12,
-    max_iter: int = 60,
 ) -> SingularExpansion:
-    """Match the system residuals to zero through X^5.
+    """Solve the system at x = rho (1 - X^2) through X^DEG, order by order.
 
-    The constant terms are pinned to the branch-point values; the ten
-    coefficients A_1..A_5, U_1..U_5 are found by Gauss-Newton on the ten
-    residual coefficients of X^1..X^5.  The linearization has rank
-    2 DEG - 1: its null direction lies in (A_5, U_5), which only X^6 would
-    fix.  Each step is therefore the basic solution, with 2 DEG - 1 complete
-    pivots and the remaining unknown left unchanged; the ring is triangular
-    in X, so the reported low-order coefficients are unaffected.
+    Let M = J - I at the branch point, v and w its right and left null
+    vectors, and e = v rotated by 90 degrees, so M e != 0.  With
+    Y_k = (A_k, U_k), the X^n residual is M Y_n plus terms in Y_0..Y_(n-1), so
+    its w-component does not read Y_n.  Step k = 1..DEG-1 sets
+    Y_k = c v + d e, d from the step before (0 at k = 1, as the X^1 residual
+    is M Y_1), and Y_(k+1) = 0, and reads the X^(k+1) residual at c = 0, 1.
+    Its w-component fixes c: at k = 1 it is quadratic in c with no linear
+    term (Y_1 enters X^2 only through its square), and c takes the sign that
+    makes A_1 < 0; at k >= 2 it is affine in c.  The rest of it is M e times
+    the next d.  The v-component of Y_DEG would need X^(DEG+1) and stays 0.
     """
+    _, ((p, q), (r, s)) = _linearization(JetPoint(xp(char.rho)), char.a_R, char.a_U,
+                                         a_R, a_U)
+    # the larger row of the singular M gives v, the larger column gives w
+    v = (q, -p) if abs(p) + abs(q) >= abs(r) + abs(s) else (s, -r)
+    w = (r, -p) if abs(p) + abs(r) >= abs(q) + abs(s) else (s, -q)
+    e = (-v[1], v[0])
+    me = (p * e[0] + q * e[1], r * e[0] + s * e[1])
     point = _branch_point(char.rho)
-
-    def polys(v: list[float]) -> tuple[list[float], list[float]]:
-        return [char.a_R, *v[:DEG]], [char.a_U, *v[DEG:]]
-
-    def residual(v: list[float]) -> list[float]:
-        r_a, r_u = _pointed_residuals(point, *polys(v), a_R, a_U)
-        return r_a[1:] + r_u[1:]
-
-    v = [0.0] * (2 * DEG)
-    v[0] = v[DEG] = -0.2
-    for _ in range(max_iter):
-        g = residual(v)
-        if _converged(g, tol):
-            break
-        shifted = [residual([vi + FD_STEP * (i == j) for i, vi in enumerate(v)])
-                   for j in range(2 * DEG)]
-        v = [vi + di for vi, di in zip(v, _newton_step(g, shifted, rank=2 * DEG - 1))]
-    else:
-        raise ArithmeticError("singular-expansion matching did not converge")
-    a_poly, u_poly = polys(v)
-    if a_poly[1] > 0:  # fix the branch X -> -X so the X^1 term is negative
-        a_poly = [-c if k % 2 else c for k, c in enumerate(a_poly)]
-        u_poly = [-c if k % 2 else c for k, c in enumerate(u_poly)]
-    return SingularExpansion(rho=char.rho, a=a_poly, u=u_poly)
+    a, u = xp(char.a_R), xp(char.a_U)
+    d = 0.0
+    for k in range(1, DEG):
+        g = []
+        for c in (0.0, 1.0):
+            a[k], u[k] = c * v[0] + d * e[0], c * v[1] + d * e[1]
+            r_a, r_u = _pointed_residuals(point, a, u, a_R, a_U)
+            g.append((r_a[k + 1], r_u[k + 1]))
+        g0, g1 = g
+        dg = [y1 - y0 for y0, y1 in zip(g0, g1)]
+        t = -_dot(w, g0) / _dot(w, dg)  # c^2 at k = 1, else c
+        if k == 1 and not t > 0.0:
+            raise ArithmeticError(f"no square-root branch point: A_1^2 ~ {t:.3e}")
+        c = math.copysign(math.sqrt(t), -v[0]) if k == 1 else t
+        a[k], u[k] = c * v[0] + d * e[0], c * v[1] + d * e[1]
+        d = -_dot(me, [y0 + t * dy for y0, dy in zip(g0, dg)]) / _dot(me, me)
+    a[DEG], u[DEG] = d * e[0], d * e[1]
+    r_a, r_u = _pointed_residuals(point, a, u, a_R, a_U)
+    if not _converged(r_a[1:] + r_u[1:], tol):
+        raise ArithmeticError("singular-expansion residual above tolerance")
+    return SingularExpansion(rho=char.rho, a=a, u=u)
 
 
 def char_residual_norm(char: CharSolution, a_R: PowerSeries, a_U: PowerSeries) -> float:
@@ -432,8 +437,8 @@ def expand_T(exp_: SingularExpansion, a_R: PowerSeries, a_U: PowerSeries) -> lis
     branch point, with the pointed expansions at r = 1.
     """
     point = _branch_point(exp_.rho)
-    A = point.leaf(a_R, exp_.a)
-    p = gf.PointedSeries(A, A, point.leaf(a_U, exp_.u), point.leaf(PowerSeries.x(a_R.order)))
+    p = gf.PointedSeries(point.leaf(a_R, exp_.a), point.leaf(a_U, exp_.u),
+                         point.leaf(PowerSeries.x(a_R.order)))
     return gf.assemble_T(p).t()
 
 

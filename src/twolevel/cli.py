@@ -38,8 +38,8 @@ class RunConfig:
             raise ValueError("order must be >= 3")
         if self.tree_cap <= 0 or self.iso_cap <= 0:
             raise ValueError("caps must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not 0 < self.tol < float("inf"):  # also rejects NaN
+            raise ValueError("tol must be positive and finite")
 
 
 def _fmt_real(v: float) -> str:

@@ -4,6 +4,10 @@ Solves the coupled fixed-point equations for the pointed tree series, assembles
 the unrooted series T(x) by the dissymmetry identity, and derives the self-dual
 and bounding series plus the forest series MSet(T).
 
+Duality swaps R- and M-vertices, so the M-pointed series equals the R-pointed
+one.  The pointed system is solved on that slice, a_M = a_R, in two unknowns
+(a_R, a_U); ``PointedSeries.a_M`` reads a_R.
+
 The right-hand sides use only +, -, *, integer constants, division by an
 integer, a(x^k), sum_r a(x^r) and the multiset operators, so the fixed-point
 solver runs them over the online integer ring and :mod:`twolevel.asymptotics`
@@ -22,9 +26,13 @@ class PointedSeries:
     """Series of trees pointed at an R-, M-, U-vertex, or a leg."""
 
     a_R: PowerSeries
-    a_M: PowerSeries
     a_U: PowerSeries
     a_leg: PowerSeries
+
+    @property
+    def a_M(self) -> PowerSeries:
+        """Duality swaps R and M, so the M-pointed series is the R-pointed one."""
+        return self.a_R
 
 
 @dataclass(frozen=True)
@@ -91,18 +99,17 @@ def _readers(outs, ys) -> list:
     return found
 
 
-def _pointed_rhs(leg, a_R, a_M, a_U):
-    f_R = a_M + a_U + leg
-    f_M = a_R + a_U + leg
-    s = a_R + a_M + a_U + leg
+def _pointed_rhs(leg, a_R, a_U):
+    # on the slice a_M = a_R, where the M-equation is the R-equation
+    f = a_R + a_U + leg
+    s = a_R + a_R + a_U + leg
     e = s.mset()
     lin = s.substitution_sum()
-    # R and M: multisets of at least two components.  U: the terms in s_n
-    # cancel (1 + 1 - 2), so coefficient n needs only lower ones.
-    new_R = f_R.mset() - 1 - f_R
-    new_M = f_M.mset() - 1 - f_M
+    # R: multisets of at least two components.  U: the terms in s_n cancel
+    # (1 + 1 - 2), so coefficient n needs only lower ones.
+    new_R = f.mset() - 1 - f
     new_U = e * lin + s - 2 * e + 2
-    return new_R, new_M, new_U
+    return new_R, new_U
 
 
 def solve_pointed(order: int) -> PointedSeries:
@@ -110,14 +117,8 @@ def solve_pointed(order: int) -> PointedSeries:
     if order < 2:
         raise ValueError("order must be >= 2")
     leg = PowerSeries.x(order)
-    a_R, a_M, a_U = _fixed_point(_pointed_rhs, (leg,), 3)
-    return PointedSeries(a_R, a_M, a_U, leg)
-
-
-def pointed_residuals(p: PointedSeries) -> tuple[PowerSeries, PowerSeries, PowerSeries]:
-    """Defining-equation residuals; all-zero for a valid fixed point."""
-    r, s, u = _pointed_rhs(p.a_leg, p.a_R, p.a_M, p.a_U)
-    return r - p.a_R, s - p.a_M, u - p.a_U
+    a_R, a_U = _fixed_point(_pointed_rhs, (leg,), 2)
+    return PointedSeries(a_R, a_U, leg)
 
 
 def assemble_T(p: PointedSeries) -> UnrootedSeries:

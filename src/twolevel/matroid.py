@@ -190,12 +190,6 @@ def is_coloop(m: Matroid, e) -> bool:
     return all(e not in c for c in m.circuits)
 
 
-def delete(m: Matroid, e) -> Matroid:
-    return Matroid(
-        (g for g in m.ground if g != e), (c for c in m.circuits if e not in c)
-    )
-
-
 def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
     if set(m1.ground) & set(m2.ground):
         offset = max(m1.ground) + 1 - min(m2.ground)

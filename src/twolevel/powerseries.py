@@ -83,12 +83,6 @@ class PowerSeries:
             return self
         return PowerSeries(self._coeffs[: order + 1])
 
-    def valuation(self) -> int | None:
-        for i, c in enumerate(self._coeffs):
-            if c:
-                return i
-        return None
-
     def integer_coeffs(self) -> list:
         return list(self._coeffs)
 

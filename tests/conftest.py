@@ -1,3 +1,6 @@
+import sys
+from pathlib import Path
+
 import pytest
 
 from twolevel import asymptotics as asy
@@ -27,3 +30,16 @@ def char30(pointed30):
 @pytest.fixture(scope="session")
 def expansion30(char30, pointed30):
     return asy.singular_expansions(char30, pointed30.a_R, pointed30.a_U)
+
+
+@pytest.fixture(scope="session")
+def reference():
+    """bench/reference.py, imported read-only: plain-int recurrences that share
+    no code with the package, and solve a_M as an unknown of its own."""
+    bench = str(Path(__file__).resolve().parents[1] / "bench")
+    sys.path.insert(0, bench)
+    try:
+        import reference
+    finally:
+        sys.path.remove(bench)
+    return reference

@@ -72,15 +72,6 @@ class TestLinearSolves:
         with pytest.raises(ZeroDivisionError):
             asy._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
 
-    def test_basic_solution_of_rank_deficient_system(self):
-        # rank 2: row 3 = row 1 + row 2, and the null direction is (1, 1, 1)
-        a = [[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [1.0, 0.0, -1.0]]
-        b = [1.0, 2.0, 3.0]
-        v = asy._solve(a, b, rank=2)
-        assert v.count(0.0) == 1  # the free variable is set to 0
-        for row, rhs in zip(a, b):
-            assert sum(c * x for c, x in zip(row, v)) == pytest.approx(rhs, rel=1e-14)
-
     def test_newton_step_on_linear_residual(self):
         # g(v) = a v - b, one step from v = 0 lands on the solution
         a = [[4.0, 1.0], [1.0, 3.0]]
@@ -127,13 +118,35 @@ class TestSingularExpansions:
             assert expansion30.u[i] == pytest.approx(self.EXPECTED_U[i], abs=TOL)
 
     def test_residuals_matched(self, char30, expansion30, pointed30):
-        res = asy.expansion_residual_norm(
-            char30, expansion30, pointed30.a_R, pointed30.a_U
-        )
-        assert res < 1e-10
+        # every coefficient X^0..X^DEG, not only the X^0..X^3 that asympt prints
+        r_a, r_u = asy._pointed_residuals(asy._branch_point(char30.rho), expansion30.a,
+                                          expansion30.u, pointed30.a_R, pointed30.a_U)
+        assert len(r_a) == len(r_u) == asy.DEG + 1
+        assert max(map(abs, r_a + r_u)) < 1e-12
+        assert asy.expansion_residual_norm(
+            char30, expansion30, pointed30.a_R, pointed30.a_U) < 1e-12
 
     def test_branch_sign_convention(self, expansion30):
         assert expansion30.a[1] < 0 and expansion30.u[1] < 0
+
+    def test_evaluation_count(self, char30, pointed30, monkeypatch):
+        # two for J - I, two per order X^2..X^DEG, one final residual check
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return residuals(*args)
+
+        residuals = asy._pointed_residuals
+        monkeypatch.setattr(asy, "_pointed_residuals", counted)
+        asy.singular_expansions(char30, pointed30.a_R, pointed30.a_U)
+        assert len(calls) <= 16
+
+    def test_off_the_branch_point_raises(self, char30, pointed30):
+        # at 0.9 rho, J - I is regular: no direction solves the X^1 residual
+        off = asy.CharSolution(rho=0.9 * char30.rho, a_R=char30.a_R, a_U=char30.a_U)
+        with pytest.raises(ArithmeticError):
+            asy.singular_expansions(off, pointed30.a_R, pointed30.a_U)
 
 
 class TestExpandT:
@@ -293,15 +306,15 @@ class TestJetRing:
     def test_pointed_rhs(self, both, pointed30):
         inputs, check = both
         p = pointed30
-        ring, ints = inputs(p.a_leg, p.a_R, p.a_M, p.a_U)
+        ring, ints = inputs(p.a_leg, p.a_R, p.a_U)
         for got, want, solved in zip(gf._pointed_rhs(*ring), gf._pointed_rhs(*ints),
-                                     (p.a_R, p.a_M, p.a_U)):
+                                     (p.a_R, p.a_U), strict=True):
             check(got, want, solved)
 
     def test_assemble_T(self, both, pointed30, unrooted30):
         inputs, check = both
         p = pointed30
-        ring, ints = inputs(p.a_R, p.a_M, p.a_U, p.a_leg)
+        ring, ints = inputs(p.a_R, p.a_U, p.a_leg)
         check(gf.assemble_T(gf.PointedSeries(*ring)).t,
               gf.assemble_T(gf.PointedSeries(*ints)).t, unrooted30.t)
 

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -27,8 +28,9 @@ class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
             cli.RunConfig(order=2)
-        with pytest.raises(ValueError):
-            cli.RunConfig(tol=-1.0)
+        for tol in (-1.0, 0.0, math.nan, math.inf):
+            with pytest.raises(ValueError):
+                cli.RunConfig(tol=tol)
         with pytest.raises(ValueError):
             cli.RunConfig(tree_cap=0)
 
@@ -163,23 +165,23 @@ class TestDeterminism:
         assert out1 == out2
 
 
-def run_python(probe: str) -> str:
-    """Run ``probe`` in a fresh interpreter that imports this checkout's twolevel."""
+def run_python(*argv: str, check: bool = True) -> subprocess.CompletedProcess:
+    """Run python ``argv`` in a fresh interpreter that imports this checkout's twolevel."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
-    return subprocess.run([sys.executable, "-c", probe], capture_output=True,
-                          text=True, check=True, env=env).stdout
+    return subprocess.run([sys.executable, *argv], capture_output=True,
+                          text=True, check=check, env=env)
 
 
 class TestImports:
     def test_cli_does_not_load_networkx(self):
         probe = "import sys, twolevel.cli; print('networkx' in sys.modules)"
-        assert run_python(probe).strip() == "False"
+        assert run_python("-c", probe).stdout.strip() == "False"
 
     def test_cli_does_not_load_numpy(self):
         probe = "import sys, twolevel.cli; print('numpy' in sys.modules)"
-        assert run_python(probe).strip() == "False"
+        assert run_python("-c", probe).stdout.strip() == "False"
 
     def test_commands_run_without_numpy(self):
         # numpy = None makes any `import numpy` raise ImportError
@@ -188,6 +190,21 @@ class TestImports:
             "from twolevel import cli\n"
             "print(cli.main(['asympt']), cli.main(['bound']))"
         )
-        out = run_python(probe)
+        out = run_python("-c", probe).stdout
         assert out.splitlines()[-1] == "0 0"
         assert "branch point at x = 0.39300104" in out
+
+
+class TestBenchTracer:
+    """bench/tracer.py wraps the package's functions by name; a name it
+    wraps that goes away must fail here, not only under ``--trace 1``."""
+
+    def test_asympt_spans(self, tmp_path):
+        tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+        out = tmp_path / "trace.json"
+        proc = run_python(str(tracer), str(out), "--", "--order", "5", "--format", "json",
+                          "asympt", check=False)
+        assert proc.returncode == 0, proc.stderr
+        calls = json.loads(out.read_text())["calls"]
+        assert calls["gfsystem.solve_pointed"] >= 1
+        assert calls["asymptotics.singular_expansions"] >= 1

@@ -76,11 +76,6 @@ class TestMinorsAndSums:
         m2 = mat.Matroid([1, 2], [{1}])
         assert mat.is_coloop(m2, 2)
 
-    def test_delete(self):
-        u = mat.uniform(4, 2)
-        d = mat.delete(u, 4)
-        assert d == mat.uniform(3, 2, labels=[1, 2, 3])
-
     def test_direct_sum(self):
         s = mat.direct_sum(mat.uniform(3, 1, labels=[1, 2, 3]),
                            mat.uniform(3, 2, labels=[4, 5, 6]))

@@ -46,10 +46,6 @@ class TestBasics:
         assert (a + b).order == 3
         assert (a * b).order == 3
 
-    def test_valuation(self):
-        assert series([0, 0, 7]).valuation() == 2
-        assert PowerSeries.zeros(3).valuation() is None
-
     def test_integer_coeffs(self):
         assert series([1, 2]).integer_coeffs() == [1, 2] + [0] * (ORDER - 1)
 
