@@ -16,16 +16,17 @@ right-hand side along x(X), as a polynomial in X:
 - at a constant point x(X) = x0, with one unknown set to its value plus X,
   the X^0 coefficient is the value, the X^1 coefficient the exact inner
   derivative (branch-point Newton, self-dual scan) and the X^2 coefficient
-  half the second one (the self-dual scan's s-column); with the expansion
-  of T at r = 1 it gives the forest series, its tail taken at rho;
+  half the second one (the Newton step of the self-dual scan); with the
+  expansion of T at r = 1 it gives the forest series, its tail taken at rho;
 - at x(X) = rho (1 - X^2), with the unknowns set to their expansions, it
   is the residual of the singular expansion, or the expansion of T.
 
 Polynomials in X are plain lists of DEG + 1 floats (index = power of X),
 truncated after degree DEG, and the linear solves are Gaussian elimination.
 The singular expansion is solved order by order in X, with the exact J - I at
-rho.  FD_STEP remains only for the Jacobian of the branch-point Newton
-iteration and for the x-column of the self-dual scan.
+rho; the self-dual scan is a 1-D bracketed solve with exact s-derivatives.
+FD_STEP remains only for the Jacobian of the branch-point Newton iteration.
+Every solver stops at one tolerance, the run's ``--tol``.
 """
 from __future__ import annotations
 
@@ -49,6 +50,7 @@ class CharSolution:
     rho: float
     a_R: float  # = a_M by symmetry
     a_U: float
+    residual: float  # max-norm of the defining equations, below the tol
 
 
 @dataclass(frozen=True)
@@ -58,6 +60,7 @@ class SingularExpansion:
     rho: float
     a: list[float]
     u: list[float]
+    residual: float  # max-norm of the residual coefficients X^0..X^DEG
 
 
 @dataclass(frozen=True)
@@ -348,7 +351,7 @@ def solve_char_system(
         here = JetPoint(xp(x))
         g = _char_residual(here, a, u, a_R, a_U)
         if _converged(g, tol):
-            return CharSolution(rho=x, a_R=a, a_U=u)
+            return CharSolution(rho=x, a_R=a, a_U=u, residual=max(map(abs, g)))
         dx, da, du = _newton_step(g, [
             _char_residual(JetPoint(xp(x + FD_STEP)), a, u, a_R, a_U),
             _char_residual(here, a + FD_STEP, u, a_R, a_U),
@@ -410,22 +413,10 @@ def singular_expansions(
         d = -_dot(me, [y0 + t * dy for y0, dy in zip(g0, dg)]) / _dot(me, me)
     a[DEG], u[DEG] = d * e[0], d * e[1]
     r_a, r_u = _pointed_residuals(point, a, u, a_R, a_U)
-    if not _converged(r_a[1:] + r_u[1:], tol):
+    g = r_a + r_u
+    if not _converged(g, tol):
         raise ArithmeticError("singular-expansion residual above tolerance")
-    return SingularExpansion(rho=char.rho, a=a, u=u)
-
-
-def char_residual_norm(char: CharSolution, a_R: PowerSeries, a_U: PowerSeries) -> float:
-    """Max-norm of the branch-point defining equations at the solution."""
-    g = _char_residual(JetPoint(xp(char.rho)), char.a_R, char.a_U, a_R, a_U)
-    return max(map(abs, g))
-
-
-def expansion_residual_norm(char: CharSolution, exp_: SingularExpansion,
-                            a_R: PowerSeries, a_U: PowerSeries) -> float:
-    """Max-norm of the matched residual coefficients X^0..X^3."""
-    r_a, r_u = _pointed_residuals(_branch_point(char.rho), exp_.a, exp_.u, a_R, a_U)
-    return max(map(abs, r_a[:4] + r_u[:4]))
+    return SingularExpansion(rho=char.rho, a=a, u=u, residual=max(map(abs, g)))
 
 
 # -- singular expansion of T and the forest series ------------------------
@@ -453,12 +444,13 @@ def expand_forests(t_poly: list[float], t_series: PowerSeries, rho: float) -> li
     return JetPoint(xp(rho)).leaf(t_series, t_poly).mset()()
 
 
-def transfer(poly: list[float], rho: float, tol: float = 1e-8) -> AsymptoticEstimate:
+def transfer(poly: list[float], rho: float, tol: float) -> AsymptoticEstimate:
     """Growth estimate from the X^3 coefficient of a singular expansion.
 
     Requires a pure square-root branch point: the X^1 coefficient must vanish
-    (analytic and X^2 terms contribute nothing to the asymptotics at this
-    order).  [x^n](1 - x/rho)^(3/2) ~ n^(-5/2) rho^(-n) / Gamma(-3/2).
+    to within ``tol``, the tolerance the expansion was solved to (analytic and
+    X^2 terms contribute nothing to the asymptotics at this order).
+    [x^n](1 - x/rho)^(3/2) ~ n^(-5/2) rho^(-n) / Gamma(-3/2).
     """
     if abs(poly[1]) > tol:
         raise ArithmeticError(
@@ -478,54 +470,56 @@ def verify_selfdual_growth(
     s_bound: PowerSeries,
     pair_series: PowerSeries,
     rho: float,
-    tol: float = 1e-10,
+    tol: float,
 ) -> BranchPointReport:
     """Locate the first branch point of the bounding-series system in
-    (0, sqrt(rho)].
+    (0, sqrt(rho)], where the pair class at x^2 converges (past sqrt(rho)
+    the truncated evaluations no longer describe the system).
 
-    The pair class lives at x^2, so its own singularity sits at
-    x = sqrt(rho): past it pairs(x^2) diverges, the truncated evaluations no
-    longer describe the system, and a root there would not be a branch point
-    of the bound.  A 2D Newton search for (s = F, dF/ds = 1) is therefore run
-    from a seed grid inside the window (0, sqrt(rho)], and a seed is
-    abandoned as soon as an iterate leaves it.  A found root is a report
-    outcome, not an error, and sets the growth rate 1/branch_x of the bound.
-    The shipped bound coalesces at x = 0.39300, before sqrt(rho) = 0.45265.
-    "No branch point" only means that no seed converged; the bound would then
-    grow like rho^(-n/2) up to polynomial factors.
+    F(x, s) has nonnegative coefficients, so it increases in x and is
+    increasing and convex in s >= 0: g(x) = max over s >= 0 of s - F(x, s)
+    decreases in x, and s = F(x, s) has a solution exactly where g(x) >= 0
+    (Pivoteau-Salvy-Soria, JCTA 2012).  g is read at its crest F_s = 1 (or
+    s = 0), found by Newton with exact F_s and F_ss; an inexact crest only
+    lowers g.  The root of g is the branch point, found by regula falsi
+    (Illinois); the shipped bound has it at x = 0.39300.  "No branch point"
+    means g(sqrt(rho)) >= 0: up to truncation and float error, the system
+    has a fixed point throughout the window.
     """
     leg = PowerSeries.x(s_bound.order)
 
-    def taylor(x: float, s: float) -> list[float]:
-        # F, F_s and F_ss / 2 are the X^0..X^2 coefficients with s + X at r = 1
+    def crest(x: float, s: float) -> tuple[float, float]:
+        # g(x) and the crest, by Newton on F_s = 1 from s; F, F_s and
+        # F_ss / 2 are the X^0..X^2 coefficients with s + X at r = 1
         point = JetPoint(xp(x))
-        (f,) = gf._s_bound_rhs(point.leaf(pair_series), point.leaf(leg),
-                               point.leaf(s_bound, xp(s, 1.0)))
-        return f()
+        for _ in range(100):
+            (f,) = gf._s_bound_rhs(point.leaf(pair_series), point.leaf(leg),
+                                   point.leaf(s_bound, xp(s, 1.0)))
+            f0, f_s, half_f_ss = f()[:3]
+            if abs(1.0 - f_s) <= tol or (s == 0.0 and f_s >= 1.0):
+                return s - f0, s
+            s = max(0.0, s + (1.0 - f_s) / (2.0 * half_f_ss))
+        raise ArithmeticError(f"self-dual scan: no crest found at x = {x:.8f}")
 
     x_max = math.sqrt(rho)
-    for x0 in (x_max * (0.1 + 0.9 * i / 7) for i in range(8)):
-        for s0 in (0.0, 0.1, 0.3, 0.6):
-            x, s = x0, s0
-            for _ in range(80):
-                try:
-                    f = taylor(x, s)
-                    g = [s - f[0], 1.0 - f[1]]
-                    if _converged(g, tol):
-                        if s > 0.0:
-                            return BranchPointReport(
-                                no_branch_point=False, x_max=x_max, branch_x=x, branch_s=s
-                            )
-                        break
-                    # the x-column is a forward difference; the s-column is
-                    # exact, d/ds (s - F, 1 - F_s) = (1 - F_s, -F_ss)
-                    h = taylor(x + FD_STEP, s)
-                    dx, ds = _solve([[(f[0] - h[0]) / FD_STEP, 1.0 - f[1]],
-                                     [(f[1] - h[1]) / FD_STEP, -2.0 * f[2]]],
-                                    [-g[0], -g[1]])
-                except (OverflowError, ZeroDivisionError):
-                    break
-                x, s = x + dx, s + ds
-                if not (0.0 < x <= x_max and -1.0 < s < 10.0):
-                    break
-    return BranchPointReport(no_branch_point=True, x_max=x_max)
+    b, (g_b, s) = x_max, crest(x_max, 0.0)
+    if g_b >= 0.0:
+        return BranchPointReport(no_branch_point=True, x_max=x_max)
+    # g > 0 at the lower end is checked; g(0+) = max of s - e^s + 1 + s + s^2/2 > 0
+    a, (g_a, s) = x_max / 2.0, crest(x_max / 2.0, s)
+    while not g_a > 0.0:
+        b, g_b, a = a, g_a, a / 2.0
+        g_a, s = crest(a, s)
+    # Illinois: b is the newest point; the value at a is halved when a is kept
+    for _ in range(100):
+        x = b - g_b * (b - a) / (g_b - g_a)
+        g, s = crest(x, s)
+        if abs(g) <= tol:
+            return BranchPointReport(no_branch_point=False, x_max=x_max,
+                                     branch_x=x, branch_s=s)
+        if (g > 0.0) != (g_b > 0.0):
+            a, g_a = b, g_b
+        else:
+            g_a /= 2.0
+        b, g_b = x, g
+    raise ArithmeticError("self-dual scan: regula falsi did not converge")

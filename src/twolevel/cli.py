@@ -16,6 +16,7 @@ import io
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 
 from . import asymptotics as asy
 from . import gfsystem as gf
@@ -193,28 +194,26 @@ def cmd_verify(args, config: RunConfig) -> int:
     return run_verify(config)
 
 
-def cmd_asympt(args, config: RunConfig) -> int:
-    p = gf.solve_pointed(config.order)
+def _tree_asymptotics(p: gf.PointedSeries, config: RunConfig):
+    """Branch point, singular expansions, T's expansion and transfer, at --tol."""
     char = asy.solve_char_system(p.a_R, p.a_U, tol=config.tol)
     se = asy.singular_expansions(char, p.a_R, p.a_U, tol=config.tol)
-    t = gf.assemble_T(p)
-    t_poly = asy.expand_T(se, p.a_R, p.a_U)
-    f_poly = asy.expand_forests(t_poly, t.t, char.rho)
-    est_t = asy.transfer(t_poly, char.rho)
-    est_f = asy.transfer(f_poly, char.rho)
+    transfer = partial(asy.transfer, rho=char.rho, tol=config.tol)
+    return char, se, asy.expand_T(se, p.a_R, p.a_U), transfer
+
+
+def cmd_asympt(args, config: RunConfig) -> int:
+    p = gf.solve_pointed(config.order)
+    char, se, t_poly, transfer = _tree_asymptotics(p, config)
+    f_poly = asy.expand_forests(t_poly, gf.assemble_T(p).t, char.rho)
+    est_t, est_f = transfer(t_poly), transfer(f_poly)
     s_U_paper = gf.compute_selfdual(p, "paper")
-    pair = p.a_R + p.a_M + (p.a_U - s_U_paper)
-    report = asy.verify_selfdual_growth(gf.compute_s_bound(p, s_U_paper), pair, char.rho)
-    char_res = asy.char_residual_norm(char, p.a_R, p.a_U)
-    exp_res = asy.expansion_residual_norm(char, se, p.a_R, p.a_U)
-    rows = [["rho", _fmt_real(char.rho), _fmt_real(char_res)],
-            ["inv_rho", _fmt_real(1.0 / char.rho), _fmt_real(char_res)],
-            ["A0", _fmt_real(char.a_R), _fmt_real(char_res)],
-            ["U0", _fmt_real(char.a_U), _fmt_real(char_res)]]
-    for i in range(1, 4):
-        rows.append([f"A{i}", _fmt_real(se.a[i]), _fmt_real(exp_res)])
-    for i in range(1, 4):
-        rows.append([f"U{i}", _fmt_real(se.u[i]), _fmt_real(exp_res)])
+    report = asy.verify_selfdual_growth(gf.compute_s_bound(p, s_U_paper),
+                                        gf.pair_class(p, s_U_paper), char.rho, config.tol)
+    rows = [[name, _fmt_real(v), _fmt_real(char.residual)] for name, v in (
+        ("rho", char.rho), ("inv_rho", 1.0 / char.rho), ("A0", char.a_R), ("U0", char.a_U))]
+    for name, coeffs in (("A", se.a), ("U", se.u)):
+        rows += [[f"{name}{i}", _fmt_real(coeffs[i]), _fmt_real(se.residual)] for i in (1, 2, 3)]
     for i in (0, 2, 3):
         rows.append([f"T{i}", _fmt_real(t_poly[i]), _fmt_real(abs(t_poly[1]))])
     for i in (0, 2, 3):
@@ -244,9 +243,8 @@ def cmd_bound(args, config: RunConfig) -> int:
         [n, t.coeff(n), selfdual[n], counts[n], "exact"]
         for n in range(3, n_max + 1)
     ]
-    char = asy.solve_char_system(p.a_R, p.a_U, tol=config.tol)
-    se = asy.singular_expansions(char, p.a_R, p.a_U, tol=config.tol)
-    est = asy.transfer(asy.expand_T(se, p.a_R, p.a_U), char.rho)
+    _, _, t_poly, transfer = _tree_asymptotics(p, config)
+    est = transfer(t_poly)
     half = asy.AsymptoticEstimate(est.amplitude / 2.0, est.poly_exponent, est.growth_rate)
     for n in (10, 20, 50, 100):
         rows.append([n, "", "", _fmt_real(half.value(n)), "asymptotic"])

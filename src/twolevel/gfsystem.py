@@ -177,10 +177,14 @@ def _s_bound_rhs(pairs, leg, s):
     return (e - 1 - core - core.mset2() + (pair_sets - 1) * (e - 1),)
 
 
+def pair_class(p: PointedSeries, s_U_paper: PowerSeries) -> PowerSeries:
+    """The pair class of the bounding series: pointed trees, not self-dual."""
+    return p.a_R + p.a_M + (p.a_U - s_U_paper)
+
+
 def compute_s_bound(p: PointedSeries, s_U_paper: PowerSeries) -> PowerSeries:
     """Bounding series dominating the self-dual pointed series."""
-    pairs = p.a_R + p.a_M + (p.a_U - s_U_paper)
-    (s,) = _fixed_point(_s_bound_rhs, (pairs, p.a_leg), 1)
+    (s,) = _fixed_point(_s_bound_rhs, (pair_class(p, s_U_paper), p.a_leg), 1)
     return s
 
 

@@ -81,8 +81,8 @@ def test_criterion_4_constants():
     se = asy.singular_expansions(char, p30.a_R, p30.a_U)
     t_poly = asy.expand_T(se, p30.a_R, p30.a_U)
     f_poly = asy.expand_forests(t_poly, gf.assemble_T(p30).t, char.rho)
-    c_tree = asy.transfer(t_poly, char.rho).amplitude
-    c_forest = asy.transfer(f_poly, char.rho).amplitude
+    c_tree = asy.transfer(t_poly, char.rho, 1e-12).amplitude
+    c_forest = asy.transfer(f_poly, char.rho, 1e-12).amplitude
     targets = [
         (char.rho, 0.20489584), (1 / char.rho, 4.88052854),
         (se.a[0], 0.13529174), (se.a[1], -0.23137622),
@@ -230,8 +230,8 @@ def test_criterion_7_selfdual_growth():
     p = gf.solve_pointed(30)
     char = asy.solve_char_system(p.a_R, p.a_U)
     sd = gf.solve_selfdual(p)
-    pair = p.a_R + p.a_M + (p.a_U - sd.s_U_paper)
-    scan = asy.verify_selfdual_growth(sd.s_bound, pair, char.rho)
+    scan = asy.verify_selfdual_growth(sd.s_bound, gf.pair_class(p, sd.s_U_paper), char.rho,
+                                      1e-12)
     claimed = char.rho ** -0.5
     target = claimed if scan.no_branch_point else 1.0 / scan.branch_x
     growth = two_step_growth(sd.s_bound, 30)

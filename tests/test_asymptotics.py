@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from twolevel.powerseries import PowerSeries
 
 RHO = 0.20489584
 TOL = 1e-6
+RUN_TOL = 1e-12  # the default --tol, to which the fixtures are solved
 
 
 def close(want):
@@ -17,7 +19,7 @@ def close(want):
 
 def _pairs(p, sd):
     """The pair class of the self-dual bound, as `cmd_asympt` builds it."""
-    return p.a_R + p.a_M + (p.a_U - sd.s_U_paper)
+    return gf.pair_class(p, sd.s_U_paper)
 
 
 class TestXPolyHelpers:
@@ -93,8 +95,11 @@ class TestCharSystem:
         assert char30.a_U == pytest.approx(0.06921673, abs=TOL)
 
     def test_residual_norm_small(self, char30, pointed30):
-        res = asy.char_residual_norm(char30, pointed30.a_R, pointed30.a_U)
-        assert res < 1e-11
+        # the carried residual is the max-norm of the defining equations at rho
+        g = asy._char_residual(asy.JetPoint(asy.xp(char30.rho)), char30.a_R, char30.a_U,
+                               pointed30.a_R, pointed30.a_U)
+        assert char30.residual == max(map(abs, g))
+        assert char30.residual < 1e-11
 
     def test_stability_in_tail_order(self, char30):
         p40 = gf.solve_pointed(40)
@@ -123,8 +128,7 @@ class TestSingularExpansions:
                                           expansion30.u, pointed30.a_R, pointed30.a_U)
         assert len(r_a) == len(r_u) == asy.DEG + 1
         assert max(map(abs, r_a + r_u)) < 1e-12
-        assert asy.expansion_residual_norm(
-            char30, expansion30, pointed30.a_R, pointed30.a_U) < 1e-12
+        assert expansion30.residual == max(map(abs, r_a + r_u))
 
     def test_branch_sign_convention(self, expansion30):
         assert expansion30.a[1] < 0 and expansion30.u[1] < 0
@@ -144,7 +148,7 @@ class TestSingularExpansions:
 
     def test_off_the_branch_point_raises(self, char30, pointed30):
         # at 0.9 rho, J - I is regular: no direction solves the X^1 residual
-        off = asy.CharSolution(rho=0.9 * char30.rho, a_R=char30.a_R, a_U=char30.a_U)
+        off = dataclasses.replace(char30, rho=0.9 * char30.rho)
         with pytest.raises(ArithmeticError):
             asy.singular_expansions(off, pointed30.a_R, pointed30.a_U)
 
@@ -178,8 +182,8 @@ class TestTransfer:
     def test_amplitudes(self, expansion30, pointed30, unrooted30, char30):
         t_poly = asy.expand_T(expansion30, pointed30.a_R, pointed30.a_U)
         f_poly = asy.expand_forests(t_poly, unrooted30.t, char30.rho)
-        est_t = asy.transfer(t_poly, char30.rho)
-        est_f = asy.transfer(f_poly, char30.rho)
+        est_t = asy.transfer(t_poly, char30.rho, RUN_TOL)
+        est_f = asy.transfer(f_poly, char30.rho, RUN_TOL)
         assert est_t.amplitude == pytest.approx(0.07583455, abs=TOL)
         assert est_f.amplitude == pytest.approx(0.07850913, abs=TOL)
         assert est_t.amplitude / 2.0 == pytest.approx(0.03791727, abs=TOL)
@@ -189,7 +193,7 @@ class TestTransfer:
     def test_requires_vanishing_x1(self, char30):
         bad = asy.xp(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ArithmeticError):
-            asy.transfer(bad, char30.rho)
+            asy.transfer(bad, char30.rho, RUN_TOL)
 
     def test_estimate_value(self):
         est = asy.AsymptoticEstimate(2.0, -2.5, 3.0)
@@ -201,7 +205,7 @@ class TestSelfDualGrowth:
         # honest outcome: the bounding-series system coalesces before
         # sqrt(rho); the scan reports the point instead of claiming none
         report = asy.verify_selfdual_growth(
-            selfdual30.s_bound, _pairs(pointed30, selfdual30), char30.rho
+            selfdual30.s_bound, _pairs(pointed30, selfdual30), char30.rho, RUN_TOL
         )
         assert not report.no_branch_point
         assert report.branch_x == pytest.approx(0.393001, abs=1e-4)
@@ -213,9 +217,8 @@ class TestSelfDualGrowth:
         assert rep.describe().startswith("no branch point")
 
     def test_scan_evaluation_count(self, pointed30, selfdual30, char30, monkeypatch):
-        # seeds are dropped as they leave (0, sqrt(rho)] and each step costs
-        # two evaluations; with a wider window and a finite-difference
-        # s-column the same scan makes 316
+        # one evaluation per crest Newton step, and each crest is started
+        # from the last one, so a few steps per regula falsi step suffice
         calls = []
 
         def counted(*args):
@@ -225,7 +228,7 @@ class TestSelfDualGrowth:
         rhs = gf._s_bound_rhs
         monkeypatch.setattr(gf, "_s_bound_rhs", counted)
         report = asy.verify_selfdual_growth(selfdual30.s_bound, _pairs(pointed30, selfdual30),
-                                            char30.rho)
+                                            char30.rho, RUN_TOL)
         assert not report.no_branch_point
         assert len(calls) <= 80
 
@@ -242,6 +245,30 @@ class TestSelfDualGrowth:
         h = asy.FD_STEP
         f, g = taylor(0.45), taylor(0.45 + h)
         assert -2.0 * f[2] == pytest.approx(((1.0 - g[1]) - (1.0 - f[1])) / h, rel=1e-5)
+
+    def test_monotone_iteration_brackets_the_branch_point(self, pointed30, selfdual30,
+                                                          char30):
+        # s <- F(x, s) from s = 0 increases to the least fixed point where one
+        # exists and grows past every bound where none does; it shares no
+        # code with the crest Newton or the regula falsi of the scan
+        pairs = _pairs(pointed30, selfdual30)
+        report = asy.verify_selfdual_growth(selfdual30.s_bound, pairs, char30.rho, RUN_TOL)
+
+        def iterate(x):
+            point = asy.JetPoint(asy.xp(x))
+            s = 0.0
+            for _ in range(1000):
+                (f,) = gf._s_bound_rhs(point.leaf(pairs), point.leaf(pointed30.a_leg),
+                                       point.leaf(selfdual30.s_bound, asy.xp(s)))
+                s, last = f()[0], s
+                if s > 1.0 or s - last < 1e-13:
+                    return s, s - last
+            raise AssertionError(f"no decision at x = {x} in 1000 steps")
+
+        s, step = iterate(report.branch_x - 1e-3)
+        assert step < 1e-13 and 0.0 < s < report.branch_s
+        s, _ = iterate(report.branch_x + 1e-3)
+        assert s > 1.0
 
 
 class TestJetTailCutoff:
@@ -321,8 +348,7 @@ class TestJetRing:
     def test_s_bound_rhs(self, both, pointed30, selfdual30):
         inputs, check = both
         p = pointed30
-        pairs = p.a_R + p.a_M + (p.a_U - selfdual30.s_U_paper)
-        ring, ints = inputs(pairs, p.a_leg, selfdual30.s_bound)
+        ring, ints = inputs(_pairs(p, selfdual30), p.a_leg, selfdual30.s_bound)
         (got,), (want,) = gf._s_bound_rhs(*ring), gf._s_bound_rhs(*ints)
         check(got, want, selfdual30.s_bound)
 
@@ -362,23 +388,23 @@ class TestPinnedConstants:
     }
 
     def test_selfdual_scan(self, char30, pointed30, selfdual30):
-        # the root is that of the older scan (a wider window, a finite-
-        # difference s-column), though the Newton path to it changed
+        # the root pinned from a 2-D Newton search on (s = F, F_s = 1), which
+        # shares no step with the bracket
         report = asy.verify_selfdual_growth(selfdual30.s_bound, _pairs(pointed30, selfdual30),
-                                            char30.rho)
+                                            char30.rho, RUN_TOL)
         assert report.branch_x == pytest.approx(0.3930010376370808, rel=0, abs=1e-9)
         assert report.branch_s == pytest.approx(0.465261382005694, rel=0, abs=1e-9)
 
     def test_selfdual_scan_window_below_branch_point(self, pointed30, selfdual30):
         # sqrt(0.1) = 0.316 lies below the branch point at 0.393
         report = asy.verify_selfdual_growth(selfdual30.s_bound, _pairs(pointed30, selfdual30),
-                                            0.1)
+                                            0.1, RUN_TOL)
         assert report.no_branch_point
         assert report.x_max == pytest.approx(math.sqrt(0.1))
 
     def test_order30_values(self, char30, expansion30, pointed30):
         t_poly = asy.expand_T(expansion30, pointed30.a_R, pointed30.a_U)
-        est = asy.transfer(t_poly, char30.rho)
+        est = asy.transfer(t_poly, char30.rho, RUN_TOL)
         got = {"inv_rho": 1.0 / char30.rho, "C": est.amplitude,
                "c_polytope": est.amplitude / 2.0}
         for i in (1, 2, 3):

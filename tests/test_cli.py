@@ -158,6 +158,34 @@ class TestBound:
         assert "100" in out
 
 
+class TestLooseTol:
+    """--tol is the only tolerance of asympt and bound: a looser one holds
+    for every check, and no check keeps a tighter one of its own that a
+    loosely converged branch point would fail."""
+
+    @staticmethod
+    def asympt(capsys, *tol):
+        code, out, err = run([*tol, "--format", "json", "asympt"], capsys)
+        assert code == 0, err
+        return json.loads(out)["data"]
+
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-3"])
+    def test_asympt(self, capsys, tol):
+        rows = self.asympt(capsys, "--tol", tol)
+        residuals = [float(r["residual"]) for r in rows if r["residual"] != "-"]
+        assert len(residuals) == 20 and max(residuals) <= float(tol)
+        default = {r["constant"]: r["value"] for r in self.asympt(capsys)}
+        inv_rho = {r["constant"]: r["value"] for r in rows}["inv_rho"]
+        assert float(inv_rho) == pytest.approx(float(default["inv_rho"]), rel=1e-5, abs=0)
+
+    @pytest.mark.parametrize("tol", ["1e-6", "1e-3"])
+    def test_bound(self, capsys, tol):
+        code, out, err = run(["--tol", tol, "--format", "csv", "bound"], capsys)
+        assert code == 0, err
+        assert [r[0] for r in csv.reader(io.StringIO(out)) if r[-1] == "asymptotic"] == [
+            "10", "20", "50", "100"]
+
+
 class TestDeterminism:
     def test_identical_runs_identical_output(self, capsys):
         _, out1, _ = run(["--order", "10", "--format", "json", "coeffs", "sbound"], capsys)

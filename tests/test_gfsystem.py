@@ -142,8 +142,8 @@ class TestOnlineSolver:
 
     def test_s_bound_rhs(self, order60):
         p, sd = order60
-        pairs = p.a_R + p.a_M + (p.a_U - sd.s_U_paper)
-        self.assert_same_on_both_rings(gf._s_bound_rhs, pairs, p.a_leg, sd.s_bound)
+        self.assert_same_on_both_rings(gf._s_bound_rhs, gf.pair_class(p, sd.s_U_paper),
+                                       p.a_leg, sd.s_bound)
 
 
 class TestForests:
