@@ -13,20 +13,19 @@ fixed-point solver, ``PowerSeries`` elsewhere).  The float ring here
 (:class:`Jet` over a :class:`JetPoint` x(X)) gives the value of the same
 right-hand side along x(X), as a polynomial in X:
 
-- at a constant point x(X) = x0, with one unknown set to its value plus X,
-  the X^0 coefficient is the value, the X^1 coefficient the exact inner
-  derivative (branch-point Newton, self-dual scan) and the X^2 coefficient
-  half the second one (the Newton step of the self-dual scan); with the
-  expansion of T at r = 1 it gives the forest series, its tail taken at rho;
+- at a constant point, with one unknown set to its value plus X, the X^0..X^2
+  coefficients are the value and its exact first and half second inner
+  derivatives (the self-dual scan); with unknowns y + X v + X^2 e_k, the
+  residual F - y to third order, and at x(X) = x0 + X^2 with y + X v, F_x
+  and d/dx (J v) too (the branch-point Newton iteration, see _fold_system);
+  with the expansion of T at r = 1, the forest series, its tail taken at rho;
 - at x(X) = rho (1 - X^2), with the unknowns set to their expansions, it
   is the residual of the singular expansion, or the expansion of T.
 
 Polynomials in X are plain lists of DEG + 1 floats (index = power of X),
 truncated after degree DEG, and the linear solves are Gaussian elimination.
-The singular expansion is solved order by order in X, with the exact J - I at
-rho; the self-dual scan is a 1-D bracketed solve with exact s-derivatives.
-FD_STEP remains only for the Jacobian of the branch-point Newton iteration.
-Every solver stops at one tolerance, the run's ``--tol``.
+No solver takes a finite difference, and every one stops at one tolerance,
+the run's ``--tol``.
 """
 from __future__ import annotations
 
@@ -38,7 +37,6 @@ from .powerseries import PowerSeries
 
 DEG = 5
 TAIL_EPS = 1e-20
-FD_STEP = 1e-7
 
 GAMMA_M32 = math.gamma(-1.5)  # 4*sqrt(pi)/3
 
@@ -50,7 +48,9 @@ class CharSolution:
     rho: float
     a_R: float  # = a_M by symmetry
     a_U: float
-    residual: float  # max-norm of the defining equations, below the tol
+    c: float  # J - I has the null vector v = (1, c), c > 0
+    j_minus_i: tuple[tuple[float, float], tuple[float, float]]  # exact, at rho
+    residual: float  # max-norm of (F - y, (J - I) v), below the tol
 
 
 @dataclass(frozen=True)
@@ -71,6 +71,7 @@ class BranchPointReport:
     x_max: float
     branch_x: float | None = None
     branch_s: float | None = None
+    residual: float | None = None  # |g| where the scan stopped at branch_x
 
     def describe(self) -> str:
         if self.no_branch_point:
@@ -290,13 +291,6 @@ def _solve(a: list[list[float]], b: list[float]) -> list[float]:
     return v
 
 
-def _newton_step(g: list[float], shifted: list[list[float]]) -> list[float]:
-    """The step -J^-1 g, with column j of J the forward difference
-    (shifted[j] - g) / FD_STEP of the residual g along unknown j."""
-    jac = [[(col[i] - gi) / FD_STEP for col in shifted] for i, gi in enumerate(g)]
-    return _solve(jac, [-gi for gi in g])
-
-
 def _converged(g: list[float], tol: float) -> bool:
     return all(abs(gi) < tol for gi in g)  # False on a NaN
 
@@ -315,49 +309,67 @@ def _pointed_residuals(point: JetPoint, a: list[float], u: list[float],
     return _xp_sub(new_R(), a), _xp_sub(new_U(), u)
 
 
-def _linearization(point: JetPoint, a: float, u: float,
-                   a_R: PowerSeries, a_U: PowerSeries):
-    """Fixed-point residuals at (x, a, u) and the exact J - I there.
+def _fold_system(x: float, a: float, u: float, c: float,
+                 a_R: PowerSeries, a_U: PowerSeries):
+    """The residual (F - y, (J - I) v) at (x, a, u, c), J - I, and the exact
+    Jacobian in (x, a, u, c) on demand (Moore-Spence, SIAM J. Numer. Anal.
+    1980, for this fold-point system).
 
-    With one unknown set to its value plus X, the X^1 coefficients of the
-    residuals are a column of J - I, J the Jacobian in (a, u).
+    Two evaluations at the constant point x, with y + X v + X^2 e_k for
+    k = a, u, read F - y at X^0, (J - I) v at X^1, (J - I) e_k + H[v, v]/2
+    at X^2 and H[v, e_k] + T[v, v, v]/6 at X^3; as v = e_a + c e_u, together
+    they give H[v, v]/2 and T[v, v, v]/6, over 1 + c.  The x-column costs one
+    evaluation at x + X^2 with y + X v, whose X^2 and X^3 coefficients carry
+    F_x and d/dx (J v) in place of (J - I) e_k and H[v, e_k].
     """
-    r_a, s_a = _pointed_residuals(point, xp(a, 1.0), xp(u), a_R, a_U)
-    r_u, s_u = _pointed_residuals(point, xp(a), xp(u, 1.0), a_R, a_U)
-    return [r_a[0], s_a[0]], [[r_a[1], r_u[1]], [s_a[1], s_u[1]]]
+    here = JetPoint(xp(x))
+    by_a = _pointed_residuals(here, xp(a, 1.0, 1.0), xp(u, c), a_R, a_U)
+    by_u = _pointed_residuals(here, xp(a, 1.0), xp(u, c, 1.0), a_R, a_U)
+    curv = []  # (H[v, v]/2, T[v, v, v]/6) of the R- and of the U-residual
+    for p, q in zip(by_a, by_u):
+        hvv = (p[2] + c * q[2] - p[1]) / (1.0 + c)
+        curv.append((hvv, (p[3] + c * q[3] - 2.0 * hvv) / (1.0 + c)))
+    m = tuple((p[2] - h, q[2] - h) for p, q, (h, _) in zip(by_a, by_u, curv))
 
+    def jacobian() -> list[list[float]]:
+        shifted = _pointed_residuals(JetPoint(xp(x, 0.0, 1.0)), xp(a, 1.0), xp(u, c),
+                                     a_R, a_U)
+        return ([[s[2] - h, *m_i, 0.0] for s, m_i, (h, _) in zip(shifted, m, curv)]
+                + [[s[3] - t, p[3] - t, q[3] - t, m_i[1]]
+                   for s, p, q, m_i, (_, t) in zip(shifted, by_a, by_u, m, curv)])
 
-def _char_residual(point: JetPoint, a: float, u: float,
-                   a_R: PowerSeries, a_U: PowerSeries) -> list[float]:
-    """Fixed-point residuals at (x, a, u) and det(J - I)."""
-    g, ((p, q), (r, s)) = _linearization(point, a, u, a_R, a_U)
-    return [*g, p * s - q * r]
+    return [p[0] for p in by_a] + [p[1] for p in by_a], m, jacobian
 
 
 def solve_char_system(
     a_R: PowerSeries,
     a_U: PowerSeries,
-    seed: tuple[float, float, float] = (0.2, 0.13, 0.07),
+    seed: tuple[float, float, float, float] = (0.2, 0.13, 0.07, 0.8),
     tol: float = 1e-12,
     max_iter: int = 100,
 ) -> CharSolution:
     """Newton iteration for the branch point of the pointed system.
 
-    Unknowns (x, a, u) with a the common R/M value.  Conditions: a and u are
-    fixed by the system and its Jacobian J in (a, u) satisfies det(I - J) = 0.
+    Unknowns (x, a, u, c) with a the common R/M value; conditions F = y and
+    (J - I) v = 0 with v = (1, c), J the Jacobian of F in y = (a, u): the
+    fold-point system, which holds where det(I - J) = 0.  Its Jacobian is
+    exact (:func:`_fold_system`) and its x-column is evaluated only when a
+    step is taken.  An iterate outside the ring's domain (|x| >= 1, or a
+    value that is not finite) or a singular step ends the iteration.
     """
-    x, a, u = seed
+    x, a, u, c = seed
     for _ in range(max_iter):
-        here = JetPoint(xp(x))
-        g = _char_residual(here, a, u, a_R, a_U)
-        if _converged(g, tol):
-            return CharSolution(rho=x, a_R=a, a_U=u, residual=max(map(abs, g)))
-        dx, da, du = _newton_step(g, [
-            _char_residual(JetPoint(xp(x + FD_STEP)), a, u, a_R, a_U),
-            _char_residual(here, a + FD_STEP, u, a_R, a_U),
-            _char_residual(here, a, u + FD_STEP, a_R, a_U),
-        ])
-        x, a, u = x + dx, a + da, u + du
+        if not (abs(x) < 1.0 and all(map(math.isfinite, (a, u, c)))):
+            break
+        try:
+            g, m, jacobian = _fold_system(x, a, u, c, a_R, a_U)
+            if _converged(g, tol):
+                return CharSolution(rho=x, a_R=a, a_U=u, c=c, j_minus_i=m,
+                                    residual=max(map(abs, g)))
+            dx, da, du, dc = _solve(jacobian(), [-gi for gi in g])
+        except (OverflowError, ZeroDivisionError):
+            break
+        x, a, u, c = x + dx, a + da, u + du, c + dc
     raise ArithmeticError("branch-point Newton iteration did not converge")
 
 
@@ -376,23 +388,21 @@ def singular_expansions(
 ) -> SingularExpansion:
     """Solve the system at x = rho (1 - X^2) through X^DEG, order by order.
 
-    Let M = J - I at the branch point, v and w its right and left null
-    vectors, and e = v rotated by 90 degrees, so M e != 0.  With
-    Y_k = (A_k, U_k), the X^n residual is M Y_n plus terms in Y_0..Y_(n-1), so
-    its w-component does not read Y_n.  Step k = 1..DEG-1 sets
-    Y_k = c v + d e, d from the step before (0 at k = 1, as the X^1 residual
-    is M Y_1), and Y_(k+1) = 0, and reads the X^(k+1) residual at c = 0, 1.
-    Its w-component fixes c: at k = 1 it is quadratic in c with no linear
-    term (Y_1 enters X^2 only through its square), and c takes the sign that
-    makes A_1 < 0; at k >= 2 it is affine in c.  The rest of it is M e times
-    the next d.  The v-component of Y_DEG would need X^(DEG+1) and stays 0.
+    Let M = J - I and v = (1, char.c) its right null vector, both carried by
+    ``char``, w its left null vector and e = v rotated by 90 degrees, so
+    M e != 0.  With Y_k = (A_k, U_k), the X^n residual is M Y_n plus terms in
+    Y_0..Y_(n-1), so its w-component does not read Y_n.  Step k = 1..DEG-1
+    sets Y_k = c v + d e, d from the step before (0 at k = 1, as the X^1
+    residual is M Y_1), and Y_(k+1) = 0, and reads the X^(k+1) residual at
+    c = 0, 1.  Its w-component fixes c: at k = 1 it is quadratic in c with no
+    linear term (Y_1 enters X^2 only through its square), and c takes the
+    sign that makes A_1 < 0; at k >= 2 it is affine in c.  The rest of it is
+    M e times the next d.  Y_DEG's v-component would need X^(DEG+1): it is 0.
     """
-    _, ((p, q), (r, s)) = _linearization(JetPoint(xp(char.rho)), char.a_R, char.a_U,
-                                         a_R, a_U)
-    # the larger row of the singular M gives v, the larger column gives w
-    v = (q, -p) if abs(p) + abs(q) >= abs(r) + abs(s) else (s, -r)
+    (p, q), (r, s) = char.j_minus_i
+    v, e = (1.0, char.c), (-char.c, 1.0)
+    # the larger column of the singular M gives w
     w = (r, -p) if abs(p) + abs(r) >= abs(q) + abs(s) else (s, -q)
-    e = (-v[1], v[0])
     me = (p * e[0] + q * e[1], r * e[0] + s * e[1])
     point = _branch_point(char.rho)
     a, u = xp(char.a_R), xp(char.a_U)
@@ -516,7 +526,7 @@ def verify_selfdual_growth(
         g, s = crest(x, s)
         if abs(g) <= tol:
             return BranchPointReport(no_branch_point=False, x_max=x_max,
-                                     branch_x=x, branch_s=s)
+                                     branch_x=x, branch_s=s, residual=abs(g))
         if (g > 0.0) != (g_b > 0.0):
             a, g_a = b, g_b
         else:

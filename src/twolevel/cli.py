@@ -224,7 +224,8 @@ def cmd_asympt(args, config: RunConfig) -> int:
         ["C_forest", _fmt_real(est_f.amplitude), _fmt_real(abs(f_poly[1]))],
         ["c_polytope", _fmt_real(est_t.amplitude / 2.0), _fmt_real(abs(t_poly[1]))],
         ["poly_exponent", _fmt_real(est_t.poly_exponent), "0"],
-        ["selfdual_scan", report.describe(), "-"],
+        ["selfdual_scan", report.describe(),
+         "-" if report.residual is None else _fmt_real(report.residual)],
     ]
     _emit(config, {"order": config.order, "tol": config.tol},
           ["constant", "value", "residual"], rows)
@@ -265,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--iso-cap", type=int, default=12,
                         help="largest ground set for isomorphism checks")
     parser.add_argument("--tol", type=float, default=1e-12,
-                        help="Newton convergence tolerance")
+                        help="the one tolerance of asympt and bound: every solver stops, "
+                             "and every check passes, at residuals below it")
     parser.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
                         default="text", help="output format")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -109,45 +109,33 @@ def _pointed(n: int, cat: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _pool(cats: tuple, max_size: int) -> tuple:
-    """Candidate children up to max_size legs: legs plus pointed subtrees."""
-    items = [(1, LEG)]
-    for size in range(2, max_size + 1):
-        for cat in cats:
-            for node in _pointed(size, cat):
-                items.append((size, node))
-    return tuple(items)
+def _pool(cats: tuple, max_size: int) -> dict[int, tuple]:
+    """Candidate children up to max_size legs by size, the largest first:
+    pointed subtrees, then the leg."""
+    pool = {size: tuple(node for cat in cats for node in _pointed(size, cat))
+            for size in range(max_size, 1, -1)}
+    pool[1] = (LEG,)
+    return pool
 
 
 def _child_multisets(cats: tuple, total: int, min_count: int):
-    """Multisets of legs/pointed subtrees whose sizes sum to total."""
-    pool = _pool(cats, total - max(min_count - 1, 0))
-    buckets: dict[int, list] = {}
-    for size, node in pool:
-        buckets.setdefault(size, []).append(node)
-    sizes = sorted(buckets, reverse=True)
+    """Multisets of at least min_count legs/pointed subtrees whose sizes sum
+    to total."""
+    pool = _pool(cats, total - min_count + 1)
+    sizes = list(pool)
     out = []
-    acc = []
 
-    def rec(si: int, remaining: int, count: int):
+    def rec(si: int, remaining: int, acc: tuple):
         if remaining == 0:
-            if count >= min_count:
+            if len(acc) >= min_count:
                 out.append(tuple(sorted(acc)))
-            return
-        if si == len(sizes):
-            return
-        size = sizes[si]
-        max_copies = remaining // size
-        for c in range(max_copies + 1):
-            if c == 0:
-                rec(si + 1, remaining, count)
-            else:
-                for combo in combinations_with_replacement(buckets[size], c):
-                    acc.extend(combo)
-                    rec(si + 1, remaining - c * size, count + c)
-                    del acc[-c:]
+        elif si < len(sizes):
+            size = sizes[si]
+            for c in range(remaining // size + 1):
+                for combo in combinations_with_replacement(pool[size], c):
+                    rec(si + 1, remaining - c * size, acc + combo)
 
-    rec(0, total, 0)
+    rec(0, total, ())
     return out
 
 
@@ -188,14 +176,13 @@ def self_dual_pointed_root_degrees(n: int) -> set[int]:
 # -- unrooted enumeration ------------------------------------------------
 
 def _rooted_trees(n: int):
-    for children in _child_multisets(("M", "U"), n, 3):
-        yield ("R", 0, children)
-    for children in _child_multisets(("R", "U"), n, 3):
-        yield ("M", 0, children)
-    for children in _child_multisets(("M", "R", "U"), n, 4):
-        d = len(children)
-        for k in range(2, d - 1):
-            yield ("U", k, children)
+    """Trees rooted at a vertex: the pointed trees whose label still holds
+    without the parent edge (R, M: 3 children; U: k <= children - 2)."""
+    for cat in ("R", "M", "U"):
+        for node in _pointed(n, cat):
+            _, k, children = node
+            if len(children) >= 3 and k <= len(children) - 2:
+                yield node
 
 
 def _node_to_tree(root: tuple) -> UMRTree:

@@ -74,18 +74,6 @@ class TestLinearSolves:
         with pytest.raises(ZeroDivisionError):
             asy._solve([[1.0, 2.0], [2.0, 4.0]], [1.0, 2.0])
 
-    def test_newton_step_on_linear_residual(self):
-        # g(v) = a v - b, one step from v = 0 lands on the solution
-        a = [[4.0, 1.0], [1.0, 3.0]]
-        b = [1.0, 2.0]
-
-        def g(v):
-            return [sum(c * x for c, x in zip(row, v)) - rhs for row, rhs in zip(a, b)]
-
-        shifted = [g([asy.FD_STEP, 0.0]), g([0.0, asy.FD_STEP])]
-        assert asy._newton_step(g([0.0, 0.0]), shifted) == pytest.approx(
-            [1 / 11, 7 / 11], rel=1e-7)
-
 
 class TestCharSystem:
     def test_branch_point(self, char30):
@@ -95,9 +83,12 @@ class TestCharSystem:
         assert char30.a_U == pytest.approx(0.06921673, abs=TOL)
 
     def test_residual_norm_small(self, char30, pointed30):
-        # the carried residual is the max-norm of the defining equations at rho
-        g = asy._char_residual(asy.JetPoint(asy.xp(char30.rho)), char30.a_R, char30.a_U,
-                               pointed30.a_R, pointed30.a_U)
+        # the carried residual is the max-norm of (F - y, (J - I) v) at rho,
+        # v = (1, c): the X^0 and X^1 coefficients with y + X v
+        r_a, r_u = asy._pointed_residuals(asy.JetPoint(asy.xp(char30.rho)),
+                                          asy.xp(char30.a_R, 1.0), asy.xp(char30.a_U, char30.c),
+                                          pointed30.a_R, pointed30.a_U)
+        g = [r_a[0], r_u[0], r_a[1], r_u[1]]
         assert char30.residual == max(map(abs, g))
         assert char30.residual < 1e-11
 
@@ -109,8 +100,48 @@ class TestCharSystem:
     def test_bad_seed_raises(self, pointed30):
         with pytest.raises(ArithmeticError):
             asy.solve_char_system(
-                pointed30.a_R, pointed30.a_U, seed=(0.9, 50.0, 50.0), max_iter=5
+                pointed30.a_R, pointed30.a_U, seed=(0.9, 50.0, 50.0, 0.8), max_iter=5
             )
+
+    @pytest.mark.parametrize("order", [3, 30, 200])
+    def test_evaluation_count(self, order, monkeypatch):
+        # two constant-point evaluations per iterate, and one at x + X^2 per
+        # step taken: three steps from the default seed at every order
+        points = []
+
+        def counted(point, *args):
+            points.append(point.x)
+            return residuals(point, *args)
+
+        p = gf.solve_pointed(order)
+        residuals = asy._pointed_residuals
+        monkeypatch.setattr(asy, "_pointed_residuals", counted)
+        asy.solve_char_system(p.a_R, p.a_U)
+        assert len(points) <= 12
+        assert sum(any(x[1:]) for x in points) <= 3
+
+    def test_jacobian_against_forward_differences(self, char30, pointed30):
+        # the carried J - I and the Newton Jacobian in (x, a, u, c) against
+        # forward differences of fresh evaluations at rho
+        h = 1e-7
+        at = (char30.rho, char30.a_R, char30.a_U, char30.c)
+
+        def g(x, a, u, c):
+            # (F - y, (J - I) v): the X^0 and X^1 coefficients with y + X v
+            r_a, r_u = asy._pointed_residuals(asy.JetPoint(asy.xp(x)), asy.xp(a, 1.0),
+                                              asy.xp(u, c), pointed30.a_R, pointed30.a_U)
+            return [r_a[0], r_u[0], r_a[1], r_u[1]]
+
+        columns = []
+        for j in range(4):
+            shifted = [y + h * (i == j) for i, y in enumerate(at)]
+            columns.append([(s - b) / h for s, b in zip(g(*shifted), g(*at))])
+        m = char30.j_minus_i
+        assert [m[0][0], m[1][0], m[0][1], m[1][1]] == pytest.approx(
+            columns[1][:2] + columns[2][:2], rel=1e-6)
+        _, _, jacobian = asy._fold_system(*at, pointed30.a_R, pointed30.a_U)
+        for j, column in enumerate(columns):
+            assert [row[j] for row in jacobian()] == pytest.approx(column, rel=1e-6), j
 
 
 class TestSingularExpansions:
@@ -134,7 +165,8 @@ class TestSingularExpansions:
         assert expansion30.a[1] < 0 and expansion30.u[1] < 0
 
     def test_evaluation_count(self, char30, pointed30, monkeypatch):
-        # two for J - I, two per order X^2..X^DEG, one final residual check
+        # none for J - I, which the branch point carries; two per order
+        # X^2..X^DEG, one final residual check
         calls = []
 
         def counted(*args):
@@ -144,10 +176,11 @@ class TestSingularExpansions:
         residuals = asy._pointed_residuals
         monkeypatch.setattr(asy, "_pointed_residuals", counted)
         asy.singular_expansions(char30, pointed30.a_R, pointed30.a_U)
-        assert len(calls) <= 16
+        assert len(calls) <= 9
 
     def test_off_the_branch_point_raises(self, char30, pointed30):
-        # at 0.9 rho, J - I is regular: no direction solves the X^1 residual
+        # the values and J - I carried from rho do not solve the system at
+        # 0.9 rho, so the expansion fails its residual check
         off = dataclasses.replace(char30, rho=0.9 * char30.rho)
         with pytest.raises(ArithmeticError):
             asy.singular_expansions(off, pointed30.a_R, pointed30.a_U)
@@ -242,7 +275,7 @@ class TestSelfDualGrowth:
                                    point.leaf(selfdual30.s_bound, asy.xp(s, 1.0)))
             return f()
 
-        h = asy.FD_STEP
+        h = 1e-7
         f, g = taylor(0.45), taylor(0.45 + h)
         assert -2.0 * f[2] == pytest.approx(((1.0 - g[1]) - (1.0 - f[1])) / h, rel=1e-5)
 

@@ -53,7 +53,7 @@ class TestTreeValidation:
 
 class TestEnumeration:
     # unrooted counts, confirmed against the generating-function series
-    EXPECTED = {3: 2, 4: 4, 5: 10, 6: 27, 7: 78, 8: 246}
+    EXPECTED = {3: 2, 4: 4, 5: 10, 6: 27, 7: 78, 8: 246, 9: 818}
 
     @pytest.mark.parametrize("n,count", sorted(EXPECTED.items()))
     def test_counts(self, n, count):
