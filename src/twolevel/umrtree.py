@@ -1,22 +1,25 @@
 """Exhaustive enumeration of UMR-trees and their induced matroids.
 
-Trees are generated by rooting at a vertex (children are pointed subtrees) and
-deduplicated by a canonical form: the minimum rooted encoding over the one or
-two vertices of the tree's centre, which every isomorphism preserves, so two
-rootings at most are encoded instead of all of them.  The same pointed-subtree
-generator independently realizes the pointed series counted in
-:mod:`twolevel.gfsystem`.
+Each tree is generated once, rooted at its centre (Wright, Richmond,
+Odlyzko and McKay, "Constant time generation of free trees", 1986): a
+rooted tree is kept only if its root is a centre of the vertex tree, and of
+the two rootings of a tree with two centres only the one that sorts first.
+Children are pointed subtrees, built by the same generator that
+independently realizes the pointed series counted in :mod:`twolevel.gfsystem`.
+The canonical form, the least encoding rooted at the centre, is a separate
+route that tests and the self-duality check use.
 """
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from operator import neg
 
 from . import matroid as mat
 
-TREE_CAP = 9
+TREE_CAP = 10
 
 LEG = ("leg",)
 
@@ -64,23 +67,27 @@ class UMRTree:
         s = len(self.labels)
         if len(self.legs) != s or len(self.edges) != s - 1:
             raise ValueError("malformed tree")
-        deg = [0] * s
-        seen = {0}
+        adj = [[] for _ in range(s)]
         for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-            seen.add(i)
-            seen.add(j)
-        # edges are emitted in parent-before-child order, so reaching every
-        # index with s-1 edges means connected and acyclic
-        if seen != set(range(s)):
-            raise ValueError("edges do not span the vertex set")
+            if not (0 <= i < s and 0 <= j < s):
+                raise ValueError(f"edge ({i}, {j}) leaves the vertex set")
+            adj[i].append(j)
+            adj[j].append(i)
+        # s-1 edges that connect the s vertices form a tree
+        reached, stack = {0}, [0]
+        while stack:
+            for w in adj[stack.pop()]:
+                if w not in reached:
+                    reached.add(w)
+                    stack.append(w)
+        if len(reached) != s:
+            raise ValueError("edges do not connect the vertex set")
         for i, j in self.edges:
             ci, cj = self.labels[i].category, self.labels[j].category
             if ci == cj and ci in ("M", "R"):
                 raise ValueError(f"adjacent {ci}-vertices")
         for v, lab in enumerate(self.labels):
-            if self.legs[v] < 0 or self.legs[v] + deg[v] != lab.n:
+            if self.legs[v] < 0 or self.legs[v] + len(adj[v]) != lab.n:
                 raise ValueError(f"legs + degree != n at vertex {v}")
 
     def num_legs(self) -> int:
@@ -89,10 +96,6 @@ class UMRTree:
 
 # -- pointed (rooted) subtree generation --------------------------------
 
-def _sorted_nodes(cat: str, k: int, children) -> tuple:
-    return (cat, k, tuple(sorted(children)))
-
-
 @lru_cache(maxsize=None)
 def _pointed(n: int, cat: str) -> tuple:
     """All pointed trees with n legs whose pointed vertex has category cat."""
@@ -100,40 +103,38 @@ def _pointed(n: int, cat: str) -> tuple:
     out = []
     for children in _child_multisets(_CHILD_CATS[cat], n, min_children):
         if cat == "U":
-            r = len(children)
-            for k in range(2, r):
-                out.append(_sorted_nodes("U", k, children))
+            out.extend(("U", k, children) for k in range(2, len(children)))
         else:
-            out.append(_sorted_nodes(cat, 0, children))
+            out.append((cat, 0, children))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _pool(cats: tuple, max_size: int) -> dict[int, tuple]:
-    """Candidate children up to max_size legs by size, the largest first:
-    pointed subtrees, then the leg."""
-    pool = {size: tuple(node for cat in cats for node in _pointed(size, cat))
-            for size in range(max_size, 1, -1)}
-    pool[1] = (LEG,)
-    return pool
+def _pool(cats: tuple, max_size: int) -> tuple[tuple, tuple]:
+    """Candidate pointed-subtree children of 2..max_size legs, the largest
+    first, and their sizes."""
+    nodes, sizes = [], []
+    for size in range(max_size, 1, -1):
+        for cat in cats:
+            nodes += _pointed(size, cat)
+            sizes += [size] * len(_pointed(size, cat))
+    return tuple(nodes), tuple(sizes)
 
 
 def _child_multisets(cats: tuple, total: int, min_count: int):
-    """Multisets of at least min_count legs/pointed subtrees whose sizes sum
-    to total."""
-    pool = _pool(cats, total - min_count + 1)
-    sizes = list(pool)
+    """Sorted multisets of at least min_count legs/pointed subtrees whose
+    sizes sum to total.  Subtrees are chosen in pool order, repeats allowed,
+    so each multiset of subtrees comes once; legs fill the rest."""
+    pool, sizes = _pool(cats, total - min_count + 1)
+    # fits[r]: the first pool index whose subtree has at most r legs
+    fits = [bisect_left(sizes, -r, key=neg) for r in range(total + 1)]
     out = []
 
-    def rec(si: int, remaining: int, acc: tuple):
-        if remaining == 0:
-            if len(acc) >= min_count:
-                out.append(tuple(sorted(acc)))
-        elif si < len(sizes):
-            size = sizes[si]
-            for c in range(remaining // size + 1):
-                for combo in combinations_with_replacement(pool[size], c):
-                    rec(si + 1, remaining - c * size, acc + combo)
+    def rec(start: int, remaining: int, acc: tuple):
+        if len(acc) + remaining >= min_count:
+            out.append(tuple(sorted(acc + (LEG,) * remaining)))
+        for i in range(max(start, fits[remaining]), len(pool)):
+            rec(i, remaining - sizes[i], acc + (pool[i],))
 
     rec(0, total, ())
     return out
@@ -159,30 +160,60 @@ def _dual_node(node: tuple) -> tuple:
     return ("U", len(children) + 1 - k, dch)
 
 
+def _is_self_dual_pointed(node: tuple) -> bool:
+    """Whether a pointed U-tree is fixed by dualizing every label.  Its root
+    U_{r+1,k} is self-dual only when 2k = r + 1, which is tested first."""
+    _, k, children = node
+    return 2 * k == len(children) + 1 and _dual_node(node) == node
+
+
 def count_self_dual_pointed(n: int) -> int:
     """Pointed U-trees fixed by the label-dualizing involution."""
-    return sum(1 for node in _pointed(n, "U") if _dual_node(node) == node)
+    return sum(1 for node in _pointed(n, "U") if _is_self_dual_pointed(node))
 
 
 def self_dual_pointed_root_degrees(n: int) -> set[int]:
     """Restricted degrees occurring at roots of self-dual pointed trees."""
-    return {
-        len(node[2])
-        for node in _pointed(n, "U")
-        if _dual_node(node) == node
-    }
+    return {len(node[2]) for node in _pointed(n, "U") if _is_self_dual_pointed(node)}
 
 
 # -- unrooted enumeration ------------------------------------------------
 
 def _rooted_trees(n: int):
-    """Trees rooted at a vertex: the pointed trees whose label still holds
-    without the parent edge (R, M: 3 children; U: k <= children - 2)."""
+    """Each tree with n legs once, rooted at its centre: the pointed trees
+    whose label still holds without the parent edge (R, M: 3 children; U:
+    k <= children - 2) and whose root is the least centre rooting."""
     for cat in ("R", "M", "U"):
         for node in _pointed(n, cat):
             _, k, children = node
-            if len(children) >= 3 and k <= len(children) - 2:
+            if (len(children) >= 3 and k <= len(children) - 2
+                    and _is_least_centre_rooting(node)):
                 yield node
+
+
+def _height(node: tuple) -> int:
+    """Height of the vertex tree below node; legs are not vertices."""
+    return 1 + max((_height(c) for c in node[2] if c != LEG), default=-1)
+
+
+def _is_least_centre_rooting(root: tuple) -> bool:
+    """Whether root is a centre of its vertex tree and, if the tree has two
+    centres, the rooting that sorts first.  With h1 >= h2 the two largest
+    heights of the root's vertex children (-1 if missing), the root is the
+    one centre when h1 = h2, is not a centre when h1 > h2 + 1, and shares
+    the centre with its taller child when h1 = h2 + 1."""
+    cat, k, children = root
+    kids = [c for c in children if c != LEG]
+    heights = [_height(c) for c in kids]
+    h1, h2 = (sorted(heights, reverse=True) + [-1, -1])[:2]
+    if h1 != h2 + 1:
+        return h1 == h2
+    # the rooting at the taller child c; labels keep n and k under rerooting
+    c = kids[heights.index(h1)]
+    rest = list(children)
+    rest.remove(c)
+    c_cat, c_k, c_children = c
+    return root <= (c_cat, c_k, tuple(sorted(c_children + ((cat, k, tuple(rest)),))))
 
 
 def _node_to_tree(root: tuple) -> UMRTree:
@@ -263,13 +294,7 @@ def enumerate_umr_trees(n: int, cap: int = TREE_CAP) -> list[UMRTree]:
         raise ValueError("a UMR-tree has at least 3 legs")
     if n > cap:
         raise ValueError(f"leg count {n} exceeds cap {cap}")
-    seen: dict[tuple, UMRTree] = {}
-    for root in _rooted_trees(n):
-        tree = _node_to_tree(root)
-        key = canonical_form(tree)
-        if key not in seen:
-            seen[key] = tree
-    return [seen[k] for k in sorted(seen)]
+    return [_node_to_tree(root) for root in _rooted_trees(n)]
 
 
 def count_self_dual(n: int, cap: int = TREE_CAP) -> int:

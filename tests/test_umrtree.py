@@ -50,10 +50,21 @@ class TestTreeValidation:
         t = UMRTree((label("M", 3), label("R", 3)), ((0, 1),), (2, 2))
         assert t.num_legs() == 4
 
+    def test_disconnected_edges_rejected(self):
+        # every vertex lies on an edge, but {0, 1} and {2, 3} are apart
+        u42 = UniformLabel("U", 4, 2)
+        with pytest.raises(ValueError):
+            UMRTree((u42, u42, label("M", 3), label("R", 3)),
+                    ((0, 1), (2, 3), (2, 3)), (3, 3, 1, 1))
+
+    def test_edge_outside_vertex_set_rejected(self):
+        with pytest.raises(ValueError):
+            UMRTree((label("M", 3), label("R", 3)), ((0, 2),), (2, 2))
+
 
 class TestEnumeration:
     # unrooted counts, confirmed against the generating-function series
-    EXPECTED = {3: 2, 4: 4, 5: 10, 6: 27, 7: 78, 8: 246, 9: 818}
+    EXPECTED = {3: 2, 4: 4, 5: 10, 6: 27, 7: 78, 8: 246, 9: 818, 10: 2871}
 
     @pytest.mark.parametrize("n,count", sorted(EXPECTED.items()))
     def test_counts(self, n, count):
@@ -73,8 +84,39 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             umr.enumerate_umr_trees(umr.TREE_CAP + 1)
 
-    def test_pointed_counts_match_series(self, pointed30):
+    def test_centre_rootings_match_all_rootings(self):
+        # the route before centre rooting: every valid rooting, deduplicated
+        # by canonical form
+        for n in range(3, 9):
+            trees = umr.enumerate_umr_trees(n)
+            forms = {umr.canonical_form(t) for t in trees}
+            assert len(forms) == len(trees)
+            every = {
+                umr.canonical_form(umr._node_to_tree(node))
+                for cat in ("R", "M", "U")
+                for node in umr._pointed(n, cat)
+                if len(node[2]) >= 3 and node[1] <= len(node[2]) - 2
+            }
+            assert forms == every
+
+    def test_trees_are_rooted_at_a_centre(self):
+        for n in range(3, 9):
+            for t in umr.enumerate_umr_trees(n):
+                adj = [[] for _ in t.labels]
+                for i, j in t.edges:
+                    adj[i].append(j)
+                    adj[j].append(i)
+                assert 0 in umr._centre(adj)
+
+    @pytest.mark.parametrize("cat", ["R", "M", "U"])
+    def test_pointed_trees_distinct_and_sorted(self, cat):
         for n in range(2, 10):
+            nodes = umr._pointed(n, cat)
+            assert len(set(nodes)) == len(nodes)
+            assert all(list(node[2]) == sorted(node[2]) for node in nodes)
+
+    def test_pointed_counts_match_series(self, pointed30):
+        for n in range(2, 11):
             assert umr.pointed_count(n, "R") == int(pointed30.a_R.coeff(n))
             assert umr.pointed_count(n, "M") == int(pointed30.a_M.coeff(n))
             assert umr.pointed_count(n, "U") == int(pointed30.a_U.coeff(n))
@@ -122,7 +164,7 @@ class TestDuality:
                 assert umr.canonical_form(umr.dual_tree(t)) in forms
 
     def test_self_dual_counts(self):
-        assert [umr.count_self_dual(n) for n in range(3, 9)] == [0, 2, 0, 5, 0, 16]
+        assert [umr.count_self_dual(n) for n in range(3, 11)] == [0, 2, 0, 5, 0, 16, 0, 53]
 
     def test_self_dual_pointed_matches_corrected_series(self, selfdual30):
         for n in range(2, 10):
