@@ -30,7 +30,7 @@ the run's ``--tol``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gfsystem as gf
 from .powerseries import PowerSeries
@@ -41,8 +41,7 @@ TAIL_EPS = 1e-20
 GAMMA_M32 = math.gamma(-1.5)  # 4*sqrt(pi)/3
 
 
-@dataclass(frozen=True)
-class CharSolution:
+class CharSolution(NamedTuple):
     """Branch point of the pointed system and the series values there."""
 
     rho: float
@@ -53,8 +52,7 @@ class CharSolution:
     residual: float  # max-norm of (F - y, (J - I) v), below the tol
 
 
-@dataclass(frozen=True)
-class SingularExpansion:
+class SingularExpansion(NamedTuple):
     """Expansions a(x), u(x) in powers of X = sqrt(1 - x/rho), degree <= DEG."""
 
     rho: float
@@ -63,8 +61,7 @@ class SingularExpansion:
     residual: float  # max-norm of the residual coefficients X^0..X^DEG
 
 
-@dataclass(frozen=True)
-class BranchPointReport:
+class BranchPointReport(NamedTuple):
     """Outcome of the subcritical branch-point scan for the bounding series."""
 
     no_branch_point: bool
@@ -82,8 +79,7 @@ class BranchPointReport:
         )
 
 
-@dataclass(frozen=True)
-class AsymptoticEstimate:
+class AsymptoticEstimate(NamedTuple):
     """count(n) ~ amplitude * n^poly_exponent * growth_rate^n."""
 
     amplitude: float

@@ -7,40 +7,49 @@ coeffs   print exact coefficients of a named series
 verify   cross-check series coefficients against the brute-force enumeration
 asympt   branch point, singular expansions, and growth estimates
 bound    lower-bound counts (exact rows, then asymptotic rows)
+
+Only :mod:`twolevel.gfsystem` is imported here; each command imports the
+other modules it runs, so a launch loads nothing its subcommand does not use.
 """
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
-from . import asymptotics as asy
 from . import gfsystem as gf
-from . import matroid as mat
-from . import umrtree as umr
 
 SERIES_NAMES = ("T", "AR", "AU", "SU_paper", "SU_corrected", "sbound", "forest")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class _RunFields(NamedTuple):
     order: int = 30
     tree_cap: int = 8
     iso_cap: int = 12
     tol: float = 1e-12
     fmt: str = "text"
 
-    def __post_init__(self):
+
+class RunConfig(_RunFields):
+    """The global options, checked when built (also by ``_replace``)."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.order < 3:
             raise ValueError("order must be >= 3")
         if self.tree_cap <= 0 or self.iso_cap <= 0:
             raise ValueError("caps must be positive")
         if not 0 < self.tol < float("inf"):  # also rejects NaN
             raise ValueError("tol must be positive and finite")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
 
 def _fmt_real(v: float) -> str:
@@ -55,6 +64,8 @@ def _emit(config: RunConfig, meta: dict, columns: list[str], rows: list[list],
         json.dump({"meta": meta, "data": data}, out, sort_keys=True, default=str)
         out.write("\n")
     elif config.fmt == "csv":
+        import csv
+
         w = csv.writer(out)
         w.writerow(columns)
         w.writerows(rows)
@@ -102,6 +113,9 @@ def run_verify(config: RunConfig, t=None, pointed=None, selfdual=None, out=None)
     The series arguments are injectable so that tests can exercise the
     failure path; by default everything is computed fresh.
     """
+    from . import matroid as mat
+    from . import umrtree as umr
+
     out = out or sys.stdout
     p = pointed or gf.solve_pointed(config.order)
     t = t if t is not None else gf.assemble_T(p).t
@@ -179,10 +193,14 @@ def run_verify(config: RunConfig, t=None, pointed=None, selfdual=None, out=None)
 
 
 def _selfdual_by_matroid_duality(ms, config: RunConfig) -> int:
+    from . import matroid as mat
+
     return sum(mat.is_isomorphic(m, mat.dual(m), cap=config.iso_cap) for m in ms)
 
 
 def _pairwise_distinct(ms, config: RunConfig) -> bool:
+    from . import matroid as mat
+
     for i in range(len(ms)):
         for j in range(i + 1, len(ms)):
             if mat.is_isomorphic(ms[i], ms[j], cap=config.iso_cap):
@@ -196,6 +214,8 @@ def cmd_verify(args, config: RunConfig) -> int:
 
 def _tree_asymptotics(p: gf.PointedSeries, config: RunConfig):
     """Branch point, singular expansions, T's expansion and transfer, at --tol."""
+    from . import asymptotics as asy
+
     char = asy.solve_char_system(p.a_R, p.a_U, tol=config.tol)
     se = asy.singular_expansions(char, p.a_R, p.a_U, tol=config.tol)
     transfer = partial(asy.transfer, rho=char.rho, tol=config.tol)
@@ -203,6 +223,8 @@ def _tree_asymptotics(p: gf.PointedSeries, config: RunConfig):
 
 
 def cmd_asympt(args, config: RunConfig) -> int:
+    from . import asymptotics as asy
+
     p = gf.solve_pointed(config.order)
     char, se, t_poly, transfer = _tree_asymptotics(p, config)
     f_poly = asy.expand_forests(t_poly, gf.assemble_T(p).t, char.rho)
@@ -233,6 +255,9 @@ def cmd_asympt(args, config: RunConfig) -> int:
 
 
 def cmd_bound(args, config: RunConfig) -> int:
+    from . import asymptotics as asy
+    from . import umrtree as umr
+
     p = gf.solve_pointed(config.order)
     t = gf.assemble_T(p).t
     n_max = min(config.tree_cap, umr.TREE_CAP, config.order)

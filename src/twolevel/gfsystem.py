@@ -15,14 +15,13 @@ over its float ring.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
+from typing import NamedTuple
 
 from .powerseries import OnlineSeries, PowerSeries
 
 
-@dataclass(frozen=True)
-class PointedSeries:
+class PointedSeries(NamedTuple):
     """Series of trees pointed at an R-, M-, U-vertex, or a leg."""
 
     a_R: PowerSeries
@@ -35,8 +34,7 @@ class PointedSeries:
         return self.a_R
 
 
-@dataclass(frozen=True)
-class UnrootedSeries:
+class UnrootedSeries(NamedTuple):
     """T(x) together with its vertex-, edge-, and directed-edge-rooted parts."""
 
     t: PowerSeries
@@ -45,8 +43,7 @@ class UnrootedSeries:
     t_d: PowerSeries
 
 
-@dataclass(frozen=True)
-class SelfDualSeries:
+class SelfDualSeries(NamedTuple):
     """Self-dual pointed series (both variants) and the bounding series."""
 
     s_U_paper: PowerSeries

@@ -6,16 +6,17 @@ rooted tree is kept only if its root is a centre of the vertex tree, and of
 the two rootings of a tree with two centres only the one that sorts first.
 Children are pointed subtrees, built by the same generator that
 independently realizes the pointed series counted in :mod:`twolevel.gfsystem`.
-The canonical form, the least encoding rooted at the centre, is a separate
-route that tests and the self-duality check use.
+``count_self_dual`` compares each centre rooting with its dual.  The
+canonical form, the least encoding rooted at the centre, is a separate
+route that tests and ``is_self_dual_tree`` use.
 """
 from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import neg
+from typing import NamedTuple
 
 from . import matroid as mat
 
@@ -27,15 +28,19 @@ LEG = ("leg",)
 _CHILD_CATS = {"R": ("M", "U"), "M": ("R", "U"), "U": ("M", "R", "U")}
 
 
-@dataclass(frozen=True)
-class UniformLabel:
-    """Vertex label: the uniform matroid U_{n,k} in category M, R, or U."""
-
+class _LabelFields(NamedTuple):
     category: str
     n: int
     k: int
 
-    def __post_init__(self):
+
+class UniformLabel(_LabelFields):
+    """Vertex label: the uniform matroid U_{n,k} in category M, R, or U."""
+
+    __slots__ = ()
+
+    def __new__(cls, category: str, n: int, k: int):
+        self = super().__new__(cls, category, n, k)
         if self.category == "M":
             ok = self.k == 1 and self.n >= 3
         elif self.category == "R":
@@ -46,6 +51,11 @@ class UniformLabel:
             ok = False
         if not ok:
             raise ValueError(f"invalid label {self.category}_{self.n},{self.k}")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def dual(self) -> "UniformLabel":
         if self.category == "M":
@@ -55,15 +65,19 @@ class UniformLabel:
         return UniformLabel("U", self.n, self.n - self.k)
 
 
-@dataclass(frozen=True)
-class UMRTree:
-    """Typed labelled tree; legs[i] counts the free elements at vertex i."""
-
+class _TreeFields(NamedTuple):
     labels: tuple[UniformLabel, ...]
     edges: tuple[tuple[int, int], ...]
     legs: tuple[int, ...]
 
-    def __post_init__(self):
+
+class UMRTree(_TreeFields):
+    """Typed labelled tree; legs[i] counts the free elements at vertex i."""
+
+    __slots__ = ()
+
+    def __new__(cls, labels, edges, legs):
+        self = super().__new__(cls, labels, edges, legs)
         s = len(self.labels)
         if len(self.legs) != s or len(self.edges) != s - 1:
             raise ValueError("malformed tree")
@@ -89,6 +103,11 @@ class UMRTree:
         for v, lab in enumerate(self.labels):
             if self.legs[v] < 0 or self.legs[v] + len(adj[v]) != lab.n:
                 raise ValueError(f"legs + degree != n at vertex {v}")
+        return self
+
+    @classmethod
+    def _make(cls, fields):
+        return cls(*fields)
 
     def num_legs(self) -> int:
         return sum(self.legs)
@@ -147,7 +166,10 @@ def pointed_count(n: int, cat: str) -> int:
     return len(_pointed(n, cat))
 
 
-def _dual_node(node: tuple) -> tuple:
+def _dual_node(node: tuple, parent_edges: int = 1) -> tuple:
+    """Dualize every label: M and R swap, U_{r,k} becomes U_{r,r-k}.  The
+    ground set of a vertex is its children and its parent edge; the root of
+    an unrooted tree has none (parent_edges=0)."""
     if node == LEG:
         return LEG
     cat, k, children = node
@@ -156,8 +178,7 @@ def _dual_node(node: tuple) -> tuple:
         return ("R", 0, dch)
     if cat == "R":
         return ("M", 0, dch)
-    # pointed U-vertex: ground size is restricted degree + 1
-    return ("U", len(children) + 1 - k, dch)
+    return ("U", len(children) + parent_edges - k, dch)
 
 
 def _is_self_dual_pointed(node: tuple) -> bool:
@@ -179,16 +200,22 @@ def self_dual_pointed_root_degrees(n: int) -> set[int]:
 
 # -- unrooted enumeration ------------------------------------------------
 
-def _rooted_trees(n: int):
+def _rooted_trees(n: int, cap: int) -> list[tuple]:
     """Each tree with n legs once, rooted at its centre: the pointed trees
     whose label still holds without the parent edge (R, M: 3 children; U:
     k <= children - 2) and whose root is the least centre rooting."""
+    if n < 3:
+        raise ValueError("a UMR-tree has at least 3 legs")
+    if n > cap:
+        raise ValueError(f"leg count {n} exceeds cap {cap}")
+    out = []
     for cat in ("R", "M", "U"):
         for node in _pointed(n, cat):
             _, k, children = node
             if (len(children) >= 3 and k <= len(children) - 2
                     and _is_least_centre_rooting(node)):
-                yield node
+                out.append(node)
+    return out
 
 
 def _height(node: tuple) -> int:
@@ -196,24 +223,38 @@ def _height(node: tuple) -> int:
     return 1 + max((_height(c) for c in node[2] if c != LEG), default=-1)
 
 
-def _is_least_centre_rooting(root: tuple) -> bool:
-    """Whether root is a centre of its vertex tree and, if the tree has two
-    centres, the rooting that sorts first.  With h1 >= h2 the two largest
-    heights of the root's vertex children (-1 if missing), the root is the
-    one centre when h1 = h2, is not a centre when h1 > h2 + 1, and shares
-    the centre with its taller child when h1 = h2 + 1."""
+def _centre_rootings(root: tuple) -> list[tuple]:
+    """The rootings of root's vertex tree at its centres, root first; empty
+    if root is not a centre.  With h1 >= h2 the two largest heights of the
+    root's vertex children (-1 if missing), the root is the one centre when
+    h1 = h2, is not a centre when h1 > h2 + 1, and shares the centre with
+    its taller child when h1 = h2 + 1."""
     cat, k, children = root
     kids = [c for c in children if c != LEG]
     heights = [_height(c) for c in kids]
     h1, h2 = (sorted(heights, reverse=True) + [-1, -1])[:2]
     if h1 != h2 + 1:
-        return h1 == h2
+        return [root] if h1 == h2 else []
     # the rooting at the taller child c; labels keep n and k under rerooting
     c = kids[heights.index(h1)]
     rest = list(children)
     rest.remove(c)
     c_cat, c_k, c_children = c
-    return root <= (c_cat, c_k, tuple(sorted(c_children + ((cat, k, tuple(rest)),))))
+    return [root, (c_cat, c_k, tuple(sorted(c_children + ((cat, k, tuple(rest)),))))]
+
+
+def _is_least_centre_rooting(root: tuple) -> bool:
+    """Whether root is a centre of its vertex tree and, if the tree has two
+    centres, the rooting that sorts first."""
+    rootings = _centre_rootings(root)
+    return bool(rootings) and root == min(rootings)
+
+
+def _is_self_dual_root(root: tuple) -> bool:
+    """Whether the tree rooted at a centre is isomorphic to its dual: an
+    isomorphism maps centres to centres, so the dual of the rooting must be
+    the rooting at the same centre or, with two centres, at the other one."""
+    return _dual_node(root, parent_edges=0) in _centre_rootings(root)
 
 
 def _node_to_tree(root: tuple) -> UMRTree:
@@ -290,16 +331,13 @@ def is_self_dual_tree(tree: UMRTree) -> bool:
 
 def enumerate_umr_trees(n: int, cap: int = TREE_CAP) -> list[UMRTree]:
     """All UMR-trees with exactly n legs, one per isomorphism class."""
-    if n < 3:
-        raise ValueError("a UMR-tree has at least 3 legs")
-    if n > cap:
-        raise ValueError(f"leg count {n} exceeds cap {cap}")
-    return [_node_to_tree(root) for root in _rooted_trees(n)]
+    return [_node_to_tree(root) for root in _rooted_trees(n, cap)]
 
 
 def count_self_dual(n: int, cap: int = TREE_CAP) -> int:
-    """S2(n): self-dual UMR-trees with n legs."""
-    return sum(1 for t in enumerate_umr_trees(n, cap) if is_self_dual_tree(t))
+    """S2(n): self-dual UMR-trees with n legs, decided on the centre
+    rootings (``is_self_dual_tree`` is the canonical-form route)."""
+    return sum(1 for root in _rooted_trees(n, cap) if _is_self_dual_root(root))
 
 
 def tree_to_matroid(tree: UMRTree, rng: random.Random | None = None) -> mat.Matroid:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -181,7 +180,7 @@ class TestSingularExpansions:
     def test_off_the_branch_point_raises(self, char30, pointed30):
         # the values and J - I carried from rho do not solve the system at
         # 0.9 rho, so the expansion fails its residual check
-        off = dataclasses.replace(char30, rho=0.9 * char30.rho)
+        off = char30._replace(rho=0.9 * char30.rho)
         with pytest.raises(ArithmeticError):
             asy.singular_expansions(off, pointed30.a_R, pointed30.a_U)
 

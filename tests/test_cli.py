@@ -34,6 +34,11 @@ class TestConfig:
         with pytest.raises(ValueError):
             cli.RunConfig(tree_cap=0)
 
+    def test_replace_is_checked(self):
+        assert cli.RunConfig()._replace(order=40).order == 40
+        with pytest.raises(ValueError):
+            cli.RunConfig()._replace(order=2)
+
 
 class TestCoeffs:
     def test_T_table(self, capsys):
@@ -224,17 +229,46 @@ class TestImports:
         assert out.splitlines()[-1] == "0 0"
         assert "branch point at x = 0.39300104" in out
 
+    @pytest.mark.parametrize("argv, modules", [
+        (["--order", "10", "coeffs", "forest"], {"gfsystem"}),
+        (["--order", "10", "asympt"], {"gfsystem", "asymptotics"}),
+        (["bound"], {"gfsystem", "asymptotics", "umrtree", "matroid"}),
+        (["--order", "6", "--tree-cap", "4", "verify"], {"gfsystem", "umrtree", "matroid"}),
+    ], ids=["coeffs", "asympt", "bound", "verify"])
+    def test_command_loads_only_its_modules(self, argv, modules):
+        probe = (
+            "import sys\n"
+            "from twolevel import cli\n"
+            f"code = cli.main({argv!r})\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('twolevel.')),\n"
+            "      'dataclasses' in sys.modules)"
+        )
+        last = run_python("-c", probe).stdout.splitlines()[-1]
+        expected = sorted(f"twolevel.{m}" for m in modules | {"cli", "powerseries"})
+        assert last == f"0 {expected} False"
+
 
 class TestBenchTracer:
     """bench/tracer.py wraps the package's functions by name; a name it
     wraps that goes away must fail here, not only under ``--trace 1``."""
 
+    TRACER = str(Path(__file__).resolve().parents[1] / "bench" / "tracer.py")
+
     def test_asympt_spans(self, tmp_path):
-        tracer = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
         out = tmp_path / "trace.json"
-        proc = run_python(str(tracer), str(out), "--", "--order", "5", "--format", "json",
+        proc = run_python(self.TRACER, str(out), "--", "--order", "5", "--format", "json",
                           "asympt", check=False)
         assert proc.returncode == 0, proc.stderr
         calls = json.loads(out.read_text())["calls"]
         assert calls["gfsystem.solve_pointed"] >= 1
         assert calls["asymptotics.singular_expansions"] >= 1
+
+    @pytest.mark.parametrize("argv, span", [
+        (["--order", "10", "coeffs", "forest"], "gfsystem.compute_forests"),
+        (["bound"], "umrtree.count_self_dual"),
+    ], ids=["coeffs", "bound"])
+    def test_spans_of_modules_imported_by_commands(self, tmp_path, argv, span):
+        out = tmp_path / "trace.json"
+        proc = run_python(self.TRACER, str(out), "--", "--format", "json", *argv, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(out.read_text())["calls"][span] >= 1

@@ -61,6 +61,13 @@ class TestTreeValidation:
         with pytest.raises(ValueError):
             UMRTree((label("M", 3), label("R", 3)), ((0, 2),), (2, 2))
 
+    def test_replace_is_checked(self):
+        t = UMRTree((label("M", 3),), (), (3,))
+        with pytest.raises(ValueError):
+            t._replace(legs=(2,))
+        with pytest.raises(ValueError):
+            label("M", 3)._replace(k=2)
+
 
 class TestEnumeration:
     # unrooted counts, confirmed against the generating-function series
@@ -165,6 +172,12 @@ class TestDuality:
 
     def test_self_dual_counts(self):
         assert [umr.count_self_dual(n) for n in range(3, 11)] == [0, 2, 0, 5, 0, 16, 0, 53]
+
+    def test_centre_rooting_route_matches_canonical_forms(self):
+        for n in range(3, 11):
+            roots = umr._rooted_trees(n, umr.TREE_CAP)
+            assert [umr._is_self_dual_root(r) for r in roots] == [
+                umr.is_self_dual_tree(t) for t in umr.enumerate_umr_trees(n)]
 
     def test_self_dual_pointed_matches_corrected_series(self, selfdual30):
         for n in range(2, 10):
