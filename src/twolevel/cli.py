@@ -120,6 +120,7 @@ def run_verify(config: RunConfig, t=None, pointed=None, selfdual=None, out=None)
     p = pointed or gf.solve_pointed(config.order)
     t = t if t is not None else gf.assemble_T(p).t
     sd = selfdual or gf.solve_selfdual(p)
+    s2 = gf.assemble_S2(p, sd.s_U_corrected)
     n_max = min(config.tree_cap, umr.TREE_CAP, t.order)
     rows = []
     ok = True
@@ -137,6 +138,7 @@ def run_verify(config: RunConfig, t=None, pointed=None, selfdual=None, out=None)
     for n in range(3, n_max + 1):
         trees = umr.enumerate_umr_trees(n)
         add(n, "trees", len(trees), t.coeff(n))
+        add(n, "selfdual_trees", umr.count_self_dual(n), s2.coeff(n))
         add(n, "pointed_R", umr.pointed_count(n, "R"), p.a_R.coeff(n))
         add(n, "pointed_U", umr.pointed_count(n, "U"), p.a_U.coeff(n))
         sdp = umr.count_self_dual_pointed(n)
@@ -256,17 +258,14 @@ def cmd_asympt(args, config: RunConfig) -> int:
 
 def cmd_bound(args, config: RunConfig) -> int:
     from . import asymptotics as asy
-    from . import umrtree as umr
 
     p = gf.solve_pointed(config.order)
     t = gf.assemble_T(p).t
-    n_max = min(config.tree_cap, umr.TREE_CAP, config.order)
-    selfdual = [0] * (n_max + 1)
-    for n in range(3, n_max + 1):
-        selfdual[n] = umr.count_self_dual(n)
-    counts = gf.lower_bound_counts(t.truncate(n_max), selfdual)
+    s2 = gf.assemble_S2(p, gf.compute_selfdual(p, "corrected"))
+    counts = (t + s2) / 2  # raises ArithmeticError where L2 + S2 is odd
+    n_max = min(config.tree_cap, config.order)
     rows = [
-        [n, t.coeff(n), selfdual[n], counts[n], "exact"]
+        [n, t.coeff(n), s2.coeff(n), counts.coeff(n), "exact"]
         for n in range(3, n_max + 1)
     ]
     _, _, t_poly, transfer = _tree_asymptotics(p, config)
@@ -283,18 +282,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twolevel",
         description="Exact enumeration and asymptotics of 2-level matroids",
+        formatter_class=argparse.ArgumentDefaultsHelpFormatter,
     )
-    parser.add_argument("--order", type=int, default=30,
-                        help="series truncation order (default 30)")
-    parser.add_argument("--tree-cap", type=int, default=8,
-                        help="largest size for brute-force tree enumeration")
-    parser.add_argument("--iso-cap", type=int, default=12,
+    parser.set_defaults(**RunConfig._field_defaults)
+    parser.add_argument("--order", type=int, help="series truncation order")
+    parser.add_argument("--tree-cap", type=int,
+                        help="last size of verify's tree enumeration and of bound's exact rows")
+    parser.add_argument("--iso-cap", type=int,
                         help="largest ground set for isomorphism checks")
-    parser.add_argument("--tol", type=float, default=1e-12,
+    parser.add_argument("--tol", type=float,
                         help="the one tolerance of asympt and bound: every solver stops, "
                              "and every check passes, at residuals below it")
     parser.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
-                        default="text", help="output format")
+                        help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
     p_coeffs = sub.add_parser("coeffs", help="print exact series coefficients")
     p_coeffs.add_argument("series", choices=SERIES_NAMES)
@@ -311,13 +311,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        config = RunConfig(
-            order=args.order,
-            tree_cap=args.tree_cap,
-            iso_cap=args.iso_cap,
-            tol=args.tol,
-            fmt=args.fmt,
-        )
+        config = RunConfig(*(getattr(args, name) for name in RunConfig._fields))
         return args.func(args, config)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -1,8 +1,8 @@
 """Generating-function system for UMR-trees.
 
-Solves the coupled fixed-point equations for the pointed tree series, assembles
-the unrooted series T(x) by the dissymmetry identity, and derives the self-dual
-and bounding series plus the forest series MSet(T).
+Solves the fixed-point equations for the pointed tree series, assembles the
+unrooted series T(x) and S2(x) (self-dual trees) by the dissymmetry identity,
+and derives the self-dual pointed, bounding and forest series.
 
 Duality swaps R- and M-vertices, so the M-pointed series equals the R-pointed
 one.  The pointed system is solved on that slice, a_M = a_R, in two unknowns
@@ -140,6 +140,27 @@ def assemble_T(p: PointedSeries) -> UnrootedSeries:
     return UnrootedSeries(t, t_v, t_e, t_d)
 
 
+def assemble_S2(p: PointedSeries, s_U: PowerSeries) -> PowerSeries:
+    """Self-dual UMR-trees S2(x), from the corrected self-dual pointed series.
+
+    Duality commutes with the dissymmetry identity, so S2 = S_v + S_e - S_d
+    on the duality-fixed classes (Bergeron-Labelle-Leroux 1998, section 4.1):
+    S_v = E MSet(P) - 1 - mset2(core) - P + leg s_U, S_e = leg s_U +
+    mset2(s_U) + P and S_d = s_U^2 + 2 leg s_U, where core = s_U + leg, E
+    holds the multisets of core with an even number of parts, P the dual pairs.
+    """
+    core = s_U + p.a_leg
+    even = (core.mset() + core.mset(signed=True)) / 2
+    pairs = _dual_pairs(p.a_R, p.a_U, s_U)
+    return even * pairs.mset() - 1 - core.mset2() + s_U.mset2() - s_U * s_U
+
+
+def _dual_pairs(a_R, a_U, s_U):
+    # unordered dual pairs {t, t*} of pointed trees at x^2, halved after the
+    # substitution, which reads only coefficients the solver has settled
+    return a_R.substitute_power(2) + (a_U - s_U).substitute_power(2) / 2
+
+
 def _selfdual_rhs(variant, a_R, a_M, a_U, leg, s_U):
     if variant == "paper":
         pairs = (
@@ -148,9 +169,7 @@ def _selfdual_rhs(variant, a_R, a_M, a_U, leg, s_U):
             + (a_U - s_U).substitute_power(2)
         )
     elif variant == "corrected":
-        # one contribution per unordered dual pair {t, t*}; halved after the
-        # substitution, which reads only coefficients the solver has settled
-        pairs = a_R.substitute_power(2) + (a_U - s_U).substitute_power(2) / 2
+        pairs = _dual_pairs(a_R, a_U, s_U)
     else:
         raise ValueError(f"unknown self-dual variant {variant!r}")
     core = s_U + leg
@@ -197,16 +216,3 @@ def compute_forests(t: PowerSeries) -> PowerSeries:
         raise ValueError("tree series must have zero constant term")
     return t.mset()
 
-
-def lower_bound_counts(t: PowerSeries, selfdual_counts) -> list[int]:
-    """Counts of non-congruent base polytopes, (L2(n) + S2(n)) / 2 per size."""
-    tc = t.integer_coeffs()
-    out = []
-    for n, s2 in enumerate(selfdual_counts):
-        l2 = tc[n] if n <= t.order else 0
-        if (l2 + s2) % 2:
-            raise ArithmeticError(
-                f"parity violation at n={n}: tree count {l2}, self-dual count {s2}"
-            )
-        out.append((l2 + s2) // 2)
-    return out

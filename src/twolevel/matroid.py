@@ -7,7 +7,7 @@ generating-function counts.
 """
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, groupby
 
 BASES_CAP = 14
 ISO_CAP = 12
@@ -29,10 +29,11 @@ class Matroid:
                 raise ValueError("empty circuit")
             if not c <= gset:
                 raise ValueError("circuit not contained in ground set")
-        for c in circs:
-            for d in circs:
-                if c < d:
-                    raise ValueError("circuit family is not an antichain")
+        # c < d needs |c| < |d|, so circuits of one size are never compared
+        buckets = [list(cs) for _, cs in groupby(sorted(circs, key=len), key=len)]
+        for small, large in combinations(buckets, 2):
+            if any(c < d for c in small for d in large):
+                raise ValueError("circuit family is not an antichain")
         self.ground = ground
         self.circuits = circs
 
@@ -107,11 +108,11 @@ def _dependent_table(n: int, cmasks) -> bytearray:
     return dep
 
 
-def bases(m: Matroid, cap: int = BASES_CAP) -> frozenset:
+def bases(m: Matroid) -> frozenset:
     """All maximum-cardinality subsets containing no circuit."""
     n = len(m.ground)
-    if n > cap:
-        raise ValueError(f"ground set size {n} exceeds cap {cap}")
+    if n > BASES_CAP:
+        raise ValueError(f"ground set size {n} exceeds cap {BASES_CAP}")
     dep = _dependent_table(n, _circuit_masks(m))
     best, best_size = [], -1
     for mask in range(1 << n):
@@ -156,15 +157,13 @@ def _circuits_from_independent(n: int, indep: bytearray):
     return circs
 
 
-def dual(m: Matroid, cap: int = BASES_CAP) -> Matroid:
+def dual(m: Matroid) -> Matroid:
     """Matroid whose bases are the complements of the bases of m."""
     n = len(m.ground)
-    if n > cap:
-        raise ValueError(f"ground set size {n} exceeds cap {cap}")
     idx = _index(m)
     full = (1 << n) - 1
     dual_bases = [
-        full ^ sum(1 << idx[e] for e in b) for b in bases(m, cap)
+        full ^ sum(1 << idx[e] for e in b) for b in bases(m)
     ]
     indep = bytearray(1 << n)
     for bm in dual_bases:

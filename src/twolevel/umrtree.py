@@ -200,14 +200,15 @@ def self_dual_pointed_root_degrees(n: int) -> set[int]:
 
 # -- unrooted enumeration ------------------------------------------------
 
-def _rooted_trees(n: int, cap: int) -> list[tuple]:
+@lru_cache(maxsize=None)
+def _rooted_trees(n: int) -> tuple:
     """Each tree with n legs once, rooted at its centre: the pointed trees
     whose label still holds without the parent edge (R, M: 3 children; U:
     k <= children - 2) and whose root is the least centre rooting."""
     if n < 3:
         raise ValueError("a UMR-tree has at least 3 legs")
-    if n > cap:
-        raise ValueError(f"leg count {n} exceeds cap {cap}")
+    if n > TREE_CAP:
+        raise ValueError(f"leg count {n} exceeds cap {TREE_CAP}")
     out = []
     for cat in ("R", "M", "U"):
         for node in _pointed(n, cat):
@@ -215,7 +216,7 @@ def _rooted_trees(n: int, cap: int) -> list[tuple]:
             if (len(children) >= 3 and k <= len(children) - 2
                     and _is_least_centre_rooting(node)):
                 out.append(node)
-    return out
+    return tuple(out)
 
 
 def _height(node: tuple) -> int:
@@ -329,15 +330,15 @@ def is_self_dual_tree(tree: UMRTree) -> bool:
     return canonical_form(tree) == canonical_form(dual_tree(tree))
 
 
-def enumerate_umr_trees(n: int, cap: int = TREE_CAP) -> list[UMRTree]:
+def enumerate_umr_trees(n: int) -> list[UMRTree]:
     """All UMR-trees with exactly n legs, one per isomorphism class."""
-    return [_node_to_tree(root) for root in _rooted_trees(n, cap)]
+    return [_node_to_tree(root) for root in _rooted_trees(n)]
 
 
-def count_self_dual(n: int, cap: int = TREE_CAP) -> int:
+def count_self_dual(n: int) -> int:
     """S2(n): self-dual UMR-trees with n legs, decided on the centre
     rootings (``is_self_dual_tree`` is the canonical-form route)."""
-    return sum(1 for root in _rooted_trees(n, cap) if _is_self_dual_root(root))
+    return sum(1 for root in _rooted_trees(n) if _is_self_dual_root(root))
 
 
 def tree_to_matroid(tree: UMRTree, rng: random.Random | None = None) -> mat.Matroid:

@@ -258,15 +258,18 @@ def test_criterion_8_empirical_transfer():
 
 
 def test_criterion_9_lower_bound_table():
-    t = gf.assemble_T(gf.solve_pointed(10)).t
+    p = gf.solve_pointed(10)
+    t = gf.assemble_T(p).t
+    s2 = gf.assemble_S2(p, gf.compute_selfdual(p, "corrected"))
     selfdual = [0] * 9
     for n in range(3, 9):
         selfdual[n] = umr.count_self_dual(n)
+    routes_agree = s2.integer_coeffs()[:9] == selfdual
     parity_ok = all(
         (int(t.coeff(n)) + selfdual[n]) % 2 == 0 for n in range(9)
     )
-    bounds = gf.lower_bound_counts(t.truncate(8), selfdual)
-    ok = parity_ok and bounds[3] == 1 and bounds[4] == 3
+    bounds = ((t + s2).truncate(8) / 2).integer_coeffs()
+    ok = routes_agree and parity_ok and bounds[3] == 1 and bounds[4] == 3
     report(9, ok,
-           f"(L2+S2)/2 = {bounds[3]}, {bounds[4]} for n = 3, 4; parity holds "
-           f"for n <= 8")
+           f"(L2+S2)/2 = {bounds[3]}, {bounds[4]} for n = 3, 4; S2 from the series "
+           f"equals the enumeration and parity holds for n <= 8")

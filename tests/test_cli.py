@@ -11,6 +11,7 @@ import pytest
 
 from twolevel import cli
 from twolevel import gfsystem as gf
+from twolevel import umrtree as umr
 from twolevel.powerseries import PowerSeries
 
 
@@ -108,6 +109,18 @@ class TestVerify:
         assert status[7, "matroids_distinct"] == "skipped"
         assert "MISMATCH" not in status.values()
 
+    def test_selfdual_trees_rows(self, capsys):
+        umr._rooted_trees.cache_clear()
+        code, out, _ = run(["--order", "10", "--tree-cap", "6", "--format", "json", "verify"],
+                           capsys)
+        assert code == 0
+        rows = [r for r in json.loads(out)["data"] if r["check"] == "selfdual_trees"]
+        assert [(r["n"], r["enumerated"], r["status"]) for r in rows] == [
+            (3, 0, "ok"), (4, 2, "ok"), (5, 0, "ok"), (6, 5, "ok")]
+        # each size is enumerated once, and its self-dual count reuses it
+        info = umr._rooted_trees.cache_info()
+        assert (info.misses, info.hits) == (4, 4)
+
     def test_reports_p6_and_duality_checks(self, capsys):
         code, out, _ = run(["--order", "8", "--tree-cap", "4", "verify"], capsys)
         assert code == 0
@@ -157,6 +170,12 @@ class TestBound:
         exact = [r for r in rows if r[-1] == "exact"]
         assert [r[0] for r in exact] == [str(n) for n in range(3, order + 1)]
         assert exact[2][1:4] == ["10", "0", "5"]
+
+    def test_exact_rows_beyond_enumeration(self, capsys):
+        code, out, _ = run(["--tree-cap", "12", "--format", "csv", "bound"], capsys)
+        assert code == 0
+        exact = [r for r in csv.reader(io.StringIO(out)) if r[-1] == "exact"]
+        assert exact[-1][:4] == ["12", "39358", "196", "19777"]
 
     def test_asymptotic_rows_present(self, capsys):
         code, out, _ = run(["bound"], capsys)
@@ -232,7 +251,7 @@ class TestImports:
     @pytest.mark.parametrize("argv, modules", [
         (["--order", "10", "coeffs", "forest"], {"gfsystem"}),
         (["--order", "10", "asympt"], {"gfsystem", "asymptotics"}),
-        (["bound"], {"gfsystem", "asymptotics", "umrtree", "matroid"}),
+        (["bound"], {"gfsystem", "asymptotics"}),
         (["--order", "6", "--tree-cap", "4", "verify"], {"gfsystem", "umrtree", "matroid"}),
     ], ids=["coeffs", "asympt", "bound", "verify"])
     def test_command_loads_only_its_modules(self, argv, modules):
@@ -265,8 +284,8 @@ class TestBenchTracer:
 
     @pytest.mark.parametrize("argv, span", [
         (["--order", "10", "coeffs", "forest"], "gfsystem.compute_forests"),
-        (["bound"], "umrtree.count_self_dual"),
-    ], ids=["coeffs", "bound"])
+        (["--order", "8", "--tree-cap", "5", "verify"], "umrtree.count_self_dual"),
+    ], ids=["coeffs", "verify"])
     def test_spans_of_modules_imported_by_commands(self, tmp_path, argv, span):
         out = tmp_path / "trace.json"
         proc = run_python(self.TRACER, str(out), "--", "--format", "json", *argv, check=False)

@@ -161,12 +161,20 @@ class TestForests:
 
 
 class TestLowerBound:
-    def test_matches_hand_computation(self, unrooted30):
+    def test_matches_hand_computation(self, pointed30, unrooted30, selfdual30):
+        s2 = gf.assemble_S2(pointed30, selfdual30.s_U_corrected)
         # S2(n) for n = 0..8 from the brute-force oracle
-        selfdual = [0, 0, 0, 0, 2, 0, 5, 0, 16]
-        got = gf.lower_bound_counts(unrooted30.t.truncate(8), selfdual)
-        assert got == [0, 0, 0, 1, 3, 5, 16, 39, 131]
+        assert s2.integer_coeffs()[:9] == [0, 0, 0, 0, 2, 0, 5, 0, 16]
+        got = (unrooted30.t + s2) / 2
+        assert got.integer_coeffs()[:9] == [0, 0, 0, 1, 3, 5, 16, 39, 131]
 
     def test_parity_violation_raises(self, unrooted30):
+        odd_s2 = PowerSeries.from_coeffs([0, 0, 0, 1, 0])
         with pytest.raises(ArithmeticError):
-            gf.lower_bound_counts(unrooted30.t.truncate(4), [0, 0, 0, 1, 0])
+            (unrooted30.t.truncate(4) + odd_s2) / 2
+
+    def test_exact_and_nonnegative_at_order_100(self):
+        p = gf.solve_pointed(100)
+        s2 = gf.assemble_S2(p, gf.compute_selfdual(p, "corrected"))
+        (gf.assemble_T(p).t + s2) / 2  # raises ArithmeticError where L2 + S2 is odd
+        assert min(s2.integer_coeffs()) == 0

@@ -13,6 +13,12 @@ class TestConstruction:
         with pytest.raises(ValueError):
             mat.Matroid([1, 2, 3], [{1, 2}, {1, 2, 3}])
 
+    def test_rejects_non_antichain_among_same_sizes(self):
+        circuits = [{1, 2, 3}, {4, 5, 6}, {1, 4, 7}, {2, 5, 8},
+                    {3, 6, 7, 8}, {1, 5, 6, 7}, {4, 5, 6, 9}, {2, 4, 6, 8}]
+        with pytest.raises(ValueError, match="antichain"):
+            mat.Matroid(range(1, 10), circuits)
+
     def test_rejects_foreign_elements(self):
         with pytest.raises(ValueError):
             mat.Matroid([1, 2], [{3}])

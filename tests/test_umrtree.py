@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from twolevel import gfsystem as gf
 from twolevel import matroid as mat
 from twolevel import umrtree as umr
 from twolevel.umrtree import UMRTree, UniformLabel
@@ -173,9 +174,14 @@ class TestDuality:
     def test_self_dual_counts(self):
         assert [umr.count_self_dual(n) for n in range(3, 11)] == [0, 2, 0, 5, 0, 16, 0, 53]
 
+    def test_self_dual_counts_match_series(self, pointed30, selfdual30):
+        s2 = gf.assemble_S2(pointed30, selfdual30.s_U_corrected)
+        for n in range(3, 11):
+            assert umr.count_self_dual(n) == s2.coeff(n)
+
     def test_centre_rooting_route_matches_canonical_forms(self):
         for n in range(3, 11):
-            roots = umr._rooted_trees(n, umr.TREE_CAP)
+            roots = umr._rooted_trees(n)
             assert [umr._is_self_dual_root(r) for r in roots] == [
                 umr.is_self_dual_tree(t) for t in umr.enumerate_umr_trees(n)]
 
