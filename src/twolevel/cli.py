@@ -17,6 +17,7 @@ import argparse
 import json
 import sys
 from functools import partial
+from itertools import combinations
 from typing import NamedTuple
 
 from . import gfsystem as gf
@@ -107,11 +108,13 @@ def cmd_coeffs(args, config: RunConfig) -> int:
     return 0
 
 
-def run_verify(config: RunConfig, t=None, pointed=None, selfdual=None, out=None) -> int:
+def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
     """Cross-check series coefficients against brute-force tree enumeration.
 
     The series arguments are injectable so that tests can exercise the
-    failure path; by default everything is computed fresh.
+    failure path; by default everything is computed fresh.  Self-duality is
+    checked along one chain: matroid duality, the centre-rooting count
+    ``count_self_dual`` and the coefficient of S2.
     """
     from . import matroid as mat
     from . import umrtree as umr
@@ -119,61 +122,58 @@ def run_verify(config: RunConfig, t=None, pointed=None, selfdual=None, out=None)
     out = out or sys.stdout
     p = pointed or gf.solve_pointed(config.order)
     t = t if t is not None else gf.assemble_T(p).t
-    sd = selfdual or gf.solve_selfdual(p)
+    sd = gf.solve_selfdual(p)
     s2 = gf.assemble_S2(p, sd.s_U_corrected)
     n_max = min(config.tree_cap, umr.TREE_CAP, t.order)
     rows = []
-    ok = True
 
     def add(n, what, got, want):
-        nonlocal ok
-        good = got == want
-        ok = ok and good
-        rows.append([n, what, got, want, "ok" if good else "MISMATCH"])
+        rows.append([n, what, got, want, "ok" if got == want else "MISMATCH"])
 
     def skip(n, what):
         rows.append([n, what, "-", "-", "skipped"])
 
-    paper_hits = corrected_hits = total_orders = 0
-    for n in range(3, n_max + 1):
+    def isomorphic(m1, m2):
+        return mat.is_isomorphic(m1, m2, cap=config.iso_cap)
+
+    sizes = range(3, n_max + 1)
+    paper_hits = corrected_hits = 0
+    for n in sizes:
         trees = umr.enumerate_umr_trees(n)
+        self_dual = umr.count_self_dual(n)
         add(n, "trees", len(trees), t.coeff(n))
-        add(n, "selfdual_trees", umr.count_self_dual(n), s2.coeff(n))
+        add(n, "selfdual_trees", self_dual, s2.coeff(n))
         add(n, "pointed_R", umr.pointed_count(n, "R"), p.a_R.coeff(n))
         add(n, "pointed_U", umr.pointed_count(n, "U"), p.a_U.coeff(n))
         sdp = umr.count_self_dual_pointed(n)
-        total_orders += 1
         paper_hits += sdp == sd.s_U_paper.coeff(n)
         corrected_hits += sdp == sd.s_U_corrected.coeff(n)
         if n > 7:
             continue
-        # matroid-level checks, skipped where the isomorphism cap excludes them
-        ms = [umr.tree_to_matroid(x) for x in trees]
-        if all(m.size() <= config.iso_cap for m in ms):
-            add(n, "matroids_distinct", _pairwise_distinct(ms, config), True)
-            if n <= 6:
-                add(n, "selfdual_matroid",
-                    sum(umr.is_self_dual_tree(x) for x in trees),
-                    _selfdual_by_matroid_duality(ms, config))
-        else:
+        # matroid-level checks; the matroid of a tree with n legs has n elements
+        if n > config.iso_cap:
             skip(n, "matroids_distinct")
             if n <= 6:
                 skip(n, "selfdual_matroid")
+            continue
+        ms = [umr.tree_to_matroid(x) for x in trees]
+        distinct = bool(ms) and not any(isomorphic(a, b) for a, b in combinations(ms, 2))
+        add(n, "matroids_distinct", distinct, True)
+        if n <= 6:
+            add(n, "selfdual_matroid", self_dual, sum(isomorphic(m, mat.dual(m)) for m in ms))
     # self-dual variant arbitration: exactly one variant matches everywhere
-    if corrected_hits == total_orders and paper_hits < total_orders:
-        verdict = "corrected matches; paper variant over-counts"
-    elif paper_hits == total_orders and corrected_hits < total_orders:
-        verdict = "paper matches; corrected variant under-counts"
-    elif paper_hits == corrected_hits == total_orders:
-        verdict = "variants agree at these orders"
+    span, total = f"3..{n_max}", len(sizes)
+    verdict = {
+        (True, False): "corrected matches; paper variant over-counts",
+        (False, True): "paper matches; corrected variant under-counts",
+        (True, True): "variants agree at these orders",
+    }.get((corrected_hits == total, paper_hits == total))
+    if not total:
+        skip(span, "selfdual_variant")
     else:
-        verdict = "NEITHER VARIANT MATCHES"
-    variant_ok = verdict != "NEITHER VARIANT MATCHES"
-    ok = ok and variant_ok
-    rows.append(["3..%d" % n_max, "selfdual_variant",
-                 f"corrected {corrected_hits}/{total_orders}, "
-                 f"paper {paper_hits}/{total_orders}", verdict,
-                 "ok" if variant_ok else "MISMATCH"])
+        rows.append([span, "selfdual_variant",
+                     f"corrected {corrected_hits}/{total}, paper {paper_hits}/{total}",
+                     verdict or "NEITHER VARIANT MATCHES", "ok" if verdict else "MISMATCH"])
     # P6 fixture: single 3-circuit, rank 3, 2-connected, not uniform
     p6_ok = (
         mat.rank(mat.P6) == 3
@@ -191,27 +191,7 @@ def run_verify(config: RunConfig, t=None, pointed=None, selfdual=None, out=None)
     add(7, "dual_of_two_sum", mat.is_isomorphic(lhs, rhs), True)
     _emit(config, {"order": config.order, "tree_cap": n_max},
           ["n", "check", "enumerated", "expected", "status"], rows, out=out)
-    return 0 if ok else 1
-
-
-def _selfdual_by_matroid_duality(ms, config: RunConfig) -> int:
-    from . import matroid as mat
-
-    return sum(mat.is_isomorphic(m, mat.dual(m), cap=config.iso_cap) for m in ms)
-
-
-def _pairwise_distinct(ms, config: RunConfig) -> bool:
-    from . import matroid as mat
-
-    for i in range(len(ms)):
-        for j in range(i + 1, len(ms)):
-            if mat.is_isomorphic(ms[i], ms[j], cap=config.iso_cap):
-                return False
-    return bool(ms)
-
-
-def cmd_verify(args, config: RunConfig) -> int:
-    return run_verify(config)
+    return 1 if any(row[-1] == "MISMATCH" for row in rows) else 0
 
 
 def _tree_asymptotics(p: gf.PointedSeries, config: RunConfig):
@@ -300,7 +280,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_coeffs.add_argument("series", choices=SERIES_NAMES)
     p_coeffs.set_defaults(func=cmd_coeffs)
     p_verify = sub.add_parser("verify", help="cross-check series vs enumeration")
-    p_verify.set_defaults(func=cmd_verify)
+    p_verify.set_defaults(func=lambda args, config: run_verify(config))
     p_asympt = sub.add_parser("asympt", help="singularity analysis constants")
     p_asympt.set_defaults(func=cmd_asympt)
     p_bound = sub.add_parser("bound", help="lower bounds for 2-level polytopes")

@@ -140,6 +140,26 @@ def assemble_T(p: PointedSeries) -> UnrootedSeries:
     return UnrootedSeries(t, t_v, t_e, t_d)
 
 
+def pair_class(p: PointedSeries, s_U: PowerSeries) -> PowerSeries:
+    """The dual-pair class: pointed trees that are not self-dual.  R- and
+    M-pointed trees pair across the two series, U-pointed ones within
+    a_U - s_U, so each unordered pair {t, t*} is counted twice.  Both
+    self-dual equations, S2 and the bounding series read this class."""
+    return p.a_R + p.a_M + (p.a_U - s_U)
+
+
+# what the pair class at x^2 is divided by: the paper's equation keeps both
+# counts of each pair, the corrected one counts each unordered pair once
+_PAIR_DIVISOR = {"paper": 1, "corrected": 2}
+
+
+def _dual_pairs(variant, p, s_U):
+    # divided after the substitution, which reads only settled coefficients
+    if variant not in _PAIR_DIVISOR:
+        raise ValueError(f"unknown self-dual variant {variant!r}")
+    return pair_class(p, s_U).substitute_power(2) / _PAIR_DIVISOR[variant]
+
+
 def assemble_S2(p: PointedSeries, s_U: PowerSeries) -> PowerSeries:
     """Self-dual UMR-trees S2(x), from the corrected self-dual pointed series.
 
@@ -151,27 +171,12 @@ def assemble_S2(p: PointedSeries, s_U: PowerSeries) -> PowerSeries:
     """
     core = s_U + p.a_leg
     even = (core.mset() + core.mset(signed=True)) / 2
-    pairs = _dual_pairs(p.a_R, p.a_U, s_U)
+    pairs = _dual_pairs("corrected", p, s_U)
     return even * pairs.mset() - 1 - core.mset2() + s_U.mset2() - s_U * s_U
 
 
-def _dual_pairs(a_R, a_U, s_U):
-    # unordered dual pairs {t, t*} of pointed trees at x^2, halved after the
-    # substitution, which reads only coefficients the solver has settled
-    return a_R.substitute_power(2) + (a_U - s_U).substitute_power(2) / 2
-
-
-def _selfdual_rhs(variant, a_R, a_M, a_U, leg, s_U):
-    if variant == "paper":
-        pairs = (
-            a_R.substitute_power(2)
-            + a_M.substitute_power(2)
-            + (a_U - s_U).substitute_power(2)
-        )
-    elif variant == "corrected":
-        pairs = _dual_pairs(a_R, a_U, s_U)
-    else:
-        raise ValueError(f"unknown self-dual variant {variant!r}")
+def _selfdual_rhs(variant, a_R, a_U, leg, s_U):
+    pairs = _dual_pairs(variant, PointedSeries(a_R, a_U, leg), s_U)
     core = s_U + leg
     odd = core.mset_odd()
     # odd multisets of at least three, plus pair multisets times odd ones
@@ -180,8 +185,7 @@ def _selfdual_rhs(variant, a_R, a_M, a_U, leg, s_U):
 
 def compute_selfdual(p: PointedSeries, variant: str) -> PowerSeries:
     """Self-dual U-pointed series, "paper" or "corrected" pair counting."""
-    (s_U,) = _fixed_point(partial(_selfdual_rhs, variant),
-                          (p.a_R, p.a_M, p.a_U, p.a_leg), 1)
+    (s_U,) = _fixed_point(partial(_selfdual_rhs, variant), p, 1)
     return s_U
 
 
@@ -191,11 +195,6 @@ def _s_bound_rhs(pairs, leg, s):
     pair_sets = pairs.substitute_power(2).mset()  # the pair class lives at x^2
     # multisets of at least three, plus nonempty pair multisets times nonempty ones
     return (e - 1 - core - core.mset2() + (pair_sets - 1) * (e - 1),)
-
-
-def pair_class(p: PointedSeries, s_U_paper: PowerSeries) -> PowerSeries:
-    """The pair class of the bounding series: pointed trees, not self-dual."""
-    return p.a_R + p.a_M + (p.a_U - s_U_paper)
 
 
 def compute_s_bound(p: PointedSeries, s_U_paper: PowerSeries) -> PowerSeries:

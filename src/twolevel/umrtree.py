@@ -7,8 +7,9 @@ the two rootings of a tree with two centres only the one that sorts first.
 Children are pointed subtrees, built by the same generator that
 independently realizes the pointed series counted in :mod:`twolevel.gfsystem`.
 ``count_self_dual`` compares each centre rooting with its dual.  The
-canonical form, the least encoding rooted at the centre, is a separate
-route that tests and ``is_self_dual_tree`` use.
+canonical form, the least encoding rooted at the centre, backs
+``tree_record``; with ``is_self_dual_tree`` it is an independent route that
+the tests use as their reference, and no command computes one.
 """
 from __future__ import annotations
 

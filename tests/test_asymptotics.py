@@ -390,7 +390,7 @@ class TestJetRing:
         inputs, check = both
         p = pointed30
         s_U = getattr(selfdual30, f"s_U_{variant}")
-        ring, ints = inputs(p.a_R, p.a_M, p.a_U, p.a_leg, s_U)
+        ring, ints = inputs(p.a_R, p.a_U, p.a_leg, s_U)
         (got,), (want,) = (gf._selfdual_rhs(variant, *ring),
                            gf._selfdual_rhs(variant, *ints))
         check(got, want, s_U)

@@ -99,7 +99,14 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH" in buf.getvalue()
 
-    def test_iso_cap_skips_matroid_checks(self, capsys):
+    def test_iso_cap_skips_matroid_checks(self, capsys, monkeypatch):
+        realised = []
+
+        def to_matroid(tree, realise=umr.tree_to_matroid):
+            realised.append(tree.num_legs())
+            return realise(tree)
+
+        monkeypatch.setattr(umr, "tree_to_matroid", to_matroid)
         code, out, _ = run(["--order", "10", "--tree-cap", "7", "--iso-cap", "5",
                             "--format", "json", "verify"], capsys)
         assert code == 0
@@ -108,6 +115,29 @@ class TestVerify:
         assert status[6, "matroids_distinct"] == status[6, "selfdual_matroid"] == "skipped"
         assert status[7, "matroids_distinct"] == "skipped"
         assert "MISMATCH" not in status.values()
+        # only the sizes whose rows run are realised as matroids
+        assert realised and max(realised) <= 5
+
+    def test_no_enumerated_size_is_skipped(self, capsys):
+        code, out, _ = run(["--tree-cap", "2", "--format", "json", "verify"], capsys)
+        assert code == 0
+        (row,) = [r for r in json.loads(out)["data"] if r["check"] == "selfdual_variant"]
+        assert (row["n"], row["enumerated"], row["status"]) == ("3..2", "-", "skipped")
+
+    def test_selfdual_chain_needs_no_canonical_form(self, capsys, monkeypatch):
+        def refuse(tree):
+            raise AssertionError("verify called canonical_form")
+
+        monkeypatch.setattr(umr, "canonical_form", refuse)
+        code, out, _ = run(["--order", "10", "--tree-cap", "6", "--format", "json", "verify"],
+                           capsys)
+        assert code == 0
+        data = json.loads(out)["data"]
+        by_trees = {r["n"]: r["enumerated"] for r in data if r["check"] == "selfdual_trees"}
+        by_matroids = {r["n"]: r for r in data if r["check"] == "selfdual_matroid"}
+        assert sorted(by_matroids) == [3, 4, 5, 6]
+        for n, r in by_matroids.items():
+            assert (r["enumerated"], r["status"]) == (by_trees[n], "ok")
 
     def test_selfdual_trees_rows(self, capsys):
         umr._rooted_trees.cache_clear()

@@ -137,8 +137,8 @@ class TestOnlineSolver:
     @pytest.mark.parametrize("variant", ["paper", "corrected"])
     def test_selfdual_rhs(self, order60, variant):
         p, sd = order60
-        self.assert_same_on_both_rings(partial(gf._selfdual_rhs, variant), p.a_R, p.a_M,
-                                       p.a_U, p.a_leg, getattr(sd, f"s_U_{variant}"))
+        self.assert_same_on_both_rings(partial(gf._selfdual_rhs, variant), p.a_R, p.a_U,
+                                       p.a_leg, getattr(sd, f"s_U_{variant}"))
 
     def test_s_bound_rhs(self, order60):
         p, sd = order60
