@@ -133,9 +133,6 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
     def skip(n, what):
         rows.append([n, what, "-", "-", "skipped"])
 
-    def isomorphic(m1, m2):
-        return mat.is_isomorphic(m1, m2, cap=config.iso_cap)
-
     sizes = range(3, n_max + 1)
     paper_hits = corrected_hits = 0
     for n in sizes:
@@ -157,10 +154,15 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
                 skip(n, "selfdual_matroid")
             continue
         ms = [umr.tree_to_matroid(x) for x in trees]
-        distinct = bool(ms) and not any(isomorphic(a, b) for a, b in combinations(ms, 2))
+        distinct = bool(ms) and not any(mat.is_isomorphic(a, b) for a, b in combinations(ms, 2))
         add(n, "matroids_distinct", distinct, True)
         if n <= 6:
-            add(n, "selfdual_matroid", self_dual, sum(isomorphic(m, mat.dual(m)) for m in ms))
+            add(n, "selfdual_matroid", self_dual,
+                sum(mat.is_isomorphic(m, mat.dual(m)) for m in ms))
+    # sizes --tree-cap asks for beyond the enumerator's cap
+    for n in range(n_max + 1, min(config.tree_cap, t.order) + 1):
+        for what in ("trees", "selfdual_trees", "pointed_R", "pointed_U"):
+            skip(n, what)
     # self-dual variant arbitration: exactly one variant matches everywhere
     span, total = f"3..{n_max}", len(sizes)
     verdict = {

@@ -1,13 +1,16 @@
 """Small-scale exact matroid algebra over circuit families.
 
-Matroids are stored by their circuits; bases, rank, and duality are derived by
-exhaustive bitmask computations, so everything here is capped at small ground
-sets.  This module is the brute-force oracle used to cross-validate the
-generating-function counts.
+Matroids are stored by their circuits; everything else is derived from two
+bitmask tables over the subsets of the ground set, so ground sets stay small.
+One subset generator fills both: the dependent sets (supersets of circuits)
+back ``bases``, ``rank`` and ``is_2connected``, the last two through one
+greedy rank; the independent sets (subsets of bases) give ``dual`` and
+``two_sum_via_bases`` their circuits.  This module is the brute-force oracle
+used to cross-validate the generating-function counts.
 """
 from __future__ import annotations
 
-from itertools import combinations, groupby
+from itertools import combinations, groupby, product
 
 BASES_CAP = 14
 ISO_CAP = 12
@@ -85,100 +88,82 @@ def relabel(m: Matroid, mapping) -> Matroid:
     )
 
 
-def _index(m: Matroid):
-    return {e: i for i, e in enumerate(m.ground)}
+def _subsets(mask: int):
+    """Every subset of mask, from mask itself down to 0."""
+    sub = mask
+    while True:
+        yield sub
+        if sub == 0:
+            return
+        sub = (sub - 1) & mask
 
 
-def _circuit_masks(m: Matroid):
-    idx = _index(m)
-    return [sum(1 << idx[e] for e in c) for c in m.circuits]
+def _elements(ground, mask: int) -> frozenset:
+    return frozenset(e for i, e in enumerate(ground) if mask >> i & 1)
 
 
-def _dependent_table(n: int, cmasks) -> bytearray:
-    dep = bytearray(1 << n)
+def _dependent_table(m: Matroid) -> bytearray:
+    """dep[mask] = 1 exactly when mask contains a circuit of m."""
+    n = len(m.ground)
+    idx = {e: i for i, e in enumerate(m.ground)}
     full = (1 << n) - 1
-    for cm in cmasks:
-        free = full ^ cm
-        sub = free
-        while True:
+    dep = bytearray(1 << n)
+    for c in m.circuits:
+        cm = sum(1 << idx[e] for e in c)
+        for sub in _subsets(full ^ cm):
             dep[cm | sub] = 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & free
     return dep
 
 
+def _greedy_rank(dep: bytearray, mask: int) -> int:
+    """Rank of the subset mask, grown greedily from its lowest element."""
+    indep = 0
+    rest = mask
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        if not dep[indep | bit]:
+            indep |= bit
+    return indep.bit_count()
+
+
+def _from_bases(ground: tuple, base_sets) -> Matroid:
+    """The matroid on ground with the given bases: the independent sets are
+    their subsets, the circuits the minimal sets that are not."""
+    n = len(ground)
+    idx = {e: i for i, e in enumerate(ground)}
+    indep = bytearray(1 << n)
+    for b in base_sets:
+        for sub in _subsets(sum(1 << idx[e] for e in b)):
+            indep[sub] = 1
+    circs = [
+        _elements(ground, mask)
+        for mask in range(1, 1 << n)
+        if not indep[mask] and all(indep[mask ^ 1 << i] for i in range(n) if mask >> i & 1)
+    ]
+    return Matroid(ground, circs)
+
+
 def bases(m: Matroid) -> frozenset:
-    """All maximum-cardinality subsets containing no circuit."""
+    """All maximum-cardinality subsets containing no circuit.  The size is
+    found by the scan, not by the greedy rank, so the answer keeps its
+    meaning for a circuit family that is not a matroid's."""
     n = len(m.ground)
     if n > BASES_CAP:
         raise ValueError(f"ground set size {n} exceeds cap {BASES_CAP}")
-    dep = _dependent_table(n, _circuit_masks(m))
-    best, best_size = [], -1
-    for mask in range(1 << n):
-        if dep[mask]:
-            continue
-        s = mask.bit_count()
-        if s > best_size:
-            best, best_size = [mask], s
-        elif s == best_size:
-            best.append(mask)
-    g = m.ground
-    return frozenset(
-        frozenset(g[i] for i in range(n) if mask >> i & 1) for mask in best
-    )
+    dep = _dependent_table(m)
+    free = [mask for mask in range(1 << n) if not dep[mask]]
+    size = max(mask.bit_count() for mask in free)
+    return frozenset(_elements(m.ground, mask) for mask in free if mask.bit_count() == size)
 
 
 def rank(m: Matroid) -> int:
-    n = len(m.ground)
-    dep = _dependent_table(n, _circuit_masks(m))
-    mask = 0
-    for i in range(n):
-        if not dep[mask | (1 << i)]:
-            mask |= 1 << i
-    return mask.bit_count()
-
-
-def _circuits_from_independent(n: int, indep: bytearray):
-    circs = []
-    for mask in range(1, 1 << n):
-        if indep[mask]:
-            continue
-        sub = mask
-        minimal = True
-        while sub:
-            bit = sub & -sub
-            if not indep[mask ^ bit]:
-                minimal = False
-                break
-            sub ^= bit
-        if minimal:
-            circs.append(mask)
-    return circs
+    return _greedy_rank(_dependent_table(m), (1 << len(m.ground)) - 1)
 
 
 def dual(m: Matroid) -> Matroid:
     """Matroid whose bases are the complements of the bases of m."""
-    n = len(m.ground)
-    idx = _index(m)
-    full = (1 << n) - 1
-    dual_bases = [
-        full ^ sum(1 << idx[e] for e in b) for b in bases(m)
-    ]
-    indep = bytearray(1 << n)
-    for bm in dual_bases:
-        sub = bm
-        while True:
-            indep[sub] = 1
-            if sub == 0:
-                break
-            sub = (sub - 1) & bm
-    g = m.ground
-    circs = [
-        {g[i] for i in range(n) if cm >> i & 1}
-        for cm in _circuits_from_independent(n, indep)
-    ]
-    return Matroid(g, circs)
+    return _from_bases(m.ground, [frozenset(m.ground) - b for b in bases(m)])
 
 
 def is_loop(m: Matroid, e) -> bool:
@@ -229,48 +214,20 @@ def two_sum(m1: Matroid, e1, m2: Matroid, e2) -> Matroid:
 def two_sum_via_bases(m1: Matroid, e1, m2: Matroid, e2) -> Matroid:
     """Independent 2-sum route through the bases definition."""
     ground = tuple(sorted(g for g in m1.ground + m2.ground if g not in (e1, e2)))
-    idx = {e: i for i, e in enumerate(ground)}
-    n = len(ground)
-    indep = bytearray(1 << n)
-    for b1 in bases(m1):
-        for b2 in bases(m2):
-            if (e1 in b1) + (e2 in b2) != 1:
-                continue
-            bm = sum(1 << idx[e] for e in (b1 | b2) - {e1, e2})
-            sub = bm
-            while True:
-                indep[sub] = 1
-                if sub == 0:
-                    break
-                sub = (sub - 1) & bm
-    circs = [
-        {ground[i] for i in range(n) if cm >> i & 1}
-        for cm in _circuits_from_independent(n, indep)
-    ]
-    return Matroid(ground, circs)
+    return _from_bases(ground, [
+        (b1 | b2) - {e1, e2}
+        for b1, b2 in product(bases(m1), bases(m2))
+        if (e1 in b1) + (e2 in b2) == 1
+    ])
 
 
 def is_2connected(m: Matroid) -> bool:
     """No proper nonempty separator T with rank(T) + rank(E - T) = rank(E)."""
-    n = len(m.ground)
-    if n <= 1:
-        return True
-    dep = _dependent_table(n, _circuit_masks(m))
-
-    def greedy_rank(subset_mask: int) -> int:
-        mask = 0
-        rest = subset_mask
-        while rest:
-            bit = rest & -rest
-            rest ^= bit
-            if not dep[mask | bit]:
-                mask |= bit
-        return mask.bit_count()
-
-    full = (1 << n) - 1
-    total = greedy_rank(full)
+    dep = _dependent_table(m)
+    full = (1 << len(m.ground)) - 1
+    total = _greedy_rank(dep, full)
     for t in range(1, full):
-        if greedy_rank(t) + greedy_rank(full ^ t) == total:
+        if _greedy_rank(dep, t) + _greedy_rank(dep, full ^ t) == total:
             return False
     return True
 
@@ -300,11 +257,8 @@ def is_isomorphic(m1: Matroid, m2: Matroid, cap: int = ISO_CAP) -> bool:
         return False
 
     def profiles(m):
-        prof = {}
-        for e in m.ground:
-            sizes = sorted(len(c) for c in m.circuits if e in c)
-            prof[e] = tuple(sizes)
-        return prof
+        """Sorted sizes of the circuits through each element."""
+        return {e: tuple(sorted(len(c) for c in m.circuits if e in c)) for e in m.ground}
 
     p1, p2 = profiles(m1), profiles(m2)
     if sorted(p1.values()) != sorted(p2.values()):
@@ -313,11 +267,10 @@ def is_isomorphic(m1: Matroid, m2: Matroid, cap: int = ISO_CAP) -> bool:
     # rarest profiles first keeps the branching factor small
     order = sorted(m1.ground, key=lambda e: sum(1 for f in m2.ground if p2[f] == p1[e]))
     circuits2 = m2.circuits
-    circs1 = list(m1.circuits)
     pos = {e: i for i, e in enumerate(order)}
     # circuits become checkable once their last-placed element is assigned
     by_last = [[] for _ in range(n)]
-    for c in circs1:
+    for c in m1.circuits:
         by_last[max(pos[e] for e in c)].append(c)
 
     mapping = {}

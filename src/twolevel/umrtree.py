@@ -82,20 +82,12 @@ class UMRTree(_TreeFields):
         s = len(self.labels)
         if len(self.legs) != s or len(self.edges) != s - 1:
             raise ValueError("malformed tree")
-        adj = [[] for _ in range(s)]
         for i, j in self.edges:
             if not (0 <= i < s and 0 <= j < s):
                 raise ValueError(f"edge ({i}, {j}) leaves the vertex set")
-            adj[i].append(j)
-            adj[j].append(i)
-        # s-1 edges that connect the s vertices form a tree
-        reached, stack = {0}, [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in reached:
-                    reached.add(w)
-                    stack.append(w)
-        if len(reached) != s:
+        adj = self.adjacency()
+        # s-1 edges that reach all s vertices from vertex 0 form a tree
+        if sum(1 for _ in _walk(adj)) != s - 1:
             raise ValueError("edges do not connect the vertex set")
         for i, j in self.edges:
             ci, cj = self.labels[i].category, self.labels[j].category
@@ -112,6 +104,27 @@ class UMRTree(_TreeFields):
 
     def num_legs(self) -> int:
         return sum(self.legs)
+
+    def adjacency(self) -> list[list[int]]:
+        """Neighbours of each vertex, in the order of ``edges``."""
+        adj = [[] for _ in self.labels]
+        for i, j in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        return adj
+
+
+def _walk(adj):
+    """The edges (parent, child) of a depth-first walk from vertex 0, each
+    yielded when the walk first reaches its child."""
+    reached, stack = {0}, [0]
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if v not in reached:
+                reached.add(v)
+                yield u, v
+                stack.append(v)
 
 
 # -- pointed (rooted) subtree generation --------------------------------
@@ -296,11 +309,7 @@ def _encode(tree: UMRTree, v: int, parent: int | None, adj) -> tuple:
 
 def canonical_form(tree: UMRTree) -> tuple:
     """Minimum rooted encoding over the centre of the tree."""
-    s = len(tree.labels)
-    adj = [[] for _ in range(s)]
-    for i, j in tree.edges:
-        adj[i].append(j)
-        adj[j].append(i)
+    adj = tree.adjacency()
     return min(_encode(tree, v, None, adj) for v in _centre(adj))
 
 
@@ -345,7 +354,6 @@ def count_self_dual(n: int) -> int:
 def tree_to_matroid(tree: UMRTree, rng: random.Random | None = None) -> mat.Matroid:
     """Fold the labels by 2-sums; base points may be randomized (the result
     is the same matroid up to isomorphism for every choice)."""
-    s = len(tree.labels)
     elems: list[list[int]] = []
     next_id = 1
     for lab in tree.labels:
@@ -355,28 +363,12 @@ def tree_to_matroid(tree: UMRTree, rng: random.Random | None = None) -> mat.Matr
     if rng is not None:
         for es in available:
             rng.shuffle(es)
-
-    adj = [[] for _ in range(s)]
-    for i, j in tree.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-
     lab0 = tree.labels[0]
     m = mat.uniform(lab0.n, lab0.k, labels=elems[0])
-    visited = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v in visited:
-                continue
-            visited.add(v)
-            labv = tree.labels[v]
-            mv = mat.uniform(labv.n, labv.k, labels=elems[v])
-            e1 = available[u].pop()
-            e2 = available[v].pop()
-            m = mat.two_sum(m, e1, mv, e2)
-            stack.append(v)
+    for u, v in _walk(tree.adjacency()):
+        labv = tree.labels[v]
+        mv = mat.uniform(labv.n, labv.k, labels=elems[v])
+        m = mat.two_sum(m, available[u].pop(), mv, available[v].pop())
     return m
 
 

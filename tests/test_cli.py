@@ -124,6 +124,18 @@ class TestVerify:
         (row,) = [r for r in json.loads(out)["data"] if r["check"] == "selfdual_variant"]
         assert (row["n"], row["enumerated"], row["status"]) == ("3..2", "-", "skipped")
 
+    def test_sizes_past_the_enumerator_cap_are_skipped(self, capsys):
+        code, out, _ = run(["--order", "12", "--tree-cap", "11", "--format", "json", "verify"],
+                           capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["meta"]["tree_cap"] == umr.TREE_CAP == 10
+        rows = [r for r in report["data"] if r["n"] == 11]
+        assert {r["check"]: r["status"] for r in rows} == dict.fromkeys(
+            ("trees", "selfdual_trees", "pointed_R", "pointed_U"), "skipped")
+        (variant,) = [r for r in report["data"] if r["check"] == "selfdual_variant"]
+        assert (variant["n"], variant["status"]) == ("3..10", "ok")
+
     def test_selfdual_chain_needs_no_canonical_form(self, capsys, monkeypatch):
         def refuse(tree):
             raise AssertionError("verify called canonical_form")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolevel import matroid as mat
+from twolevel import umrtree as umr
 
 
 class TestConstruction:
@@ -49,6 +50,12 @@ class TestRankAndBases:
     def test_rank(self):
         assert mat.rank(mat.uniform(6, 3)) == 3
         assert mat.rank(mat.P6) == 3
+
+    def test_bases_of_an_antichain_that_is_no_matroid(self):
+        # the greedy rank would stop at one element; the largest
+        # circuit-free set has three
+        m = mat.Matroid([1, 2, 3, 4], [{1, 2}, {1, 3}, {1, 4}])
+        assert mat.bases(m) == {frozenset({2, 3, 4})}
 
     def test_p6_has_19_bases(self):
         bs = mat.bases(mat.P6)
@@ -110,6 +117,15 @@ class TestMinorsAndSums:
             a = mat.two_sum(m1, e1, m2, e2)
             b = mat.two_sum_via_bases(m1, e1, m2, e2)
             assert a == b
+        # realised UMR-tree matroids, folded and glued at random base points
+        trees = [t for n in range(3, 7) for t in umr.enumerate_umr_trees(n)]
+        for _ in range(20):
+            m1 = umr.tree_to_matroid(rng.choice(trees), rng)
+            m2 = umr.tree_to_matroid(rng.choice(trees), rng)
+            m2 = mat.relabel(m2, {e: e + 100 for e in m2.ground})
+            e1 = rng.choice(m1.ground)
+            e2 = rng.choice(m2.ground)
+            assert mat.two_sum(m1, e1, m2, e2) == mat.two_sum_via_bases(m1, e1, m2, e2)
 
     def test_two_sum_rejects_shared_ground(self):
         u = mat.uniform(4, 2)
