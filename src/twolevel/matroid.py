@@ -181,17 +181,14 @@ def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
     return Matroid(m1.ground + m2.ground, m1.circuits | m2.circuits)
 
 
-def _minimalize(circs):
-    out = []
-    by_size = sorted(circs, key=len)
-    for c in by_size:
-        if not any(d <= c for d in out if d != c):
-            out.append(c)
-    return out
-
-
 def two_sum(m1: Matroid, e1, m2: Matroid, e2) -> Matroid:
-    """2-sum along base points e1, e2 via the circuit composition rule."""
+    """2-sum of the matroids m1 and m2 along base points e1, e2 by the
+    circuit composition rule (Oxley, Prop. 7.1.20): the circuits of each
+    piece that avoid its base point, and (c1 - e1) | (c2 - e2) for each pair
+    through them.  The inputs must be matroids: then that family is the
+    antichain of circuits of the 2-sum as it stands, with nothing to
+    remove, while for other circuit families it need not be a matroid's.
+    """
     if set(m1.ground) & set(m2.ground):
         raise ValueError("ground sets must be disjoint")
     for m, e in ((m1, e1), (m2, e2)):
@@ -208,7 +205,7 @@ def two_sum(m1: Matroid, e1, m2: Matroid, e2) -> Matroid:
             if e2 in c2:
                 circs.add((c1 - {e1}) | (c2 - {e2}))
     ground = [g for g in m1.ground + m2.ground if g not in (e1, e2)]
-    return Matroid(ground, _minimalize(circs))
+    return Matroid(ground, circs)
 
 
 def two_sum_via_bases(m1: Matroid, e1, m2: Matroid, e2) -> Matroid:

@@ -5,7 +5,11 @@ Odlyzko and McKay, "Constant time generation of free trees", 1986): a
 rooted tree is kept only if its root is a centre of the vertex tree, and of
 the two rootings of a tree with two centres only the one that sorts first.
 Children are pointed subtrees, built by the same generator that
-independently realizes the pointed series counted in :mod:`twolevel.gfsystem`.
+independently realizes the pointed series counted in :mod:`twolevel.gfsystem`:
+for each multiset of subtree sizes, every choice with repetition from the
+pointed trees of each size, so each child is a shared, already generated
+tree.  The height and the dual of each subtree are computed once and looked
+up by the centre test and the self-duality tests.
 ``count_self_dual`` compares each centre rooting with its dual.  The
 canonical form, the least encoding rooted at the centre, backs
 ``tree_record``; with ``is_self_dual_tree`` it is an independent route that
@@ -14,9 +18,9 @@ the tests use as their reference, and no command computes one.
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
+from collections import Counter
 from functools import lru_cache
-from operator import neg
+from itertools import chain, combinations_with_replacement
 from typing import NamedTuple
 
 from . import matroid as mat
@@ -79,22 +83,22 @@ class UMRTree(_TreeFields):
 
     def __new__(cls, labels, edges, legs):
         self = super().__new__(cls, labels, edges, legs)
-        s = len(self.labels)
-        if len(self.legs) != s or len(self.edges) != s - 1:
+        labels, edges, legs = self
+        s = len(labels)
+        if len(legs) != s or len(edges) != s - 1:
             raise ValueError("malformed tree")
-        for i, j in self.edges:
+        for i, j in edges:
             if not (0 <= i < s and 0 <= j < s):
                 raise ValueError(f"edge ({i}, {j}) leaves the vertex set")
+            ci, cj = labels[i].category, labels[j].category
+            if ci == cj and ci in ("M", "R"):
+                raise ValueError(f"adjacent {ci}-vertices")
         adj = self.adjacency()
         # s-1 edges that reach all s vertices from vertex 0 form a tree
         if sum(1 for _ in _walk(adj)) != s - 1:
             raise ValueError("edges do not connect the vertex set")
-        for i, j in self.edges:
-            ci, cj = self.labels[i].category, self.labels[j].category
-            if ci == cj and ci in ("M", "R"):
-                raise ValueError(f"adjacent {ci}-vertices")
-        for v, lab in enumerate(self.labels):
-            if self.legs[v] < 0 or self.legs[v] + len(adj[v]) != lab.n:
+        for v, lab in enumerate(labels):
+            if legs[v] < 0 or legs[v] + len(adj[v]) != lab.n:
                 raise ValueError(f"legs + degree != n at vertex {v}")
         return self
 
@@ -142,35 +146,48 @@ def _pointed(n: int, cat: str) -> tuple:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _pool(cats: tuple, max_size: int) -> tuple[tuple, tuple]:
-    """Candidate pointed-subtree children of 2..max_size legs, the largest
-    first, and their sizes."""
-    nodes, sizes = [], []
-    for size in range(max_size, 1, -1):
-        for cat in cats:
-            nodes += _pointed(size, cat)
-            sizes += [size] * len(_pointed(size, cat))
-    return tuple(nodes), tuple(sizes)
-
-
-def _child_multisets(cats: tuple, total: int, min_count: int):
+def _child_multisets(cats: tuple, total: int, min_count: int) -> list[tuple]:
     """Sorted multisets of at least min_count legs/pointed subtrees whose
-    sizes sum to total.  Subtrees are chosen in pool order, repeats allowed,
-    so each multiset of subtrees comes once; legs fill the rest."""
-    pool, sizes = _pool(cats, total - min_count + 1)
-    # fits[r]: the first pool index whose subtree has at most r legs
-    fits = [bisect_left(sizes, -r, key=neg) for r in range(total + 1)]
+    sizes sum to total: for each multiset of subtree sizes (at least 2 legs
+    each), every choice with repetition from the pointed trees of each size,
+    and legs for the rest.  Each child is the generated tree itself, and LEG
+    sorts after every node."""
     out = []
-
-    def rec(start: int, remaining: int, acc: tuple):
-        if len(acc) + remaining >= min_count:
-            out.append(tuple(sorted(acc + (LEG,) * remaining)))
-        for i in range(max(start, fits[remaining]), len(pool)):
-            rec(i, remaining - sizes[i], acc + (pool[i],))
-
-    rec(0, total, ())
+    for m in range(total // 2 + 1):
+        for sizes in combinations_with_replacement(range(2, total + 1), m):
+            legs = total - sum(sizes)
+            if legs < 0 or m + legs < min_count:
+                continue
+            picks = [()]
+            for size, count in Counter(sizes).items():
+                pool = tuple(chain.from_iterable(_pointed(size, cat) for cat in cats))
+                picks = [p + q for p in picks for q in combinations_with_replacement(pool, count)]
+            tail = [LEG] * legs
+            out.extend([tuple(sorted(p) + tail) for p in picks])
     return out
+
+
+# The height of the vertex tree below each generated pointed tree (a leg is
+# no vertex), and the generated tree equal to its dual, so a dual is a
+# reference, not a copy.  Keyed by id(): a tuple's hash walks its whole
+# subtree, and the tables cached by _subtree_facts keep every keyed tree alive.
+_HEIGHT: dict[int, int] = {id(LEG): -1}
+_DUAL: dict[int, tuple] = {id(LEG): LEG}
+
+
+@lru_cache(maxsize=None)
+def _subtree_facts(size: int) -> dict:
+    """Record the height and dual of every pointed tree with at most size
+    legs, smaller trees first, each once; returns the table of those with
+    exactly size legs."""
+    if size < 2:
+        return {}
+    _subtree_facts(size - 1)
+    generated = {node: node for cat in ("M", "R", "U") for node in _pointed(size, cat)}
+    for node in generated:
+        _HEIGHT[id(node)] = _height(node)
+        _DUAL[id(node)] = generated[_dual_node(node)]
+    return generated
 
 
 def pointed_count(n: int, cat: str) -> int:
@@ -180,14 +197,19 @@ def pointed_count(n: int, cat: str) -> int:
     return len(_pointed(n, cat))
 
 
+def _height(node: tuple) -> int:
+    """Height of the vertex tree below node, from the recorded heights of
+    its children; legs are not vertices."""
+    return 1 + max(map(_HEIGHT.__getitem__, map(id, node[2])))
+
+
 def _dual_node(node: tuple, parent_edges: int = 1) -> tuple:
     """Dualize every label: M and R swap, U_{r,k} becomes U_{r,r-k}.  The
     ground set of a vertex is its children and its parent edge; the root of
-    an unrooted tree has none (parent_edges=0)."""
-    if node == LEG:
-        return LEG
+    an unrooted tree has none (parent_edges=0).  The children's duals are
+    the recorded ones, so node's children must be generated trees."""
     cat, k, children = node
-    dch = tuple(sorted(_dual_node(c) for c in children))
+    dch = tuple(sorted(map(_DUAL.__getitem__, map(id, children))))
     if cat == "M":
         return ("R", 0, dch)
     if cat == "R":
@@ -204,11 +226,13 @@ def _is_self_dual_pointed(node: tuple) -> bool:
 
 def count_self_dual_pointed(n: int) -> int:
     """Pointed U-trees fixed by the label-dualizing involution."""
+    _subtree_facts(n - 2)  # a U-vertex has at least 3 children
     return sum(1 for node in _pointed(n, "U") if _is_self_dual_pointed(node))
 
 
 def self_dual_pointed_root_degrees(n: int) -> set[int]:
     """Restricted degrees occurring at roots of self-dual pointed trees."""
+    _subtree_facts(n - 2)  # a U-vertex has at least 3 children
     return {len(node[2]) for node in _pointed(n, "U") if _is_self_dual_pointed(node)}
 
 
@@ -223,6 +247,7 @@ def _rooted_trees(n: int) -> tuple:
         raise ValueError("a UMR-tree has at least 3 legs")
     if n > TREE_CAP:
         raise ValueError(f"leg count {n} exceeds cap {TREE_CAP}")
+    _subtree_facts(n - 2)  # a root has at least 3 children
     out = []
     for cat in ("R", "M", "U"):
         for node in _pointed(n, cat):
@@ -233,29 +258,23 @@ def _rooted_trees(n: int) -> tuple:
     return tuple(out)
 
 
-def _height(node: tuple) -> int:
-    """Height of the vertex tree below node; legs are not vertices."""
-    return 1 + max((_height(c) for c in node[2] if c != LEG), default=-1)
-
-
 def _centre_rootings(root: tuple) -> list[tuple]:
     """The rootings of root's vertex tree at its centres, root first; empty
     if root is not a centre.  With h1 >= h2 the two largest heights of the
-    root's vertex children (-1 if missing), the root is the one centre when
-    h1 = h2, is not a centre when h1 > h2 + 1, and shares the centre with
-    its taller child when h1 = h2 + 1."""
+    root's (at least three) children, a leg's being -1, the root is the one
+    centre when h1 = h2, is not a centre when h1 > h2 + 1, and shares the
+    centre with its taller child when h1 = h2 + 1; only then is the other
+    rooting built."""
     cat, k, children = root
-    kids = [c for c in children if c != LEG]
-    heights = [_height(c) for c in kids]
-    h1, h2 = (sorted(heights, reverse=True) + [-1, -1])[:2]
+    heights = list(map(_HEIGHT.__getitem__, map(id, children)))
+    h2, h1 = sorted(heights)[-2:]
     if h1 != h2 + 1:
         return [root] if h1 == h2 else []
     # the rooting at the taller child c; labels keep n and k under rerooting
-    c = kids[heights.index(h1)]
-    rest = list(children)
-    rest.remove(c)
-    c_cat, c_k, c_children = c
-    return [root, (c_cat, c_k, tuple(sorted(c_children + ((cat, k, tuple(rest)),))))]
+    i = heights.index(h1)
+    c_cat, c_k, c_children = children[i]
+    rest = (cat, k, children[:i] + children[i + 1:])
+    return [root, (c_cat, c_k, tuple(sorted(c_children + (rest,))))]
 
 
 def _is_least_centre_rooting(root: tuple) -> bool:
@@ -272,6 +291,11 @@ def _is_self_dual_root(root: tuple) -> bool:
     return _dual_node(root, parent_edges=0) in _centre_rootings(root)
 
 
+@lru_cache(maxsize=None)
+def _label(cat: str, n: int, k: int) -> UniformLabel:
+    return UniformLabel(cat, n, k)
+
+
 def _node_to_tree(root: tuple) -> UMRTree:
     labels: list[UniformLabel] = []
     legs: list[int] = []
@@ -279,21 +303,16 @@ def _node_to_tree(root: tuple) -> UMRTree:
 
     def walk(node: tuple, parent: int | None) -> None:
         cat, k, children = node
-        n_label = len(children) + (0 if parent is None else 1)
-        if cat == "M":
-            lab = UniformLabel("M", n_label, 1)
-        elif cat == "R":
-            lab = UniformLabel("R", n_label, n_label - 1)
-        else:
-            lab = UniformLabel("U", n_label, k)
+        n_label = len(children) + (parent is not None)
+        k = 1 if cat == "M" else n_label - 1 if cat == "R" else k
         idx = len(labels)
-        labels.append(lab)
-        legs.append(sum(1 for c in children if c == LEG))
+        labels.append(_label(cat, n_label, k))
+        n_legs = children.count(LEG)
+        legs.append(n_legs)
         if parent is not None:
             edges.append((parent, idx))
-        for c in children:
-            if c != LEG:
-                walk(c, idx)
+        for c in children[:len(children) - n_legs]:
+            walk(c, idx)
 
     walk(root, None)
     return UMRTree(tuple(labels), tuple(edges), tuple(legs))

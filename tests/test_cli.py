@@ -1,3 +1,4 @@
+import ast
 import csv
 import io
 import json
@@ -307,6 +308,24 @@ class TestImports:
         last = run_python("-c", probe).stdout.splitlines()[-1]
         expected = sorted(f"twolevel.{m}" for m in modules | {"cli", "powerseries"})
         assert last == f"0 {expected} False"
+
+
+class TestBenchProbe:
+    """bench/run.py runs its PROBE before every benchmark and reads names of
+    the package through it; a name it reads that goes away must fail here."""
+
+    RUN = Path(__file__).resolve().parents[1] / "bench" / "run.py"
+
+    def test_probe_runs(self):
+        pytest.importorskip("numpy")
+        pytest.importorskip("networkx")
+        tree = ast.parse(self.RUN.read_text())
+        probe = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign)
+                     and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["PROBE"])
+        out = json.loads(run_python("-c", probe).stdout)
+        assert out["rational"] == "builtins.int"
+        assert out["selfdual_pointed"] == [0, 0, 0, 1, 0, 3, 0, 10, 0, 38]
 
 
 class TestBenchTracer:

@@ -1,5 +1,5 @@
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -126,6 +126,36 @@ class TestMinorsAndSums:
             e1 = rng.choice(m1.ground)
             e2 = rng.choice(m2.ground)
             assert mat.two_sum(m1, e1, m2, e2) == mat.two_sum_via_bases(m1, e1, m2, e2)
+
+    def test_two_sum_composes_circuits_without_repair(self):
+        # every pair of antichains on three elements, base points neither
+        # loops nor coloops: the composed family is returned as it stands
+        subsets = [frozenset(c) for r in (1, 2, 3) for c in combinations((1, 2, 3), r)]
+        antichains = [
+            family for r in range(len(subsets) + 1)
+            for family in combinations(subsets, r)
+            if not any(a < b for a in family for b in family)
+        ]
+        glued = 0
+        for c1, c2 in product(antichains, repeat=2):
+            m1 = mat.Matroid([1, 2, 3], c1)
+            m2 = mat.relabel(mat.Matroid([1, 2, 3], c2), {1: 4, 2: 5, 3: 6})
+            if any(mat.is_loop(m, e) or mat.is_coloop(m, e) for m, e in ((m1, 3), (m2, 4))):
+                continue
+            composed = {c for c in m1.circuits if 3 not in c} | {
+                c for c in m2.circuits if 4 not in c}
+            composed |= {(a - {3}) | (b - {4})
+                         for a in m1.circuits if 3 in a for b in m2.circuits if 4 in b}
+            assert mat.two_sum(m1, 3, m2, 4).circuits == composed
+            glued += 1
+        assert glued == 81  # 9 pieces on each side qualify
+
+    def test_two_sum_of_a_non_matroid_is_no_matroid(self):
+        # {1,2} and {2,3} break circuit elimination; the 2-sum keeps the fault
+        m1 = mat.Matroid([1, 2, 3], [{1, 2}, {2, 3}])
+        s = mat.two_sum(m1, 3, mat.uniform(3, 1, labels=[4, 5, 6]), 4)
+        assert s.circuits == {frozenset(c) for c in ({1, 2}, {2, 5}, {2, 6}, {5, 6})}
+        assert not mat.circuit_axioms_ok(s)
 
     def test_two_sum_rejects_shared_ground(self):
         u = mat.uniform(4, 2)

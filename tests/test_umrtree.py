@@ -1,4 +1,7 @@
 import random
+from bisect import bisect_left
+from functools import lru_cache
+from operator import neg
 
 import pytest
 
@@ -6,6 +9,58 @@ from twolevel import gfsystem as gf
 from twolevel import matroid as mat
 from twolevel import umrtree as umr
 from twolevel.umrtree import UMRTree, UniformLabel
+
+
+# -- plain reference routes for the generator and its cached facts -------
+
+@lru_cache(maxsize=None)
+def dfs_pointed(n, cat):
+    """A second generator of the pointed trees: one depth-first recursion
+    over a pool of candidate children, the largest first."""
+    min_children = 2 if cat in ("R", "M") else 3
+    out = []
+    for children in dfs_child_multisets(umr._CHILD_CATS[cat], n, min_children):
+        if cat == "U":
+            out.extend(("U", k, children) for k in range(2, len(children)))
+        else:
+            out.append((cat, 0, children))
+    return tuple(out)
+
+
+def dfs_child_multisets(cats, total, min_count):
+    pool, sizes = [], []
+    for size in range(total - min_count + 1, 1, -1):
+        for cat in cats:
+            pool += dfs_pointed(size, cat)
+            sizes += [size] * len(dfs_pointed(size, cat))
+    # fits[r]: the first pool index whose subtree has at most r legs
+    fits = [bisect_left(sizes, -r, key=neg) for r in range(total + 1)]
+    out = []
+
+    def rec(start, remaining, acc):
+        if len(acc) + remaining >= min_count:
+            out.append(tuple(sorted(acc + (umr.LEG,) * remaining)))
+        for i in range(max(start, fits[remaining]), len(pool)):
+            rec(i, remaining - sizes[i], acc + (pool[i],))
+
+    rec(0, total, ())
+    return out
+
+
+def plain_height(node):
+    return 1 + max((plain_height(c) for c in node[2] if c != umr.LEG), default=-1)
+
+
+def plain_dual(node):
+    if node == umr.LEG:
+        return umr.LEG
+    cat, k, children = node
+    dch = tuple(sorted(plain_dual(c) for c in children))
+    if cat == "M":
+        return ("R", 0, dch)
+    if cat == "R":
+        return ("M", 0, dch)
+    return ("U", len(children) + 1 - k, dch)
 
 
 def label(cat, n, k=None):
@@ -123,6 +178,30 @@ class TestEnumeration:
             assert len(set(nodes)) == len(nodes)
             assert all(list(node[2]) == sorted(node[2]) for node in nodes)
 
+    @pytest.mark.parametrize("cat", ["R", "M", "U"])
+    def test_pointed_trees_match_the_recursion(self, cat):
+        for n in range(2, 10):
+            assert set(umr._pointed(n, cat)) == set(dfs_pointed(n, cat))
+
+    def test_children_are_the_generated_trees(self):
+        # each child is the shared tree of its size's table, not a copy
+        for n in range(3, 10):
+            generated = {id(c) for size in range(2, n) for cat in "RMU"
+                         for c in umr._pointed(size, cat)} | {id(umr.LEG)}
+            for cat in "RMU":
+                assert all(id(c) in generated for node in umr._pointed(n, cat) for c in node[2])
+
+    def test_cached_heights_and_duals(self):
+        umr._subtree_facts(8)
+        for n in range(2, 9):
+            for cat, dual_cat in (("R", "M"), ("M", "R"), ("U", "U")):
+                duals = {id(node) for node in umr._pointed(n, dual_cat)}
+                for node in umr._pointed(n, cat):
+                    assert umr._HEIGHT[id(node)] == plain_height(node)
+                    d = umr._DUAL[id(node)]
+                    assert d == plain_dual(node)
+                    assert id(d) in duals
+
     def test_pointed_counts_match_series(self, pointed30):
         for n in range(2, 11):
             assert umr.pointed_count(n, "R") == int(pointed30.a_R.coeff(n))
@@ -190,6 +269,10 @@ class TestDuality:
             assert umr.count_self_dual_pointed(n) == int(
                 selfdual30.s_U_corrected.coeff(n)
             )
+
+    def test_self_dual_pointed_counts(self):
+        assert [umr.count_self_dual_pointed(n) for n in range(11)] == [
+            0, 0, 0, 1, 0, 3, 0, 10, 0, 38, 0]
 
     def test_self_dual_pointed_bounded_by_paper_series(self, selfdual30):
         for n in range(2, 10):
