@@ -22,6 +22,17 @@ right-hand side along x(X), as a polynomial in X:
 - at x(X) = rho (1 - X^2), with the unknowns set to their expansions, it
   is the residual of the singular expansion, or the expansion of T.
 
+An element f holds its head, the polynomial f(x(X)) at r = 1, computed when
+it is built, and its tail, the values f(x(X)^r) at r = 2..R, computed once,
+on first demand, as one list: plain floats at a constant point, polynomials
+in X at a moving one.  The unknowns replace a leaf's head only.  R is one
+cutoff per point, the last r with |x(0)|^r > TAIL_EPS; past it an element
+reads its value at x = 0, which is 0.0 for every series MSet accepts, so no
+sum changes.  A leaf's values come from one Horner kernel: passes over all
+r together give the series' Taylor coefficients at x(0)^r up to the order
+that can reach X^DEG (only the value at a constant point), composed with
+x(X)^r - x(0)^r at a moving one.
+
 Polynomials in X are plain lists of DEG + 1 floats (index = power of X),
 truncated after degree DEG, and the linear solves are Gaussian elimination.
 No solver takes a finite difference, and every one stops at one tolerance,
@@ -30,7 +41,9 @@ the run's ``--tol``.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple
+import operator
+from functools import cache, lru_cache, partial
+from typing import Callable, NamedTuple
 
 from . import gfsystem as gf
 from .powerseries import PowerSeries
@@ -118,13 +131,6 @@ def _xp_sum(polys) -> list[float]:
     return [sum(cs) for cs in zip(*polys)]
 
 
-def xp_pow(p: list[float], r: int) -> list[float]:
-    out = xp(1.0)
-    for _ in range(r):
-        out = xp_mul(out, p)
-    return out
-
-
 def xp_exp(p: list[float]) -> list[float]:
     """exp of an X-polynomial (constant term allowed), from E' = p' E."""
     out = xp(math.exp(p[0]))
@@ -133,132 +139,202 @@ def xp_exp(p: list[float]) -> list[float]:
     return out
 
 
-def series_at_xpoly(series: PowerSeries, arg: list[float]) -> list[float]:
-    """Expansion of series(arg(X)) as an X-polynomial, by Horner's rule.
-
-    The series is a plain truncated polynomial, so the only error is its
-    truncation (negligible when |arg[0]| is well inside the radius).
-    """
-    out = xp()
-    for c in reversed(series.coeffs):
-        out = xp_mul(out, arg)
-        out[0] += float(c)
-    return out
-
-
 # -- the float ring -------------------------------------------------------
 
+class _Values(NamedTuple):
+    """Arithmetic on the values of ring elements at one kind of point: plain
+    floats at a constant point, X-polynomials at a moving one."""
+
+    add: Callable
+    sub: Callable
+    mul: Callable
+    div: Callable  # by an integer
+    scale: Callable  # by a float weight
+    exp: Callable
+    sum: Callable  # of a list of values
+    onto: Callable  # an X-polynomial plus a list of values
+    const: Callable  # a number as a value
+    lift: Callable  # a value as an X-polynomial
+
+
+_FLOATS = _Values(operator.add, operator.sub, operator.mul, operator.truediv, operator.mul,
+                  math.exp, sum, lambda p, vs: [sum([p[0], *vs]), *p[1:]], float, xp)
+_XPOLYS = _Values(_xp_add, _xp_sub, xp_mul, lambda p, k: [c / k for c in p],
+                  lambda p, w: [c * w for c in p], xp_exp, _xp_sum,
+                  lambda p, vs: _xp_sum([p, *vs]), xp, list)
+
+
+@cache
+def _sum_terms(r_max: int, sign: float) -> list[list[tuple[int, float]]]:
+    """For r = 1..r_max, the terms sign^k f(x^(r k)) / k with r k <= r_max of
+    a sum over k, as (tail index r k - 2, weight sign^k / k)."""
+    return [[(r * k - 2, sign**k / k) for k in range(1, r_max // r + 1)]
+            for r in range(1, r_max + 1)]
+
+
 class JetPoint:
-    """The argument x(X) of a ring evaluation; caches the leaves read at it."""
+    """The argument x(X) of a ring evaluation, its cutoff and its leaves.
+
+    The cutoff R is the last r >= 1 with |x(0)|^r > TAIL_EPS; past it every
+    element reads its value at x = 0.  Values at r >= 2 are floats at a
+    constant point and X-polynomials at a moving one (``ops``).
+    """
 
     def __init__(self, x_of_X: list[float]):
-        if not abs(x_of_X[0]) < 1:
+        x0 = x_of_X[0]
+        if not abs(x0) < 1:
             raise ValueError("ring evaluation requires |x(0)| < 1")
         self.x = x_of_X
+        r_max = 1
+        while abs(x0) ** (r_max + 1) > TAIL_EPS:
+            r_max += 1
+        self.r_max = r_max
+        self._ys = [x0**r for r in range(1, r_max + 1)]
+        # x(X)^r = x0^r + shift_r, and shift_r^j is O(X^(j val)): Taylor
+        # orders past DEG // val cannot reach X^DEG
+        val = next((i for i, c in enumerate(x_of_X) if i and c), None)
+        self.ops = _FLOATS if val is None else _XPOLYS
+        self._taylor = 0 if val is None else DEG // val
+        self._shifts = []  # at r = 1..R, at a moving point
+        if val is not None:
+            power = x_of_X
+            for _ in range(r_max):
+                self._shifts.append([0.0, *power[1:]])
+                power = xp_mul(power, x_of_X)
         self._leaves: dict[PowerSeries, Jet] = {}
 
     def leaf(self, series: PowerSeries, at1: list[float] | None = None) -> "Jet":
-        """series(x(X)^r) as a ring element; ``at1`` replaces its value at r = 1."""
+        """series(x(X)^r) as a ring element; ``at1`` replaces its head, and
+        the tail, built once at this point, is shared."""
         base = self._leaves.get(series)
-        if base is None:
-            base = self._leaves[series] = _leaf(series, self.x)
-        if at1 is None:
-            return base
-        return Jet(base.x0, lambda r: at1 if r == 1 else base(r))
+        if base is None:  # its head is computed only if it is asked for
+            base = self._leaves[series] = Jet(
+                self, None, float(series.coeffs[0]),
+                partial(self._leaf_values, series, range(2, self.r_max + 1)))
+        if at1 is not None:
+            return Jet(self, at1, base.zero, base.tail)
+        if base.head is None:
+            base.head = self.ops.lift(self._leaf_values(series, range(1, 2))[0])
+        return base
 
+    def _leaf_values(self, series: PowerSeries, rs: range) -> list:
+        """series(x(X)^r) for r in rs, from one Horner pass per Taylor order.
 
-def _leaf(series: PowerSeries, x_of_X: list[float]) -> "Jet":
-    """r -> series(x(X)^r); past the cutoff only the constant term is left."""
-    x0 = x_of_X[0]
-    constant = not any(x_of_X[1:])
-    coeffs = [float(c) for c in reversed(series.coeffs)]  # converted once
-
-    def at(r: int) -> list[float]:
-        y = x0**r
-        if abs(y) <= TAIL_EPS:
-            return xp(coeffs[-1])
-        if not constant:
-            return series_at_xpoly(series, xp_pow(x_of_X, r))
-        v = 0.0
-        for c in coeffs:  # one Horner pass
-            v = v * y + c
-        return xp(v)
-
-    return Jet(x0, at, memo=True)
+        The passes run over all r together and give f^(j)(x0^r) / j! for
+        j = 0..J; at a moving point they are composed with shift_r.
+        """
+        ys = self._ys[rs.start - 1:rs.stop - 1]
+        top = self._taylor
+        b = [[0.0] * len(ys) for _ in range(top + 1)]
+        cs = series.coeffs
+        degree = max((n for n, c in enumerate(cs) if c), default=0)
+        for c in map(float, reversed(cs[:degree + 1])):  # zeros above it leave b at 0.0
+            for j in range(top, 0, -1):  # (x f)^(j) / j! = x f^(j) / j! + f^(j-1) / (j-1)!
+                b[j] = [v * y + w for v, w, y in zip(b[j], b[j - 1], ys)]
+            b[0] = [v * y + c for v, y in zip(b[0], ys)]
+        if not top:
+            return b[0]
+        out = []
+        for i, r in enumerate(rs):
+            shift = self._shifts[r - 1]
+            p = xp(b[top][i])
+            for j in range(top - 1, -1, -1):
+                p = xp_mul(p, shift)
+                p[0] += b[j][i]
+            out.append(p)
+        return out
 
 
 class Jet:
-    """Element f of the float ring: r -> f(x(X)^r) as X-polynomials, on demand.
+    """Element f of the float ring at a point x(X): the X-polynomial
+    f(x(X)) (the head), the values f(x(X)^r) at r = 2..R (the tail), and the
+    value f(0) that it reads past R.
 
-    The right-hand sides of :mod:`twolevel.gfsystem` run on these unchanged:
-    ring operations act on each r separately, a(x^k) reads index k r, and
-    MSet at r is exp(sum_k f(x^(r k))/k) over k = 1 and every further k
-    with |x0|^(r k) > TAIL_EPS.  The cutoff point x0 is x(0) for a leaf,
-    x0^k after substitute_power(k), and the larger in absolute value of the
-    operands' for a sum or product.
+    The right-hand sides of :mod:`twolevel.gfsystem` run on these unchanged.
+    The head is computed when the element is built, the tail once, on first
+    demand, as one list: only an MSet, a sum over r or a substitution reads
+    it.  a(x^k) reads index k r, and MSet at r is exp(sum_k f(x^(r k))/k)
+    over r k <= R.
     """
 
-    __slots__ = ("x0", "_at", "_memo")
+    __slots__ = ("point", "head", "zero", "_tail", "_make")
 
-    def __init__(self, x0: float, at, memo: bool = False):
-        self.x0 = x0
-        self._at = at
-        # only values that cost a Horner pass or a sum over k are kept; the
-        # rest are a few list operations, cheaper to redo than to hold
-        self._memo: dict[int, list[float]] | None = {} if memo else None
+    def __init__(self, point: JetPoint, head, zero: float, make_tail):
+        self.point = point
+        self.head = head
+        self.zero = zero
+        self._tail = None
+        self._make = make_tail
 
-    def __call__(self, r: int = 1) -> list[float]:
-        if self._memo is None:
-            return self._at(r)
-        v = self._memo.get(r)
-        if v is None:
-            v = self._memo[r] = self._at(r)
-        return v
+    def __call__(self) -> list[float]:
+        return self.head
 
-    def _multiples(self, r: int) -> range:
-        k = 1
-        while abs(self.x0) ** (r * (k + 1)) > TAIL_EPS:
-            k += 1
-        return range(1, k + 1)
+    def tail(self) -> list:
+        if self._tail is None:
+            self._tail, self._make = self._make(), None
+        return self._tail
 
-    def _zip(self, other, op) -> "Jet":
+    def _zip(self, other, name: str) -> "Jet":
+        # the X-polynomial operation on heads, the float one on values at 0
+        op, head_op, zero_op = (
+            getattr(self.point.ops, name), getattr(_XPOLYS, name), getattr(_FLOATS, name))
         if isinstance(other, int):  # a constant, the same at every r
-            c = xp(other)
-            return Jet(self.x0, lambda r: op(self(r), c))
+            c = self.point.ops.const(other)
+            return Jet(self.point, head_op(self.head, xp(other)), zero_op(self.zero, other),
+                       lambda: [op(v, c) for v in self.tail()])
         if not isinstance(other, Jet):
             return NotImplemented
-        # the cutoff of the operand that reaches further, so that no sum or
-        # product cuts a term that one of its operands still needs
-        x0 = max(self.x0, other.x0, key=abs)
-        return Jet(x0, lambda r: op(self(r), other(r)))
+        return Jet(self.point, head_op(self.head, other.head), zero_op(self.zero, other.zero),
+                   lambda: list(map(op, self.tail(), other.tail())))
 
     def __add__(self, other):
-        return self._zip(other, _xp_add)
+        return self._zip(other, "add")
 
     def __sub__(self, other):
-        return self._zip(other, _xp_sub)
+        return self._zip(other, "sub")
 
     def __mul__(self, other):
-        return self._zip(other, xp_mul)
+        return self._zip(other, "mul")
 
     __rmul__ = __mul__
 
     def __truediv__(self, k: int) -> "Jet":
-        return Jet(self.x0, lambda r: [c / k for c in self(r)])
+        div = self.point.ops.div
+        return Jet(self.point, [c / k for c in self.head], self.zero / k,
+                   lambda: [div(v, k) for v in self.tail()])
 
     def substitute_power(self, k: int) -> "Jet":
-        # f(x^k) is cut where x0^k is, as a leaf at the point x0^k would be
-        return Jet(self.x0**k, lambda r: self(k * r))
+        if k < 1:
+            raise ValueError("substitution power must be >= 1")
+        if k == 1:
+            return self
+        point = self.point
+        r_max, t = point.r_max, self.tail()
+        head = point.ops.lift(t[k - 2]) if k <= r_max else xp(self.zero)
+
+        def tail():
+            # index k r for r = 2..R; past R the value at 0
+            values = t[2 * k - 2::k]
+            return values + [point.ops.const(self.zero)] * (r_max - 1 - len(values))
+
+        return Jet(point, head, self.zero, tail)
 
     def substitution_sum(self) -> "Jet":
-        return Jet(self.x0, lambda r: _xp_sum(self(r * k) for k in self._multiples(r)),
-                   memo=True)
+        ops, t = self.point.ops, self.tail()
+        terms = _sum_terms(self.point.r_max, 1.0)[1:]
+        return Jet(self.point, ops.onto(self.head, t), self.zero,
+                   lambda: [ops.sum([t[i] for i, _ in ts]) for ts in terms])
 
     def mset(self, signed: bool = False) -> "Jet":
-        sign = -1.0 if signed else 1.0
-        return Jet(self.x0, lambda r: xp_exp(
-            _xp_sum([c * (sign**k / k) for c in self(r * k)] for k in self._multiples(r))),
-            memo=True)
+        if self.zero:
+            raise ValueError("multiset operator requires zero constant term")
+        ops, t = self.point.ops, self.tail()
+        terms = _sum_terms(self.point.r_max, -1.0 if signed else 1.0)
+        (_, w1), *rest = terms[0]
+        head = xp_exp(ops.onto([c * w1 for c in self.head],
+                               [ops.scale(t[i], w) for i, w in rest]))
+        return Jet(self.point, head, 1.0, lambda: [
+            ops.exp(ops.sum([ops.scale(t[i], w) for i, w in ts])) for ts in terms[1:]])
 
     mset2 = PowerSeries.mset2
     mset_odd = PowerSeries.mset_odd
@@ -371,8 +447,10 @@ def solve_char_system(
 
 # -- singular expansions --------------------------------------------------
 
+@lru_cache(maxsize=1)
 def _branch_point(rho: float) -> JetPoint:
-    """x(X) = rho (1 - X^2)."""
+    """x(X) = rho (1 - X^2); kept, so that expand_T reads the leaves that
+    singular_expansions built there."""
     return JetPoint(xp(rho, 0.0, -rho))
 
 

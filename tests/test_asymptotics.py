@@ -1,8 +1,10 @@
 import math
+from collections import Counter
 
 import pytest
 
 from twolevel import asymptotics as asy
+from twolevel import cli
 from twolevel import gfsystem as gf
 from twolevel.powerseries import PowerSeries
 
@@ -19,6 +21,25 @@ def close(want):
 def _pairs(p, sd):
     """The pair class of the self-dual bound, as `cmd_asympt` builds it."""
     return gf.pair_class(p, sd.s_U_paper)
+
+
+# The reference route for the ring's leaves, which shares no step with its
+# Horner kernel: series(x(X)^r) by Horner's rule over X-polynomials.
+
+def xp_pow(p, r):
+    out = asy.xp(1.0)
+    for _ in range(r):
+        out = asy.xp_mul(out, p)
+    return out
+
+
+def series_at_xpoly(series, arg):
+    """Expansion of series(arg(X)) as an X-polynomial, by Horner's rule."""
+    out = asy.xp()
+    for c in reversed(series.coeffs):
+        out = asy.xp_mul(out, arg)
+        out[0] += float(c)
+    return out
 
 
 class TestXPolyHelpers:
@@ -45,7 +66,7 @@ class TestXPolyHelpers:
     def test_series_at_xpoly_is_shifted_taylor(self):
         # (x)^2 expanded at x = 2 + u: 4 + 4u + u^2
         sq = PowerSeries.from_coeffs([0, 0, 1], 4)
-        out = asy.series_at_xpoly(sq, asy.xp(2.0, 1.0))
+        out = series_at_xpoly(sq, asy.xp(2.0, 1.0))
         assert out[:3] == close([4.0, 4.0, 1.0])
         assert out[3:] == close([0.0] * (asy.DEG - 2))
 
@@ -304,35 +325,112 @@ class TestSelfDualGrowth:
 
 
 class TestJetTailCutoff:
-    """A substituted or combined element is cut at the point it is read at."""
+    """Every element at a point is cut at the point's R, the last r with
+    |x(0)|^r > TAIL_EPS; past R it reads its value at 0."""
 
     X0 = 0.4
 
-    def leaf(self, pointed30):
-        return asy.JetPoint(asy.xp(self.X0)).leaf(pointed30.a_R)
+    def leaf(self, pointed30, x0=X0):
+        return asy.JetPoint(asy.xp(x0)).leaf(pointed30.a_R)
 
-    def test_substitution_stops_at_the_leafs_cutoff(self, pointed30):
-        f = self.leaf(pointed30)
-        for r in (1, 2, 3):
-            ks = f.substitute_power(2)._multiples(r)
-            # index 2 r k is read; the leaf gives more than its constant
-            # term there, and not one step further
-            assert all(self.X0 ** (2 * r * k) > asy.TAIL_EPS for k in ks)
-            assert self.X0 ** (2 * r * (ks[-1] + 1)) <= asy.TAIL_EPS
+    def test_substitution_reads_nothing_past_the_cutoff(self, pointed30):
+        # f = a_R + 1 is 1 at 0, so a read past R shows as exactly 1.0
+        f = self.leaf(pointed30) + 1
+        r_max = f.point.r_max
+        assert self.X0**r_max > asy.TAIL_EPS >= self.X0 ** (r_max + 1)
+        tail = f.substitute_power(2).tail()
+        assert len(tail) == r_max - 1
+        for r, value in enumerate(tail, 2):
+            if 2 * r <= r_max:  # index 2 r, evaluated
+                assert value == pointed30.a_R.eval_float(self.X0 ** (2 * r)) + 1.0
+            else:
+                assert value == 1.0
 
-    def test_sum_keeps_the_larger_cutoff(self, pointed30):
-        f = self.leaf(pointed30)
-        g = f.substitute_power(2)
-        assert g.x0 == pytest.approx(self.X0**2)
-        assert (f + g).x0 == (g + f).x0 == (f * g).x0 == (g - f).x0 == self.X0
+    def test_sum_and_product_are_cut_at_the_point(self, pointed30):
+        # g = f(x^2) reads its value at 0 past r = R / 2; a sum or product
+        # with it runs to the R of its point, not to g's R / 2
+        for x0 in (self.X0, 0.2):
+            f = self.leaf(pointed30, x0)
+            g = f.substitute_power(2)
+            r_max = f.point.r_max
+            assert x0**r_max > asy.TAIL_EPS >= x0 ** (r_max + 1)
+            assert g.tail()[r_max // 2 - 1:] == [0.0] * (r_max - r_max // 2)
+            for h, op in ((f + g, float.__add__), (f * g, float.__mul__),
+                          (g - f, float.__rsub__)):
+                assert h.point is f.point
+                assert h.tail() == list(map(op, f.tail(), g.tail()))
+                assert len(h.tail()) == r_max - 1
 
     def test_mset_of_substituted_leaf_is_exact(self, pointed30):
-        # the reads past the leaf's cutoff are its constant term 0, so the
-        # cut sum is the uncut one, bit for bit
+        # MSet sums k = 1..R, but the terms past R / 2 are the value at 0,
+        # 0.0, so it is the sum cut at 2 k <= R, bit for bit (the ring's
+        # weights are 1.0 / k)
         f = self.leaf(pointed30)
-        uncut = asy.xp_exp(asy._xp_sum([c / k for c in f(2 * k)] for k in f._multiples(1)))
-        assert len(f.substitute_power(2)._multiples(1)) < len(f._multiples(1))
-        assert f.substitute_power(2).mset()() == uncut
+        r_max = f.point.r_max
+        cut = sum([pointed30.a_R.eval_float(self.X0 ** (2 * k)) * (1.0 / k)
+                   for k in range(1, r_max // 2 + 1)])
+        assert f.substitute_power(2).mset()() == asy.xp(math.exp(cut))
+
+
+class TestLeafKernel:
+    """The leaves' Horner kernel against the reference route, and the tails
+    it builds once."""
+
+    @pytest.mark.parametrize("x_of_X, taylor", [
+        (asy.xp(RHO, 0.0, -RHO), 2), (asy.xp(RHO, 0.0, 1.0), 2), (asy.xp(0.1, 1.0), 5)],
+        ids=["branch_point", "x_plus_X2", "0.1_plus_X"])
+    def test_leaf_matches_horner_reference(self, x_of_X, taylor, pointed30):
+        point = asy.JetPoint(x_of_X)
+        assert point._taylor == taylor
+        for series in (pointed30.a_R, pointed30.a_U, pointed30.a_leg):
+            leaf = point.leaf(series)
+            got = [leaf(), *leaf.tail()]
+            assert len(got) == point.r_max
+            for r, value in enumerate(got, 1):
+                want = series_at_xpoly(series, xp_pow(x_of_X, r))
+                assert value == pytest.approx(want, rel=1e-13, abs=0), r
+
+    def test_each_tail_is_built_once(self, monkeypatch, capsys):
+        # every node builds its tail at most once, and every leaf once per point
+        nodes, leaves = [], Counter()
+        init, values = asy.Jet.__init__, asy.JetPoint._leaf_values
+
+        def counted_init(self, point, head, zero, make_tail):
+            builds = [0]
+            nodes.append(builds)
+
+            def make():
+                builds[0] += 1
+                return make_tail()
+
+            init(self, point, head, zero, make)
+
+        def counted_values(point, series, rs):
+            if rs.start == 2:
+                leaves[point, series] += 1
+            return values(point, series, rs)
+
+        monkeypatch.setattr(asy.Jet, "__init__", counted_init)
+        monkeypatch.setattr(asy.JetPoint, "_leaf_values", counted_values)
+        asy._branch_point.cache_clear()
+        assert cli.main(["asympt"]) == 0
+        assert max(builds for builds, in nodes) == 1
+        assert leaves and set(leaves.values()) == {1}
+
+    @pytest.mark.parametrize("command", ["asympt", "bound"])
+    def test_one_branch_point_per_command(self, command, monkeypatch, capsys):
+        # singular_expansions and expand_T share x(X) = rho (1 - X^2)
+        built = []
+
+        class Counted(asy.JetPoint):
+            def __init__(self, x_of_X):
+                built.append(x_of_X)
+                super().__init__(x_of_X)
+
+        monkeypatch.setattr(asy, "JetPoint", Counted)
+        asy._branch_point.cache_clear()
+        assert cli.main([command]) == 0
+        assert sum(x[2] < 0.0 for x in built) == 1
 
 
 class TestJetRing:
@@ -357,7 +455,7 @@ class TestJetRing:
 
         def check(ring_result, int_result, solved):
             assert int_result.truncate(solved.order) == solved
-            want = asy.series_at_xpoly(int_result, x_of_X)
+            want = series_at_xpoly(int_result, x_of_X)
             assert ring_result() == pytest.approx(want, rel=1e-12, abs=0)
 
         return inputs, check

@@ -255,6 +255,46 @@ class TestLooseTol:
             "10", "20", "50", "100"]
 
 
+class TestPinnedOutputs:
+    """The default ``--format json`` outputs of ``bound`` and ``asympt``,
+    captured before the float ring evaluated by r in flat lists: ``bound``
+    byte for byte, and ``asympt``'s value column (its residuals may move in
+    their last digits)."""
+
+    BOUND = (
+        '{"data": ['
+        '{"kind": "exact", "lower_bound": 1, "n": 3, "selfdual": 0, "trees": 2}, '
+        '{"kind": "exact", "lower_bound": 3, "n": 4, "selfdual": 2, "trees": 4}, '
+        '{"kind": "exact", "lower_bound": 5, "n": 5, "selfdual": 0, "trees": 10}, '
+        '{"kind": "exact", "lower_bound": 16, "n": 6, "selfdual": 5, "trees": 27}, '
+        '{"kind": "exact", "lower_bound": 39, "n": 7, "selfdual": 0, "trees": 78}, '
+        '{"kind": "exact", "lower_bound": 131, "n": 8, "selfdual": 16, "trees": 246}, '
+        '{"kind": "asymptotic", "lower_bound": "919.4025751",'
+        ' "n": 10, "selfdual": "", "trees": ""}, '
+        '{"kind": "asymptotic", "lower_bound": "1246233145",'
+        ' "n": 20, "selfdual": "", "trees": ""}, '
+        '{"kind": "asymptotic", "lower_bound": "5.685320986e+28",'
+        ' "n": 50, "selfdual": "", "trees": ""}, '
+        '{"kind": "asymptotic", "lower_bound": "2.663930289e+62",'
+        ' "n": 100, "selfdual": "", "trees": ""}], '
+        '"meta": {"order": 30, "tree_cap": 8}}'
+        "\n")
+    ASYMPT_VALUES = [
+        '0.2048958409', '4.880528544', '0.1352917428', '0.06921672873', '-0.2313762202',
+        '0.04653887816', '0.06281332384', '-0.1934042019', '0.1504532272', '0.01018057653',
+        '0.0345794622', '-0.1859638371', '0.1792176645', '1.035268528', '-0.1925225079',
+        '0.1855384077', '0.0758345546', '0.07850912772', '0.0379172773', '-2.5',
+        'branch point at x = 0.39300104 (s = 0.46526138), inside (0, 0.45265422]',
+    ]
+
+    def test_bound(self, capsys):
+        assert run(["--format", "json", "bound"], capsys)[1] == self.BOUND
+
+    def test_asympt_values(self, capsys):
+        doc = json.loads(run(["--format", "json", "asympt"], capsys)[1])
+        assert [row["value"] for row in doc["data"]] == self.ASYMPT_VALUES
+
+
 class TestDeterminism:
     def test_identical_runs_identical_output(self, capsys):
         _, out1, _ = run(["--order", "10", "--format", "json", "coeffs", "sbound"], capsys)
