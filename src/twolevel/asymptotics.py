@@ -514,7 +514,7 @@ def expand_T(exp_: SingularExpansion, a_R: PowerSeries, a_U: PowerSeries) -> lis
     point = _branch_point(exp_.rho)
     p = gf.PointedSeries(point.leaf(a_R, exp_.a), point.leaf(a_U, exp_.u),
                          point.leaf(PowerSeries.x(a_R.order)))
-    return gf.assemble_T(p).t()
+    return gf.assemble_T(p)()
 
 
 def expand_forests(t_poly: list[float], t_series: PowerSeries, rho: float) -> list[float]:

@@ -22,7 +22,17 @@ from typing import NamedTuple
 
 from . import gfsystem as gf
 
-SERIES_NAMES = ("T", "AR", "AU", "SU_paper", "SU_corrected", "sbound", "forest")
+# the series `coeffs` prints, each read from the pointed series; gfsystem's
+# names are looked up at each call, so a wrapper installed on them sees it
+SERIES = {
+    "T": lambda p: gf.assemble_T(p),
+    "AR": lambda p: p.a_R,
+    "AU": lambda p: p.a_U,
+    "SU_paper": lambda p: gf.compute_selfdual(p, "paper"),
+    "SU_corrected": lambda p: gf.compute_selfdual(p, "corrected"),
+    "sbound": lambda p: gf.compute_s_bound(p, gf.compute_selfdual(p, "paper")),
+    "forest": lambda p: gf.compute_forests(gf.assemble_T(p)),
+}
 
 
 class _RunFields(NamedTuple):
@@ -82,27 +92,8 @@ def _emit(config: RunConfig, meta: dict, columns: list[str], rows: list[list],
             out.write("  ".join(str(v).ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
 
 
-def _named_series(name: str, config: RunConfig):
-    p = gf.solve_pointed(config.order)
-    if name == "AR":
-        return p.a_R
-    if name == "AU":
-        return p.a_U
-    if name == "T":
-        return gf.assemble_T(p).t
-    if name == "forest":
-        return gf.compute_forests(gf.assemble_T(p).t)
-    if name == "SU_paper":
-        return gf.compute_selfdual(p, "paper")
-    if name == "SU_corrected":
-        return gf.compute_selfdual(p, "corrected")
-    if name == "sbound":
-        return gf.compute_s_bound(p, gf.compute_selfdual(p, "paper"))
-    raise ValueError(f"unknown series {name!r}")
-
-
 def cmd_coeffs(args, config: RunConfig) -> int:
-    series = _named_series(args.series, config)
+    series = SERIES[args.series](gf.solve_pointed(config.order))
     rows = [[n, c] for n, c in enumerate(series.integer_coeffs())]
     _emit(config, {"series": args.series, "order": config.order}, ["n", "coefficient"], rows)
     return 0
@@ -121,9 +112,10 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
 
     out = out or sys.stdout
     p = pointed or gf.solve_pointed(config.order)
-    t = t if t is not None else gf.assemble_T(p).t
-    sd = gf.solve_selfdual(p)
-    s2 = gf.assemble_S2(p, sd.s_U_corrected)
+    t = t if t is not None else gf.assemble_T(p)
+    s_U_paper = gf.compute_selfdual(p, "paper")
+    s_U_corrected = gf.compute_selfdual(p, "corrected")
+    s2 = gf.assemble_S2(p, s_U_corrected)
     n_max = min(config.tree_cap, umr.TREE_CAP, t.order)
     rows = []
 
@@ -136,15 +128,14 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
     sizes = range(3, n_max + 1)
     paper_hits = corrected_hits = 0
     for n in sizes:
-        trees = umr.enumerate_umr_trees(n)
         self_dual = umr.count_self_dual(n)
-        add(n, "trees", len(trees), t.coeff(n))
+        add(n, "trees", umr.count_trees(n), t.coeff(n))
         add(n, "selfdual_trees", self_dual, s2.coeff(n))
         add(n, "pointed_R", umr.pointed_count(n, "R"), p.a_R.coeff(n))
         add(n, "pointed_U", umr.pointed_count(n, "U"), p.a_U.coeff(n))
         sdp = umr.count_self_dual_pointed(n)
-        paper_hits += sdp == sd.s_U_paper.coeff(n)
-        corrected_hits += sdp == sd.s_U_corrected.coeff(n)
+        paper_hits += sdp == s_U_paper.coeff(n)
+        corrected_hits += sdp == s_U_corrected.coeff(n)
         if n > 7:
             continue
         # matroid-level checks; the matroid of a tree with n legs has n elements
@@ -153,7 +144,7 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
             if n <= 6:
                 skip(n, "selfdual_matroid")
             continue
-        ms = [umr.tree_to_matroid(x) for x in trees]
+        ms = [umr.tree_to_matroid(x) for x in umr.enumerate_umr_trees(n)]
         distinct = bool(ms) and not any(mat.is_isomorphic(a, b) for a, b in combinations(ms, 2))
         add(n, "matroids_distinct", distinct, True)
         if n <= 6:
@@ -211,7 +202,7 @@ def cmd_asympt(args, config: RunConfig) -> int:
 
     p = gf.solve_pointed(config.order)
     char, se, t_poly, transfer = _tree_asymptotics(p, config)
-    f_poly = asy.expand_forests(t_poly, gf.assemble_T(p).t, char.rho)
+    f_poly = asy.expand_forests(t_poly, gf.assemble_T(p), char.rho)
     est_t, est_f = transfer(t_poly), transfer(f_poly)
     s_U_paper = gf.compute_selfdual(p, "paper")
     report = asy.verify_selfdual_growth(gf.compute_s_bound(p, s_U_paper),
@@ -242,7 +233,7 @@ def cmd_bound(args, config: RunConfig) -> int:
     from . import asymptotics as asy
 
     p = gf.solve_pointed(config.order)
-    t = gf.assemble_T(p).t
+    t = gf.assemble_T(p)
     s2 = gf.assemble_S2(p, gf.compute_selfdual(p, "corrected"))
     counts = (t + s2) / 2  # raises ArithmeticError where L2 + S2 is odd
     n_max = min(config.tree_cap, config.order)
@@ -279,7 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="output format")
     sub = parser.add_subparsers(dest="command", required=True)
     p_coeffs = sub.add_parser("coeffs", help="print exact series coefficients")
-    p_coeffs.add_argument("series", choices=SERIES_NAMES)
+    p_coeffs.add_argument("series", choices=SERIES)
     p_coeffs.set_defaults(func=cmd_coeffs)
     p_verify = sub.add_parser("verify", help="cross-check series vs enumeration")
     p_verify.set_defaults(func=lambda args, config: run_verify(config))

@@ -2,7 +2,9 @@
 
 Solves the fixed-point equations for the pointed tree series, assembles the
 unrooted series T(x) and S2(x) (self-dual trees) by the dissymmetry identity,
-and derives the self-dual pointed, bounding and forest series.
+and derives the self-dual pointed, bounding and forest series.  Each of these
+is one ``PowerSeries`` returned by its own function, so a caller solves only
+the series it reads; only the pointed solve returns its series together.
 
 Duality swaps R- and M-vertices, so the M-pointed series equals the R-pointed
 one.  The pointed system is solved on that slice, a_M = a_R, in two unknowns
@@ -32,23 +34,6 @@ class PointedSeries(NamedTuple):
     def a_M(self) -> PowerSeries:
         """Duality swaps R and M, so the M-pointed series is the R-pointed one."""
         return self.a_R
-
-
-class UnrootedSeries(NamedTuple):
-    """T(x) together with its vertex-, edge-, and directed-edge-rooted parts."""
-
-    t: PowerSeries
-    t_v: PowerSeries
-    t_e: PowerSeries
-    t_d: PowerSeries
-
-
-class SelfDualSeries(NamedTuple):
-    """Self-dual pointed series (both variants) and the bounding series."""
-
-    s_U_paper: PowerSeries
-    s_U_corrected: PowerSeries
-    s_bound: PowerSeries
 
 
 def _fixed_point(rhs, known, unknowns: int):
@@ -118,7 +103,7 @@ def solve_pointed(order: int) -> PointedSeries:
     return PointedSeries(a_R, a_U, leg)
 
 
-def assemble_T(p: PointedSeries) -> UnrootedSeries:
+def assemble_T(p: PointedSeries) -> PowerSeries:
     """Unrooted series by the dissymmetry identity T = T_v + T_e - T_d."""
     a_R, a_M, a_U, leg = p.a_R, p.a_M, p.a_U, p.a_leg
     s = a_R + a_M + a_U + leg
@@ -136,8 +121,7 @@ def assemble_T(p: PointedSeries) -> UnrootedSeries:
     # multisets of at least three components
     t_U = a_U - (s.mset() - 1 - s - s.mset2())
     t_v = t_R + t_M + t_U + t_bullet
-    t = t_v + t_e - t_d
-    return UnrootedSeries(t, t_v, t_e, t_d)
+    return t_v + t_e - t_d
 
 
 def pair_class(p: PointedSeries, s_U: PowerSeries) -> PowerSeries:
@@ -201,12 +185,6 @@ def compute_s_bound(p: PointedSeries, s_U_paper: PowerSeries) -> PowerSeries:
     """Bounding series dominating the self-dual pointed series."""
     (s,) = _fixed_point(_s_bound_rhs, (pair_class(p, s_U_paper), p.a_leg), 1)
     return s
-
-
-def solve_selfdual(p: PointedSeries) -> SelfDualSeries:
-    s_paper = compute_selfdual(p, "paper")
-    s_corrected = compute_selfdual(p, "corrected")
-    return SelfDualSeries(s_paper, s_corrected, compute_s_bound(p, s_paper))
 
 
 def compute_forests(t: PowerSeries) -> PowerSeries:

@@ -142,19 +142,9 @@ class PowerSeries:
             if isinstance(other, int):
                 return self.scale(other)
             return NotImplemented
-        n = min(self.order, other.order)
-        a = self._coeffs
-        b = other._coeffs
-        out = [0] * (n + 1)
-        for i in range(n + 1):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(n + 1 - i):
-                bj = b[j]
-                if bj:
-                    out[i + j] += ai * bj
-        return PowerSeries(out)
+        a, b = self._coeffs, other._coeffs
+        return PowerSeries([sum(map(mul, a[:k + 1], b[k::-1]))
+                            for k in range(min(self.order, other.order) + 1)])
 
     # -- combinatorial operators ---------------------------------------
 
@@ -194,9 +184,9 @@ class PowerSeries:
             if da:
                 for r, k in enumerate(range(d, n + 1, d), 1):
                     c[k] += -da if signed and r % 2 else da
-        b = [1] + [0] * n
+        b = [1]
         for m in range(1, n + 1):
-            b[m] = _exact_div(sum(c[k] * b[m - k] for k in range(1, m + 1)), m)
+            b.append(_exact_div(sum(map(mul, c[1:m + 1], reversed(b))), m))
         return PowerSeries(b)
 
     def mset2(self) -> "PowerSeries":

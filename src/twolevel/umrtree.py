@@ -364,6 +364,11 @@ def enumerate_umr_trees(n: int) -> list[UMRTree]:
     return [_node_to_tree(root) for root in _rooted_trees(n)]
 
 
+def count_trees(n: int) -> int:
+    """T(n): UMR-trees with n legs, counted without building their records."""
+    return len(_rooted_trees(n))
+
+
 def count_self_dual(n: int) -> int:
     """S2(n): self-dual UMR-trees with n legs, decided on the centre
     rootings (``is_self_dual_tree`` is the canonical-form route)."""

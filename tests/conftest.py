@@ -1,10 +1,26 @@
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 from twolevel import asymptotics as asy
 from twolevel import gfsystem as gf
+from twolevel.powerseries import PowerSeries
+
+
+class SelfDualSeries(NamedTuple):
+    """The self-dual series the tests read: both pointed variants and the bound."""
+
+    s_U_paper: PowerSeries
+    s_U_corrected: PowerSeries
+    s_bound: PowerSeries
+
+
+def _solve_selfdual(p: gf.PointedSeries) -> SelfDualSeries:
+    s_U_paper = gf.compute_selfdual(p, "paper")
+    return SelfDualSeries(s_U_paper, gf.compute_selfdual(p, "corrected"),
+                          gf.compute_s_bound(p, s_U_paper))
 
 
 @pytest.fixture(scope="session")
@@ -14,12 +30,19 @@ def pointed30():
 
 @pytest.fixture(scope="session")
 def unrooted30(pointed30):
+    """T(x) at order 30."""
     return gf.assemble_T(pointed30)
 
 
 @pytest.fixture(scope="session")
+def solve_selfdual():
+    """Builds the self-dual series of a pointed solution."""
+    return _solve_selfdual
+
+
+@pytest.fixture(scope="session")
 def selfdual30(pointed30):
-    return gf.solve_selfdual(pointed30)
+    return _solve_selfdual(pointed30)
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ def report(number: int, passed: bool, summary: str) -> None:
 
 def test_criterion_1_exact_coefficients():
     start = time.perf_counter()
-    t = gf.assemble_T(gf.solve_pointed(30)).t
+    t = gf.assemble_T(gf.solve_pointed(30))
     elapsed = time.perf_counter() - start
     expected = [2, 4, 10, 27, 78, 246, 818, 2871, 10446, 39358]
     got = t.integer_coeffs()[3:13]
@@ -37,7 +37,7 @@ def test_criterion_1_exact_coefficients():
 
 def test_criterion_2_bijection_check():
     start = time.perf_counter()
-    t = gf.assemble_T(gf.solve_pointed(10)).t
+    t = gf.assemble_T(gf.solve_pointed(10))
     counts_ok = all(
         len(umr.enumerate_umr_trees(n)) == int(t.coeff(n)) for n in range(3, 9)
     )
@@ -80,7 +80,7 @@ def test_criterion_4_constants():
     char = asy.solve_char_system(p30.a_R, p30.a_U)
     se = asy.singular_expansions(char, p30.a_R, p30.a_U)
     t_poly = asy.expand_T(se, p30.a_R, p30.a_U)
-    f_poly = asy.expand_forests(t_poly, gf.assemble_T(p30).t, char.rho)
+    f_poly = asy.expand_forests(t_poly, gf.assemble_T(p30), char.rho)
     c_tree = asy.transfer(t_poly, char.rho, 1e-12).amplitude
     c_forest = asy.transfer(f_poly, char.rho, 1e-12).amplitude
     targets = [
@@ -189,8 +189,8 @@ def test_criterion_5_property_suites(reference):
            + ("" if ok else f"; failed: {sorted(set(failures))}"))
 
 
-def test_criterion_6_selfdual_arbitration():
-    sd = gf.solve_selfdual(gf.solve_pointed(10))
+def test_criterion_6_selfdual_arbitration(solve_selfdual):
+    sd = solve_selfdual(gf.solve_pointed(10))
     paper_all = corrected_all = True
     for n in range(3, 8):
         count = umr.count_self_dual_pointed(n)
@@ -221,7 +221,7 @@ def two_step_growth(series: PowerSeries, n: int) -> float:
     return math.sqrt(c[n] / c[n - 2] * (n / (n - 2)) ** 1.5)
 
 
-def test_criterion_7_selfdual_growth():
+def test_criterion_7_selfdual_growth(solve_selfdual):
     # The self-dual bound s(x) must grow strictly slower than rho^(-n): its
     # first branch point lies beyond rho, and the exact coefficients grow at
     # the rate that point predicts.  The paper's sharper claim, that s(x)
@@ -229,7 +229,7 @@ def test_criterion_7_selfdual_growth():
     # exact self-dual series already branches before sqrt(rho).
     p = gf.solve_pointed(30)
     char = asy.solve_char_system(p.a_R, p.a_U)
-    sd = gf.solve_selfdual(p)
+    sd = solve_selfdual(p)
     scan = asy.verify_selfdual_growth(sd.s_bound, gf.pair_class(p, sd.s_U_paper), char.rho,
                                       1e-12)
     claimed = char.rho ** -0.5
@@ -246,7 +246,7 @@ def test_criterion_7_selfdual_growth():
 
 def test_criterion_8_empirical_transfer():
     start = time.perf_counter()
-    t200 = gf.assemble_T(gf.solve_pointed(200)).t
+    t200 = gf.assemble_T(gf.solve_pointed(200))
     elapsed = time.perf_counter() - start
     rho = 0.20489584088646864
     amp = float(t200.coeff(150)) * 150**2.5 * rho**150
@@ -259,7 +259,7 @@ def test_criterion_8_empirical_transfer():
 
 def test_criterion_9_lower_bound_table():
     p = gf.solve_pointed(10)
-    t = gf.assemble_T(p).t
+    t = gf.assemble_T(p)
     s2 = gf.assemble_S2(p, gf.compute_selfdual(p, "corrected"))
     selfdual = [0] * 9
     for n in range(3, 9):

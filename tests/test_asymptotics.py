@@ -216,14 +216,14 @@ class TestExpandT:
 
     def test_T0_equals_series_value_at_rho(self, expansion30, pointed30, char30):
         t_poly = asy.expand_T(expansion30, pointed30.a_R, pointed30.a_U)
-        t200 = gf.assemble_T(gf.solve_pointed(200)).t
+        t200 = gf.assemble_T(gf.solve_pointed(200))
         assert t_poly[0] == pytest.approx(t200.eval_float(char30.rho), abs=2e-5)
 
 
 class TestForests:
     def test_constants(self, expansion30, pointed30, unrooted30, char30):
         t_poly = asy.expand_T(expansion30, pointed30.a_R, pointed30.a_U)
-        f_poly = asy.expand_forests(t_poly, unrooted30.t, char30.rho)
+        f_poly = asy.expand_forests(t_poly, unrooted30, char30.rho)
         assert f_poly[0] == pytest.approx(1.03526853, abs=TOL)
         assert f_poly[2] == pytest.approx(-0.19252251, abs=TOL)
         assert f_poly[3] == pytest.approx(0.18553841, abs=TOL)
@@ -234,7 +234,7 @@ class TestForests:
 class TestTransfer:
     def test_amplitudes(self, expansion30, pointed30, unrooted30, char30):
         t_poly = asy.expand_T(expansion30, pointed30.a_R, pointed30.a_U)
-        f_poly = asy.expand_forests(t_poly, unrooted30.t, char30.rho)
+        f_poly = asy.expand_forests(t_poly, unrooted30, char30.rho)
         est_t = asy.transfer(t_poly, char30.rho, RUN_TOL)
         est_f = asy.transfer(f_poly, char30.rho, RUN_TOL)
         assert est_t.amplitude == pytest.approx(0.07583455, abs=TOL)
@@ -472,8 +472,8 @@ class TestJetRing:
         inputs, check = both
         p = pointed30
         ring, ints = inputs(p.a_R, p.a_U, p.a_leg)
-        check(gf.assemble_T(gf.PointedSeries(*ring)).t,
-              gf.assemble_T(gf.PointedSeries(*ints)).t, unrooted30.t)
+        check(gf.assemble_T(gf.PointedSeries(*ring)),
+              gf.assemble_T(gf.PointedSeries(*ints)), unrooted30)
 
     def test_s_bound_rhs(self, both, pointed30, selfdual30):
         inputs, check = both

@@ -72,6 +72,17 @@ class TestCoeffs:
         assert rows[0] == ["n", "coefficient"]
         assert rows[1 + 5] == ["5", "10"]
 
+    @pytest.mark.parametrize("name, series", [
+        ("AU", lambda p: p.a_U),
+        ("SU_paper", lambda p: gf.compute_selfdual(p, "paper")),
+        ("SU_corrected", lambda p: gf.compute_selfdual(p, "corrected")),
+    ], ids=["AU", "SU_paper", "SU_corrected"])
+    def test_named_series(self, capsys, name, series):
+        code, out, _ = run(["--order", "10", "--format", "json", "coeffs", name], capsys)
+        assert code == 0
+        got = [row["coefficient"] for row in json.loads(out)["data"]]
+        assert got == series(gf.solve_pointed(10)).integer_coeffs()
+
     def test_unknown_series_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["coeffs", "nope"])
@@ -93,7 +104,7 @@ class TestVerify:
     def test_corrupted_series_fails(self, capsys):
         config = cli.RunConfig(order=10, tree_cap=5)
         p = gf.solve_pointed(10)
-        t = gf.assemble_T(p).t
+        t = gf.assemble_T(p)
         corrupted = t + PowerSeries.from_coeffs([0, 0, 0, 1], t.order)
         buf = io.StringIO()
         code = cli.run_verify(config, t=corrupted, pointed=p, out=buf)
@@ -118,6 +129,30 @@ class TestVerify:
         assert "MISMATCH" not in status.values()
         # only the sizes whose rows run are realised as matroids
         assert realised and max(realised) <= 5
+
+    def test_builds_tree_records_only_for_matroid_rows(self, capsys, monkeypatch):
+        built = []
+
+        def enumerate_umr_trees(n, enumerate_=umr.enumerate_umr_trees):
+            built.append(n)
+            return enumerate_(n)
+
+        monkeypatch.setattr(umr, "enumerate_umr_trees", enumerate_umr_trees)
+        code, out, _ = run(["--order", "12", "--tree-cap", "9", "--format", "json", "verify"],
+                           capsys)
+        assert code == 0
+        assert "MISMATCH" not in out
+        # sizes 8 and 9 are counted, but only sizes up to 7 are realised
+        assert built == [3, 4, 5, 6, 7]
+
+    def test_solves_no_bounding_series(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("verify solved the bounding series")
+
+        monkeypatch.setattr(gf, "compute_s_bound", refuse)
+        code, out, _ = run(["--order", "10", "--tree-cap", "5", "verify"], capsys)
+        assert code == 0
+        assert "MISMATCH" not in out
 
     def test_no_enumerated_size_is_skipped(self, capsys):
         code, out, _ = run(["--tree-cap", "2", "--format", "json", "verify"], capsys)
@@ -160,9 +195,10 @@ class TestVerify:
         rows = [r for r in json.loads(out)["data"] if r["check"] == "selfdual_trees"]
         assert [(r["n"], r["enumerated"], r["status"]) for r in rows] == [
             (3, 0, "ok"), (4, 2, "ok"), (5, 0, "ok"), (6, 5, "ok")]
-        # each size is enumerated once, and its self-dual count reuses it
+        # each size is enumerated once; its self-dual count and its matroid
+        # rows reuse it
         info = umr._rooted_trees.cache_info()
-        assert (info.misses, info.hits) == (4, 4)
+        assert (info.misses, info.hits) == (4, 8)
 
     def test_reports_p6_and_duality_checks(self, capsys):
         code, out, _ = run(["--order", "8", "--tree-cap", "4", "verify"], capsys)

@@ -38,16 +38,13 @@ class TestPointed:
 
 class TestUnrooted:
     def test_known_coefficients(self, unrooted30):
-        assert unrooted30.t.integer_coeffs()[:13] == T_COEFFS
-
-    def test_dissymmetry_parts(self, unrooted30):
-        assert unrooted30.t == unrooted30.t_v + unrooted30.t_e - unrooted30.t_d
+        assert unrooted30.integer_coeffs()[:13] == T_COEFFS
 
     def test_counts_are_nonnegative_integers(self, unrooted30):
-        assert all(c >= 0 for c in unrooted30.t.integer_coeffs())
+        assert all(c >= 0 for c in unrooted30.integer_coeffs())
 
     def test_no_trees_below_three_legs(self, unrooted30):
-        assert unrooted30.t.integer_coeffs()[:3] == [0, 0, 0]
+        assert unrooted30.integer_coeffs()[:3] == [0, 0, 0]
 
 
 class TestSelfDual:
@@ -93,7 +90,7 @@ class TestIndependentRoute:
 
     def test_order_200(self, reference200):
         p = gf.solve_pointed(200)
-        t = gf.assemble_T(p).t
+        t = gf.assemble_T(p)
         assert p.a_R.integer_coeffs() == reference200.a_R
         assert p.a_M.integer_coeffs() == reference200.a_M
         assert p.a_U.integer_coeffs() == reference200.a_U
@@ -120,9 +117,9 @@ class TestOnlineSolver:
         assert y.integer_coeffs() == [int(n + 1 in (1, 2, 4, 8, 16)) for n in range(21)]
 
     @pytest.fixture(scope="class")
-    def order60(self):
+    def order60(self, solve_selfdual):
         p = gf.solve_pointed(60)
-        return p, gf.solve_selfdual(p)
+        return p, solve_selfdual(p)
 
     @staticmethod
     def assert_same_on_both_rings(rhs, *inputs):
@@ -148,7 +145,7 @@ class TestOnlineSolver:
 
 class TestForests:
     def test_head(self, unrooted30):
-        f = gf.compute_forests(unrooted30.t)
+        f = gf.compute_forests(unrooted30)
         cs = f.integer_coeffs()
         assert cs[0] == 1
         assert cs[3] == 2  # only single trees fit
@@ -165,16 +162,16 @@ class TestLowerBound:
         s2 = gf.assemble_S2(pointed30, selfdual30.s_U_corrected)
         # S2(n) for n = 0..8 from the brute-force oracle
         assert s2.integer_coeffs()[:9] == [0, 0, 0, 0, 2, 0, 5, 0, 16]
-        got = (unrooted30.t + s2) / 2
+        got = (unrooted30 + s2) / 2
         assert got.integer_coeffs()[:9] == [0, 0, 0, 1, 3, 5, 16, 39, 131]
 
     def test_parity_violation_raises(self, unrooted30):
         odd_s2 = PowerSeries.from_coeffs([0, 0, 0, 1, 0])
         with pytest.raises(ArithmeticError):
-            (unrooted30.t.truncate(4) + odd_s2) / 2
+            (unrooted30.truncate(4) + odd_s2) / 2
 
     def test_exact_and_nonnegative_at_order_100(self):
         p = gf.solve_pointed(100)
         s2 = gf.assemble_S2(p, gf.compute_selfdual(p, "corrected"))
-        (gf.assemble_T(p).t + s2) / 2  # raises ArithmeticError where L2 + S2 is odd
+        (gf.assemble_T(p) + s2) / 2  # raises ArithmeticError where L2 + S2 is odd
         assert min(s2.integer_coeffs()) == 0
