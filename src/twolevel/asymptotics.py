@@ -20,7 +20,7 @@ right-hand side along x(X), as a polynomial in X:
   and d/dx (J v) too (the branch-point Newton iteration, see _fold_system);
   with the expansion of T at r = 1, the forest series, its tail taken at rho;
 - at x(X) = rho (1 - X^2), with the unknowns set to their expansions, it
-  is the residual of the singular expansion, or the expansion of T.
+  is the residual of the singular expansion and, over its leaves, T's.
 
 An element f holds its head, the polynomial f(x(X)) at r = 1, computed when
 it is built, and its tail, the values f(x(X)^r) at r = 2..R, computed once,
@@ -28,9 +28,10 @@ on first demand, as one list: plain floats at a constant point, polynomials
 in X at a moving one.  The unknowns replace a leaf's head only.  R is one
 cutoff per point, the last r with |x(0)|^r > TAIL_EPS; past it an element
 reads its value at x = 0, which is 0.0 for every series MSet accepts, so no
-sum changes.  A leaf's values come from one Horner kernel: passes over all
-r together give the series' Taylor coefficients at x(0)^r up to the order
-that can reach X^DEG (only the value at a constant point), composed with
+sum changes.  A leaf's values come from its coefficients, made floats once
+(ValueError past the float range), by one Horner kernel: passes over all r
+together give the series' Taylor coefficients at x(0)^r up to the order that
+can reach X^DEG (only the value at a constant point), composed with
 x(X)^r - x(0)^r at a moving one.
 
 Polynomials in X are plain lists of DEG + 1 floats (index = power of X),
@@ -42,7 +43,8 @@ from __future__ import annotations
 
 import math
 import operator
-from functools import cache, lru_cache, partial
+import sys
+from functools import cache, partial
 from typing import Callable, NamedTuple
 
 from . import gfsystem as gf
@@ -71,6 +73,7 @@ class SingularExpansion(NamedTuple):
     rho: float
     a: list[float]
     u: list[float]
+    t: list[float]  # T by dissymmetry, over the leaves of a and u
     residual: float  # max-norm of the residual coefficients X^0..X^DEG
 
 
@@ -201,24 +204,25 @@ class JetPoint:
             for _ in range(r_max):
                 self._shifts.append([0.0, *power[1:]])
                 power = xp_mul(power, x_of_X)
-        self._leaves: dict[PowerSeries, Jet] = {}
+        self._leaves: dict[PowerSeries, tuple[tuple[float, ...], Jet]] = {}
 
     def leaf(self, series: PowerSeries, at1: list[float] | None = None) -> "Jet":
         """series(x(X)^r) as a ring element; ``at1`` replaces its head, and
         the tail, built once at this point, is shared."""
-        base = self._leaves.get(series)
-        if base is None:  # its head is computed only if it is asked for
-            base = self._leaves[series] = Jet(
-                self, None, float(series.coeffs[0]),
-                partial(self._leaf_values, series, range(2, self.r_max + 1)))
+        entry = self._leaves.get(series)
+        if entry is None:  # its head is computed only if it is asked for
+            cs = _float_coeffs(series)
+            entry = self._leaves[series] = cs, Jet(
+                self, None, cs[0], partial(self._leaf_values, cs, range(2, self.r_max + 1)))
+        cs, base = entry
         if at1 is not None:
             return Jet(self, at1, base.zero, base.tail)
         if base.head is None:
-            base.head = self.ops.lift(self._leaf_values(series, range(1, 2))[0])
+            base.head = self.ops.lift(self._leaf_values(cs, range(1, 2))[0])
         return base
 
-    def _leaf_values(self, series: PowerSeries, rs: range) -> list:
-        """series(x(X)^r) for r in rs, from one Horner pass per Taylor order.
+    def _leaf_values(self, cs: tuple[float, ...], rs: range) -> list:
+        """cs(x(X)^r) for r in rs, from one Horner pass per Taylor order.
 
         The passes run over all r together and give f^(j)(x0^r) / j! for
         j = 0..J; at a moving point they are composed with shift_r.
@@ -226,9 +230,8 @@ class JetPoint:
         ys = self._ys[rs.start - 1:rs.stop - 1]
         top = self._taylor
         b = [[0.0] * len(ys) for _ in range(top + 1)]
-        cs = series.coeffs
         degree = max((n for n, c in enumerate(cs) if c), default=0)
-        for c in map(float, reversed(cs[:degree + 1])):  # zeros above it leave b at 0.0
+        for c in reversed(cs[:degree + 1]):  # zeros above it leave b at 0.0
             for j in range(top, 0, -1):  # (x f)^(j) / j! = x f^(j) / j! + f^(j-1) / (j-1)!
                 b[j] = [v * y + w for v, w, y in zip(b[j], b[j - 1], ys)]
             b[0] = [v * y + c for v, y in zip(b[0], ys)]
@@ -243,6 +246,17 @@ class JetPoint:
                 p[0] += b[j][i]
             out.append(p)
         return out
+
+
+def _float_coeffs(series: PowerSeries) -> tuple[float, ...]:
+    """The coefficients as floats; the first one past their range raises ValueError."""
+    try:
+        return tuple(map(float, series.coeffs))
+    except OverflowError:  # float() overflows only above the largest float
+        n = next(n for n, c in enumerate(series.coeffs) if abs(c) > sys.float_info.max)
+        raise ValueError(
+            f"coefficient {n} of an order-{series.order} series exceeds the float "
+            f"range; the float ring reads it only to order {n - 1}") from None
 
 
 class Jet:
@@ -373,16 +387,15 @@ def _dot(p, q) -> float:
 
 # -- characteristic system -----------------------------------------------
 
-def _pointed_residuals(point: JetPoint, a: list[float], u: list[float],
-                       a_R: PowerSeries, a_U: PowerSeries):
+def _pointed_residuals(point: JetPoint, pointed: gf.PointedSeries,
+                       a: list[float], u: list[float]):
     """F_R - a and F_U - u over the ring, with a_R = a and a_U = u at r = 1."""
-    new_R, new_U = gf._pointed_rhs(point.leaf(PowerSeries.x(a_R.order)),
-                                   point.leaf(a_R, a), point.leaf(a_U, u))
+    new_R, new_U = gf._pointed_rhs(point.leaf(pointed.a_leg), point.leaf(pointed.a_R, a),
+                                   point.leaf(pointed.a_U, u))
     return _xp_sub(new_R(), a), _xp_sub(new_U(), u)
 
 
-def _fold_system(x: float, a: float, u: float, c: float,
-                 a_R: PowerSeries, a_U: PowerSeries):
+def _fold_system(x: float, a: float, u: float, c: float, pointed: gf.PointedSeries):
     """The residual (F - y, (J - I) v) at (x, a, u, c), J - I, and the exact
     Jacobian in (x, a, u, c) on demand (Moore-Spence, SIAM J. Numer. Anal.
     1980, for this fold-point system).
@@ -395,8 +408,8 @@ def _fold_system(x: float, a: float, u: float, c: float,
     F_x and d/dx (J v) in place of (J - I) e_k and H[v, e_k].
     """
     here = JetPoint(xp(x))
-    by_a = _pointed_residuals(here, xp(a, 1.0, 1.0), xp(u, c), a_R, a_U)
-    by_u = _pointed_residuals(here, xp(a, 1.0), xp(u, c, 1.0), a_R, a_U)
+    by_a = _pointed_residuals(here, pointed, xp(a, 1.0, 1.0), xp(u, c))
+    by_u = _pointed_residuals(here, pointed, xp(a, 1.0), xp(u, c, 1.0))
     curv = []  # (H[v, v]/2, T[v, v, v]/6) of the R- and of the U-residual
     for p, q in zip(by_a, by_u):
         hvv = (p[2] + c * q[2] - p[1]) / (1.0 + c)
@@ -404,8 +417,7 @@ def _fold_system(x: float, a: float, u: float, c: float,
     m = tuple((p[2] - h, q[2] - h) for p, q, (h, _) in zip(by_a, by_u, curv))
 
     def jacobian() -> list[list[float]]:
-        shifted = _pointed_residuals(JetPoint(xp(x, 0.0, 1.0)), xp(a, 1.0), xp(u, c),
-                                     a_R, a_U)
+        shifted = _pointed_residuals(JetPoint(xp(x, 0.0, 1.0)), pointed, xp(a, 1.0), xp(u, c))
         return ([[s[2] - h, *m_i, 0.0] for s, m_i, (h, _) in zip(shifted, m, curv)]
                 + [[s[3] - t, p[3] - t, q[3] - t, m_i[1]]
                    for s, p, q, m_i, (_, t) in zip(shifted, by_a, by_u, m, curv)])
@@ -413,13 +425,9 @@ def _fold_system(x: float, a: float, u: float, c: float,
     return [p[0] for p in by_a] + [p[1] for p in by_a], m, jacobian
 
 
-def solve_char_system(
-    a_R: PowerSeries,
-    a_U: PowerSeries,
-    seed: tuple[float, float, float, float] = (0.2, 0.13, 0.07, 0.8),
-    tol: float = 1e-12,
-    max_iter: int = 100,
-) -> CharSolution:
+def solve_char_system(pointed: gf.PointedSeries,
+                      seed: tuple[float, float, float, float] = (0.2, 0.13, 0.07, 0.8),
+                      tol: float = 1e-12, max_iter: int = 100) -> CharSolution:
     """Newton iteration for the branch point of the pointed system.
 
     Unknowns (x, a, u, c) with a the common R/M value; conditions F = y and
@@ -434,7 +442,7 @@ def solve_char_system(
         if not (abs(x) < 1.0 and all(map(math.isfinite, (a, u, c)))):
             break
         try:
-            g, m, jacobian = _fold_system(x, a, u, c, a_R, a_U)
+            g, m, jacobian = _fold_system(x, a, u, c, pointed)
             if _converged(g, tol):
                 return CharSolution(rho=x, a_R=a, a_U=u, c=c, j_minus_i=m,
                                     residual=max(map(abs, g)))
@@ -447,19 +455,8 @@ def solve_char_system(
 
 # -- singular expansions --------------------------------------------------
 
-@lru_cache(maxsize=1)
-def _branch_point(rho: float) -> JetPoint:
-    """x(X) = rho (1 - X^2); kept, so that expand_T reads the leaves that
-    singular_expansions built there."""
-    return JetPoint(xp(rho, 0.0, -rho))
-
-
-def singular_expansions(
-    char: CharSolution,
-    a_R: PowerSeries,
-    a_U: PowerSeries,
-    tol: float = 1e-12,
-) -> SingularExpansion:
+def singular_expansions(char: CharSolution, pointed: gf.PointedSeries,
+                        tol: float = 1e-12) -> SingularExpansion:
     """Solve the system at x = rho (1 - X^2) through X^DEG, order by order.
 
     Let M = J - I and v = (1, char.c) its right null vector, both carried by
@@ -472,20 +469,21 @@ def singular_expansions(
     linear term (Y_1 enters X^2 only through its square), and c takes the
     sign that makes A_1 < 0; at k >= 2 it is affine in c.  The rest of it is
     M e times the next d.  Y_DEG's v-component would need X^(DEG+1): it is 0.
+    Over the same leaves, :func:`twolevel.gfsystem.assemble_T` gives T's.
     """
     (p, q), (r, s) = char.j_minus_i
     v, e = (1.0, char.c), (-char.c, 1.0)
     # the larger column of the singular M gives w
     w = (r, -p) if abs(p) + abs(r) >= abs(q) + abs(s) else (s, -q)
     me = (p * e[0] + q * e[1], r * e[0] + s * e[1])
-    point = _branch_point(char.rho)
+    point = JetPoint(xp(char.rho, 0.0, -char.rho))
     a, u = xp(char.a_R), xp(char.a_U)
     d = 0.0
     for k in range(1, DEG):
         g = []
         for c in (0.0, 1.0):
             a[k], u[k] = c * v[0] + d * e[0], c * v[1] + d * e[1]
-            r_a, r_u = _pointed_residuals(point, a, u, a_R, a_U)
+            r_a, r_u = _pointed_residuals(point, pointed, a, u)
             g.append((r_a[k + 1], r_u[k + 1]))
         g0, g1 = g
         dg = [y1 - y0 for y0, y1 in zip(g0, g1)]
@@ -496,36 +494,29 @@ def singular_expansions(
         a[k], u[k] = c * v[0] + d * e[0], c * v[1] + d * e[1]
         d = -_dot(me, [y0 + t * dy for y0, dy in zip(g0, dg)]) / _dot(me, me)
     a[DEG], u[DEG] = d * e[0], d * e[1]
-    r_a, r_u = _pointed_residuals(point, a, u, a_R, a_U)
+    r_a, r_u = _pointed_residuals(point, pointed, a, u)
     g = r_a + r_u
     if not _converged(g, tol):
         raise ArithmeticError("singular-expansion residual above tolerance")
-    return SingularExpansion(rho=char.rho, a=a, u=u, residual=max(map(abs, g)))
+    leaves = gf.PointedSeries(point.leaf(pointed.a_R, a), point.leaf(pointed.a_U, u),
+                              point.leaf(pointed.a_leg))
+    return SingularExpansion(rho=char.rho, a=a, u=u, t=gf.assemble_T(leaves)(),
+                             residual=max(map(abs, g)))
 
 
-# -- singular expansion of T and the forest series ------------------------
+# -- the forest series and transfer ---------------------------------------
 
-def expand_T(exp_: SingularExpansion, a_R: PowerSeries, a_U: PowerSeries) -> list[float]:
-    """Singular expansion of the unrooted series T via dissymmetry.
-
-    :func:`twolevel.gfsystem.assemble_T` evaluated over the ring at the
-    branch point, with the pointed expansions at r = 1.
-    """
-    point = _branch_point(exp_.rho)
-    p = gf.PointedSeries(point.leaf(a_R, exp_.a), point.leaf(a_U, exp_.u),
-                         point.leaf(PowerSeries.x(a_R.order)))
-    return gf.assemble_T(p)()
-
-
-def expand_forests(t_poly: list[float], t_series: PowerSeries, rho: float) -> list[float]:
+def expand_forests(expansion: SingularExpansion, pointed: gf.PointedSeries) -> list[float]:
     """Singular expansion of the forest series MSet(T).
 
-    The tail factor exp(sum_{r>=2} T(x^r)/r) is analytic at rho and enters as
-    its value there (MSet at the constant point rho); its X^2 variation is an
-    analytic term that cannot affect the transferred asymptotics, so by
-    convention it is not expanded.
+    :func:`twolevel.gfsystem.compute_forests` on the leaf of T with head T's
+    expansion.  The tail factor exp(sum_{r>=2} T(x^r)/r) is analytic at rho
+    and enters as its value there (MSet at the constant point rho); its X^2
+    variation is an analytic term that cannot affect the transferred
+    asymptotics, so by convention it is not expanded.
     """
-    return JetPoint(xp(rho)).leaf(t_series, t_poly).mset()()
+    t = JetPoint(xp(expansion.rho)).leaf(gf.assemble_T(pointed), expansion.t)
+    return gf.compute_forests(t)()
 
 
 def transfer(poly: list[float], rho: float, tol: float) -> AsymptoticEstimate:
@@ -550,15 +541,12 @@ def transfer(poly: list[float], rho: float, tol: float) -> AsymptoticEstimate:
 
 # -- self-dual bounding series --------------------------------------------
 
-def verify_selfdual_growth(
-    s_bound: PowerSeries,
-    pair_series: PowerSeries,
-    rho: float,
-    tol: float,
-) -> BranchPointReport:
-    """Locate the first branch point of the bounding-series system in
-    (0, sqrt(rho)], where the pair class at x^2 converges (past sqrt(rho)
-    the truncated evaluations no longer describe the system).
+def verify_selfdual_growth(pointed: gf.PointedSeries, s_U_paper: PowerSeries, rho: float,
+                           tol: float) -> BranchPointReport:
+    """Locate the first branch point of the bounding-series system of
+    :func:`twolevel.gfsystem.compute_s_bound` in (0, sqrt(rho)], where the
+    pair class at x^2 converges (past sqrt(rho) the truncated evaluations no
+    longer describe the system).
 
     F(x, s) has nonnegative coefficients, so it increases in x and is
     increasing and convex in s >= 0: g(x) = max over s >= 0 of s - F(x, s)
@@ -570,14 +558,15 @@ def verify_selfdual_growth(
     means g(sqrt(rho)) >= 0: up to truncation and float error, the system
     has a fixed point throughout the window.
     """
-    leg = PowerSeries.x(s_bound.order)
+    pairs = gf.pair_class(pointed, s_U_paper)
+    s_bound = gf.compute_s_bound(pointed, s_U_paper)
 
     def crest(x: float, s: float) -> tuple[float, float]:
         # g(x) and the crest, by Newton on F_s = 1 from s; F, F_s and
         # F_ss / 2 are the X^0..X^2 coefficients with s + X at r = 1
         point = JetPoint(xp(x))
         for _ in range(100):
-            (f,) = gf._s_bound_rhs(point.leaf(pair_series), point.leaf(leg),
+            (f,) = gf._s_bound_rhs(point.leaf(pairs), point.leaf(pointed.a_leg),
                                    point.leaf(s_bound, xp(s, 1.0)))
             f0, f_s, half_f_ss = f()[:3]
             if abs(1.0 - f_s) <= tol or (s == 0.0 and f_s >= 1.0):

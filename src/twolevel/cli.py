@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from functools import partial
 from itertools import combinations
 from typing import NamedTuple
 
@@ -188,25 +187,23 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
 
 
 def _tree_asymptotics(p: gf.PointedSeries, config: RunConfig):
-    """Branch point, singular expansions, T's expansion and transfer, at --tol."""
+    """Branch point and singular expansions, T's among them, at --tol."""
     from . import asymptotics as asy
 
-    char = asy.solve_char_system(p.a_R, p.a_U, tol=config.tol)
-    se = asy.singular_expansions(char, p.a_R, p.a_U, tol=config.tol)
-    transfer = partial(asy.transfer, rho=char.rho, tol=config.tol)
-    return char, se, asy.expand_T(se, p.a_R, p.a_U), transfer
+    char = asy.solve_char_system(p, tol=config.tol)
+    return char, asy.singular_expansions(char, p, tol=config.tol)
 
 
 def cmd_asympt(args, config: RunConfig) -> int:
     from . import asymptotics as asy
 
     p = gf.solve_pointed(config.order)
-    char, se, t_poly, transfer = _tree_asymptotics(p, config)
-    f_poly = asy.expand_forests(t_poly, gf.assemble_T(p), char.rho)
-    est_t, est_f = transfer(t_poly), transfer(f_poly)
-    s_U_paper = gf.compute_selfdual(p, "paper")
-    report = asy.verify_selfdual_growth(gf.compute_s_bound(p, s_U_paper),
-                                        gf.pair_class(p, s_U_paper), char.rho, config.tol)
+    char, se = _tree_asymptotics(p, config)
+    t_poly, f_poly = se.t, asy.expand_forests(se, p)
+    est_t = asy.transfer(t_poly, char.rho, config.tol)
+    est_f = asy.transfer(f_poly, char.rho, config.tol)
+    report = asy.verify_selfdual_growth(p, gf.compute_selfdual(p, "paper"), char.rho,
+                                        config.tol)
     rows = [[name, _fmt_real(v), _fmt_real(char.residual)] for name, v in (
         ("rho", char.rho), ("inv_rho", 1.0 / char.rho), ("A0", char.a_R), ("U0", char.a_U))]
     for name, coeffs in (("A", se.a), ("U", se.u)):
@@ -241,8 +238,8 @@ def cmd_bound(args, config: RunConfig) -> int:
         [n, t.coeff(n), s2.coeff(n), counts.coeff(n), "exact"]
         for n in range(3, n_max + 1)
     ]
-    _, _, t_poly, transfer = _tree_asymptotics(p, config)
-    est = transfer(t_poly)
+    char, se = _tree_asymptotics(p, config)
+    est = asy.transfer(se.t, char.rho, config.tol)
     half = asy.AsymptoticEstimate(est.amplitude / 2.0, est.poly_exponent, est.growth_rate)
     for n in (10, 20, 50, 100):
         rows.append([n, "", "", _fmt_real(half.value(n)), "asymptotic"])

@@ -189,7 +189,5 @@ def compute_s_bound(p: PointedSeries, s_U_paper: PowerSeries) -> PowerSeries:
 
 def compute_forests(t: PowerSeries) -> PowerSeries:
     """Multisets of UMR-trees: all (possibly disconnected) 2-level matroids."""
-    if t.coeff(0):
-        raise ValueError("tree series must have zero constant term")
     return t.mset()
 

@@ -243,11 +243,11 @@ def circuit_axioms_ok(m: Matroid) -> bool:
     return True
 
 
-def is_isomorphic(m1: Matroid, m2: Matroid, cap: int = ISO_CAP) -> bool:
+def is_isomorphic(m1: Matroid, m2: Matroid) -> bool:
     """Backtracking search for a circuit-preserving ground-set bijection."""
     n = len(m1.ground)
-    if n > cap or len(m2.ground) > cap:
-        raise ValueError(f"ground set size exceeds isomorphism cap {cap}")
+    if n > ISO_CAP or len(m2.ground) > ISO_CAP:
+        raise ValueError(f"ground set size exceeds isomorphism cap {ISO_CAP}")
     if n != len(m2.ground) or len(m1.circuits) != len(m2.circuits):
         return False
     if sorted(map(len, m1.circuits)) != sorted(map(len, m2.circuits)):

@@ -47,12 +47,12 @@ def selfdual30(pointed30):
 
 @pytest.fixture(scope="session")
 def char30(pointed30):
-    return asy.solve_char_system(pointed30.a_R, pointed30.a_U)
+    return asy.solve_char_system(pointed30)
 
 
 @pytest.fixture(scope="session")
 def expansion30(char30, pointed30):
-    return asy.singular_expansions(char30, pointed30.a_R, pointed30.a_U)
+    return asy.singular_expansions(char30, pointed30)
 
 
 @pytest.fixture(scope="session")

@@ -77,10 +77,10 @@ def test_criterion_3_p6_fixture():
 def test_criterion_4_constants():
     start = time.perf_counter()
     p30 = gf.solve_pointed(30)
-    char = asy.solve_char_system(p30.a_R, p30.a_U)
-    se = asy.singular_expansions(char, p30.a_R, p30.a_U)
-    t_poly = asy.expand_T(se, p30.a_R, p30.a_U)
-    f_poly = asy.expand_forests(t_poly, gf.assemble_T(p30), char.rho)
+    char = asy.solve_char_system(p30)
+    se = asy.singular_expansions(char, p30)
+    t_poly = se.t
+    f_poly = asy.expand_forests(se, p30)
     c_tree = asy.transfer(t_poly, char.rho, 1e-12).amplitude
     c_forest = asy.transfer(f_poly, char.rho, 1e-12).amplitude
     targets = [
@@ -99,8 +99,8 @@ def test_criterion_4_constants():
     worst = max(abs(got - want) for got, want in targets)
     # stability against the tail truncation order
     p40 = gf.solve_pointed(40)
-    char40 = asy.solve_char_system(p40.a_R, p40.a_U)
-    se40 = asy.singular_expansions(char40, p40.a_R, p40.a_U)
+    char40 = asy.solve_char_system(p40)
+    se40 = asy.singular_expansions(char40, p40)
     drift = max(
         abs(char40.rho - char.rho),
         max(abs(se40.a[i] - se.a[i]) for i in range(4)),
@@ -228,10 +228,9 @@ def test_criterion_7_selfdual_growth(solve_selfdual):
     # stays analytic up to sqrt(rho) (growth rho^(-n/2)), is refuted: the
     # exact self-dual series already branches before sqrt(rho).
     p = gf.solve_pointed(30)
-    char = asy.solve_char_system(p.a_R, p.a_U)
+    char = asy.solve_char_system(p)
     sd = solve_selfdual(p)
-    scan = asy.verify_selfdual_growth(sd.s_bound, gf.pair_class(p, sd.s_U_paper), char.rho,
-                                      1e-12)
+    scan = asy.verify_selfdual_growth(p, sd.s_U_paper, char.rho, 1e-12)
     claimed = char.rho ** -0.5
     target = claimed if scan.no_branch_point else 1.0 / scan.branch_x
     growth = two_step_growth(sd.s_bound, 30)

@@ -19,7 +19,7 @@ def close(want):
 
 
 def _pairs(p, sd):
-    """The pair class of the self-dual bound, as `cmd_asympt` builds it."""
+    """The pair class of the self-dual bound, as `verify_selfdual_growth` builds it."""
     return gf.pair_class(p, sd.s_U_paper)
 
 
@@ -105,23 +105,20 @@ class TestCharSystem:
     def test_residual_norm_small(self, char30, pointed30):
         # the carried residual is the max-norm of (F - y, (J - I) v) at rho,
         # v = (1, c): the X^0 and X^1 coefficients with y + X v
-        r_a, r_u = asy._pointed_residuals(asy.JetPoint(asy.xp(char30.rho)),
-                                          asy.xp(char30.a_R, 1.0), asy.xp(char30.a_U, char30.c),
-                                          pointed30.a_R, pointed30.a_U)
+        r_a, r_u = asy._pointed_residuals(asy.JetPoint(asy.xp(char30.rho)), pointed30,
+                                          asy.xp(char30.a_R, 1.0), asy.xp(char30.a_U, char30.c))
         g = [r_a[0], r_u[0], r_a[1], r_u[1]]
         assert char30.residual == max(map(abs, g))
         assert char30.residual < 1e-11
 
     def test_stability_in_tail_order(self, char30):
         p40 = gf.solve_pointed(40)
-        char40 = asy.solve_char_system(p40.a_R, p40.a_U)
+        char40 = asy.solve_char_system(p40)
         assert abs(char40.rho - char30.rho) < 1e-7
 
     def test_bad_seed_raises(self, pointed30):
         with pytest.raises(ArithmeticError):
-            asy.solve_char_system(
-                pointed30.a_R, pointed30.a_U, seed=(0.9, 50.0, 50.0, 0.8), max_iter=5
-            )
+            asy.solve_char_system(pointed30, seed=(0.9, 50.0, 50.0, 0.8), max_iter=5)
 
     @pytest.mark.parametrize("order", [3, 30, 200])
     def test_evaluation_count(self, order, monkeypatch):
@@ -136,7 +133,7 @@ class TestCharSystem:
         p = gf.solve_pointed(order)
         residuals = asy._pointed_residuals
         monkeypatch.setattr(asy, "_pointed_residuals", counted)
-        asy.solve_char_system(p.a_R, p.a_U)
+        asy.solve_char_system(p)
         assert len(points) <= 12
         assert sum(any(x[1:]) for x in points) <= 3
 
@@ -148,8 +145,8 @@ class TestCharSystem:
 
         def g(x, a, u, c):
             # (F - y, (J - I) v): the X^0 and X^1 coefficients with y + X v
-            r_a, r_u = asy._pointed_residuals(asy.JetPoint(asy.xp(x)), asy.xp(a, 1.0),
-                                              asy.xp(u, c), pointed30.a_R, pointed30.a_U)
+            r_a, r_u = asy._pointed_residuals(asy.JetPoint(asy.xp(x)), pointed30,
+                                              asy.xp(a, 1.0), asy.xp(u, c))
             return [r_a[0], r_u[0], r_a[1], r_u[1]]
 
         columns = []
@@ -159,7 +156,7 @@ class TestCharSystem:
         m = char30.j_minus_i
         assert [m[0][0], m[1][0], m[0][1], m[1][1]] == pytest.approx(
             columns[1][:2] + columns[2][:2], rel=1e-6)
-        _, _, jacobian = asy._fold_system(*at, pointed30.a_R, pointed30.a_U)
+        _, _, jacobian = asy._fold_system(*at, pointed30)
         for j, column in enumerate(columns):
             assert [row[j] for row in jacobian()] == pytest.approx(column, rel=1e-6), j
 
@@ -175,8 +172,8 @@ class TestSingularExpansions:
 
     def test_residuals_matched(self, char30, expansion30, pointed30):
         # every coefficient X^0..X^DEG, not only the X^0..X^3 that asympt prints
-        r_a, r_u = asy._pointed_residuals(asy._branch_point(char30.rho), expansion30.a,
-                                          expansion30.u, pointed30.a_R, pointed30.a_U)
+        branch_point = asy.JetPoint(asy.xp(char30.rho, 0.0, -char30.rho))
+        r_a, r_u = asy._pointed_residuals(branch_point, pointed30, expansion30.a, expansion30.u)
         assert len(r_a) == len(r_u) == asy.DEG + 1
         assert max(map(abs, r_a + r_u)) < 1e-12
         assert expansion30.residual == max(map(abs, r_a + r_u))
@@ -195,7 +192,7 @@ class TestSingularExpansions:
 
         residuals = asy._pointed_residuals
         monkeypatch.setattr(asy, "_pointed_residuals", counted)
-        asy.singular_expansions(char30, pointed30.a_R, pointed30.a_U)
+        asy.singular_expansions(char30, pointed30)
         assert len(calls) <= 9
 
     def test_off_the_branch_point_raises(self, char30, pointed30):
@@ -203,38 +200,49 @@ class TestSingularExpansions:
         # 0.9 rho, so the expansion fails its residual check
         off = char30._replace(rho=0.9 * char30.rho)
         with pytest.raises(ArithmeticError):
-            asy.singular_expansions(off, pointed30.a_R, pointed30.a_U)
+            asy.singular_expansions(off, pointed30)
 
 
 class TestExpandT:
-    def test_constants(self, expansion30, pointed30):
-        t_poly = asy.expand_T(expansion30, pointed30.a_R, pointed30.a_U)
+    def test_constants(self, expansion30):
+        t_poly = expansion30.t
         assert t_poly[0] == pytest.approx(0.03457946, abs=TOL)
         assert abs(t_poly[1]) < 1e-8
         assert t_poly[2] == pytest.approx(-0.18596384, abs=TOL)
         assert t_poly[3] == pytest.approx(0.17921766, abs=TOL)
 
-    def test_T0_equals_series_value_at_rho(self, expansion30, pointed30, char30):
-        t_poly = asy.expand_T(expansion30, pointed30.a_R, pointed30.a_U)
+    def test_T0_equals_series_value_at_rho(self, expansion30, char30):
+        t_poly = expansion30.t
         t200 = gf.assemble_T(gf.solve_pointed(200))
         assert t_poly[0] == pytest.approx(t200.eval_float(char30.rho), abs=2e-5)
 
 
 class TestForests:
-    def test_constants(self, expansion30, pointed30, unrooted30, char30):
-        t_poly = asy.expand_T(expansion30, pointed30.a_R, pointed30.a_U)
-        f_poly = asy.expand_forests(t_poly, unrooted30, char30.rho)
+    def test_constants(self, expansion30, pointed30):
+        t_poly = expansion30.t
+        f_poly = asy.expand_forests(expansion30, pointed30)
         assert f_poly[0] == pytest.approx(1.03526853, abs=TOL)
         assert f_poly[2] == pytest.approx(-0.19252251, abs=TOL)
         assert f_poly[3] == pytest.approx(0.18553841, abs=TOL)
         assert f_poly[0] > 1.0
         assert f_poly[3] == pytest.approx(f_poly[0] * t_poly[3], abs=1e-10)
 
+    def test_through_compute_forests(self, expansion30, pointed30, monkeypatch):
+        # the forest equation is written once, in gfsystem, and run over the
+        # ring on the leaf of T whose head is T's expansion
+        seen = []
+        forests = gf.compute_forests
+        monkeypatch.setattr(gf, "compute_forests", lambda t: seen.append(t) or forests(t))
+        f_poly = asy.expand_forests(expansion30, pointed30)
+        assert len(seen) == 1 and isinstance(seen[0], asy.Jet)
+        assert seen[0]() == expansion30.t
+        assert f_poly == forests(seen[0])()
+
 
 class TestTransfer:
-    def test_amplitudes(self, expansion30, pointed30, unrooted30, char30):
-        t_poly = asy.expand_T(expansion30, pointed30.a_R, pointed30.a_U)
-        f_poly = asy.expand_forests(t_poly, unrooted30, char30.rho)
+    def test_amplitudes(self, expansion30, pointed30, char30):
+        t_poly = expansion30.t
+        f_poly = asy.expand_forests(expansion30, pointed30)
         est_t = asy.transfer(t_poly, char30.rho, RUN_TOL)
         est_f = asy.transfer(f_poly, char30.rho, RUN_TOL)
         assert est_t.amplitude == pytest.approx(0.07583455, abs=TOL)
@@ -257,9 +265,7 @@ class TestSelfDualGrowth:
     def test_scan_finds_subcritical_branch_point(self, pointed30, selfdual30, char30):
         # honest outcome: the bounding-series system coalesces before
         # sqrt(rho); the scan reports the point instead of claiming none
-        report = asy.verify_selfdual_growth(
-            selfdual30.s_bound, _pairs(pointed30, selfdual30), char30.rho, RUN_TOL
-        )
+        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
         assert not report.no_branch_point
         assert report.branch_x == pytest.approx(0.393001, abs=1e-4)
         assert 0 < report.branch_x <= math.sqrt(char30.rho)
@@ -280,8 +286,7 @@ class TestSelfDualGrowth:
 
         rhs = gf._s_bound_rhs
         monkeypatch.setattr(gf, "_s_bound_rhs", counted)
-        report = asy.verify_selfdual_growth(selfdual30.s_bound, _pairs(pointed30, selfdual30),
-                                            char30.rho, RUN_TOL)
+        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
         assert not report.no_branch_point
         assert len(calls) <= 80
 
@@ -305,7 +310,7 @@ class TestSelfDualGrowth:
         # exists and grows past every bound where none does; it shares no
         # code with the crest Newton or the regula falsi of the scan
         pairs = _pairs(pointed30, selfdual30)
-        report = asy.verify_selfdual_growth(selfdual30.s_bound, pairs, char30.rho, RUN_TOL)
+        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
 
         def iterate(x):
             point = asy.JetPoint(asy.xp(x))
@@ -405,21 +410,20 @@ class TestLeafKernel:
 
             init(self, point, head, zero, make)
 
-        def counted_values(point, series, rs):
+        def counted_values(point, cs, rs):
             if rs.start == 2:
-                leaves[point, series] += 1
-            return values(point, series, rs)
+                leaves[point, cs] += 1
+            return values(point, cs, rs)
 
         monkeypatch.setattr(asy.Jet, "__init__", counted_init)
         monkeypatch.setattr(asy.JetPoint, "_leaf_values", counted_values)
-        asy._branch_point.cache_clear()
         assert cli.main(["asympt"]) == 0
         assert max(builds for builds, in nodes) == 1
         assert leaves and set(leaves.values()) == {1}
 
     @pytest.mark.parametrize("command", ["asympt", "bound"])
     def test_one_branch_point_per_command(self, command, monkeypatch, capsys):
-        # singular_expansions and expand_T share x(X) = rho (1 - X^2)
+        # singular_expansions builds x(X) = rho (1 - X^2) once, for T's expansion too
         built = []
 
         class Counted(asy.JetPoint):
@@ -428,9 +432,24 @@ class TestLeafKernel:
                 super().__init__(x_of_X)
 
         monkeypatch.setattr(asy, "JetPoint", Counted)
-        asy._branch_point.cache_clear()
         assert cli.main([command]) == 0
         assert sum(x[2] < 0.0 for x in built) == 1
+
+    @pytest.mark.parametrize("command", ["asympt", "bound"])
+    def test_one_leg_series_per_command(self, command, monkeypatch, capsys):
+        # solve_pointed builds the leg series; every leaf of it reads a_leg
+        built = []
+        leg = PowerSeries.x
+        monkeypatch.setattr(PowerSeries, "x",
+                            classmethod(lambda cls, order: built.append(order) or leg(order)))
+        assert cli.main([command]) == 0
+        assert len(built) == 1
+
+    def test_leaf_past_the_float_range_raises(self):
+        # a ValueError, so that the Newton guard, which catches OverflowError,
+        # does not report it as a diverging iteration
+        with pytest.raises(ValueError, match="coefficient 2 of an order-2 series exceeds"):
+            asy.JetPoint(asy.xp(0.1)).leaf(PowerSeries([0, 1, 10**400]))
 
 
 class TestJetRing:
@@ -520,20 +539,18 @@ class TestPinnedConstants:
     def test_selfdual_scan(self, char30, pointed30, selfdual30):
         # the root pinned from a 2-D Newton search on (s = F, F_s = 1), which
         # shares no step with the bracket
-        report = asy.verify_selfdual_growth(selfdual30.s_bound, _pairs(pointed30, selfdual30),
-                                            char30.rho, RUN_TOL)
+        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
         assert report.branch_x == pytest.approx(0.3930010376370808, rel=0, abs=1e-9)
         assert report.branch_s == pytest.approx(0.465261382005694, rel=0, abs=1e-9)
 
     def test_selfdual_scan_window_below_branch_point(self, pointed30, selfdual30):
         # sqrt(0.1) = 0.316 lies below the branch point at 0.393
-        report = asy.verify_selfdual_growth(selfdual30.s_bound, _pairs(pointed30, selfdual30),
-                                            0.1, RUN_TOL)
+        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, 0.1, RUN_TOL)
         assert report.no_branch_point
         assert report.x_max == pytest.approx(math.sqrt(0.1))
 
-    def test_order30_values(self, char30, expansion30, pointed30):
-        t_poly = asy.expand_T(expansion30, pointed30.a_R, pointed30.a_U)
+    def test_order30_values(self, char30, expansion30):
+        t_poly = expansion30.t
         est = asy.transfer(t_poly, char30.rho, RUN_TOL)
         got = {"inv_rho": 1.0 / char30.rho, "C": est.amplitude,
                "c_polytope": est.amplitude / 2.0}

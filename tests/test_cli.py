@@ -231,6 +231,14 @@ class TestAsympt:
         assert code == 1 and out == ""
         assert err == "error: singular-expansion residual above tolerance\n"
 
+    def test_past_the_float_range_is_one_error_line(self, capsys):
+        # coefficient 456 of a_R is past the largest float; the error names
+        # it and the float range, not the branch-point Newton iteration
+        code, out, err = run(["--order", "460", "asympt"], capsys)
+        assert code == 1 and out == ""
+        assert err.startswith("error: coefficient 456 of an order-460 series exceeds the "
+                              "float range")
+
 
 class TestBound:
     def test_exact_rows(self, capsys):
