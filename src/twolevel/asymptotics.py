@@ -1,11 +1,13 @@
 """Singularity analysis for the tree and forest series.
 
 The pointed system has a common square-root branch point at x = rho.  This
-module locates it by Newton iteration, computes singular expansions in
-X = sqrt(1 - x/rho) one order at a time, transfers the X^3 coefficient to
-n^(-5/2) * rho^(-n) growth estimates, and locates the first branch point of
-the bounding series for self-dual trees in (0, sqrt(rho)]; the shipped bound
-has one at x = 0.39300, so it grows like 2.5445^n rather than rho^(-n/2).
+module locates it, computes singular expansions in X = sqrt(1 - x/rho) one
+order at a time, transfers the X^3 coefficient to n^(-5/2) * rho^(-n) growth
+estimates, and locates the first branch point of the bounding series for
+self-dual trees in (0, sqrt(rho)]; the shipped bound has one at x = 0.39300,
+so it grows like 2.5445^n rather than rho^(-n/2).  Both branch points come
+from one fold-point Newton iteration (:func:`_fold_point`), which takes any
+right-hand side of :mod:`twolevel.gfsystem`.
 
 Every equation is written once, in :mod:`twolevel.gfsystem`, and runs over
 three rings.  Integer series give the exact counts (``OnlineSeries`` in the
@@ -13,12 +15,10 @@ fixed-point solver, ``PowerSeries`` elsewhere).  The float ring here
 (:class:`Jet` over a :class:`JetPoint` x(X)) gives the value of the same
 right-hand side along x(X), as a polynomial in X:
 
-- at a constant point, with one unknown set to its value plus X, the X^0..X^2
-  coefficients are the value and its exact first and half second inner
-  derivatives (the self-dual scan); with unknowns y + X v + X^2 e_k, the
-  residual F - y to third order, and at x(X) = x0 + X^2 with y + X v, F_x
-  and d/dx (J v) too (the branch-point Newton iteration, see _fold_system);
-  with the expansion of T at r = 1, the forest series, its tail taken at rho;
+- at a constant point, with unknowns y + X v + X^2 e_j, the residual F - y
+  to third order, and at x(X) = x0 + X^2 with y + X v, F_x and d/dx (J v)
+  too (the fold-point Newton iteration); with the expansion of T at r = 1,
+  the forest series, its tail taken at rho;
 - at x(X) = rho (1 - X^2), with the unknowns set to their expansions, it
   is the residual of the singular expansion and, over its leaves, T's.
 
@@ -84,7 +84,7 @@ class BranchPointReport(NamedTuple):
     x_max: float
     branch_x: float | None = None
     branch_s: float | None = None
-    residual: float | None = None  # |g| where the scan stopped at branch_x
+    residual: float | None = None  # max-norm of (F - s, F_s - 1) at the branch point
 
     def describe(self) -> str:
         if self.no_branch_point:
@@ -385,72 +385,70 @@ def _dot(p, q) -> float:
     return p[0] * q[0] + p[1] * q[1]
 
 
-# -- characteristic system -----------------------------------------------
+# -- fold points ---------------------------------------------------------
 
-def _pointed_residuals(point: JetPoint, pointed: gf.PointedSeries,
-                       a: list[float], u: list[float]):
-    """F_R - a and F_U - u over the ring, with a_R = a and a_U = u at r = 1."""
-    new_R, new_U = gf._pointed_rhs(point.leaf(pointed.a_leg), point.leaf(pointed.a_R, a),
-                                   point.leaf(pointed.a_U, u))
-    return _xp_sub(new_R(), a), _xp_sub(new_U(), u)
+def _residuals(point: JetPoint, rhs, known, unknowns, heads: list[list[float]]):
+    """F - y over the ring, F = rhs(*known, *unknowns) with the unknowns'
+    heads y at r = 1."""
+    outs = rhs(*map(point.leaf, known), *map(point.leaf, unknowns, heads))
+    return [_xp_sub(f(), y) for f, y in zip(outs, heads)]
 
 
-def _fold_system(x: float, a: float, u: float, c: float, pointed: gf.PointedSeries):
-    """The residual (F - y, (J - I) v) at (x, a, u, c), J - I, and the exact
-    Jacobian in (x, a, u, c) on demand (Moore-Spence, SIAM J. Numer. Anal.
-    1980, for this fold-point system).
+def _fold_point(rhs, known, unknowns, seed, tol: float, max_iter: int = 100):
+    """Newton iteration for a fold point of y = F(x, y), F = rhs(*known, *y):
+    F(x, y) = y and (J - I) v = 0 with v_1 = 1, J the Jacobian of F in y, in
+    the 2k unknowns z = (x, y, v_2..v_k), from z = seed (Moore-Spence, SIAM
+    J. Numer. Anal. 1980).
 
-    Two evaluations at the constant point x, with y + X v + X^2 e_k for
-    k = a, u, read F - y at X^0, (J - I) v at X^1, (J - I) e_k + H[v, v]/2
-    at X^2 and H[v, e_k] + T[v, v, v]/6 at X^3; as v = e_a + c e_u, together
-    they give H[v, v]/2 and T[v, v, v]/6, over 1 + c.  The x-column costs one
+    Its Jacobian is exact.  k evaluations at the constant point x, with
+    y + X v + X^2 e_j, read F - y at X^0, (J - I) v at X^1, (J - I) e_j +
+    H[v, v]/2 at X^2 and H[v, e_j] + T[v, v, v]/6 at X^3; weighted by v they
+    give H[v, v]/2 and T[v, v, v]/6, over sum(v).  The x-column costs one
     evaluation at x + X^2 with y + X v, whose X^2 and X^3 coefficients carry
-    F_x and d/dx (J v) in place of (J - I) e_k and H[v, e_k].
+    F_x and d/dx (J v) in place of (J - I) e_j and H[v, e_j]; it is made
+    only when a step is taken.  An iterate outside the ring's domain (|x| >=
+    1, or a value that is not finite), an overflow or a singular step ends
+    the iteration with ArithmeticError.  Returns z, J - I, H[v, v]/2 and the
+    max-norm of (F - y, (J - I) v), below tol.
     """
-    here = JetPoint(xp(x))
-    by_a = _pointed_residuals(here, pointed, xp(a, 1.0, 1.0), xp(u, c))
-    by_u = _pointed_residuals(here, pointed, xp(a, 1.0), xp(u, c, 1.0))
-    curv = []  # (H[v, v]/2, T[v, v, v]/6) of the R- and of the U-residual
-    for p, q in zip(by_a, by_u):
-        hvv = (p[2] + c * q[2] - p[1]) / (1.0 + c)
-        curv.append((hvv, (p[3] + c * q[3] - 2.0 * hvv) / (1.0 + c)))
-    m = tuple((p[2] - h, q[2] - h) for p, q, (h, _) in zip(by_a, by_u, curv))
-
-    def jacobian() -> list[list[float]]:
-        shifted = _pointed_residuals(JetPoint(xp(x, 0.0, 1.0)), pointed, xp(a, 1.0), xp(u, c))
-        return ([[s[2] - h, *m_i, 0.0] for s, m_i, (h, _) in zip(shifted, m, curv)]
-                + [[s[3] - t, p[3] - t, q[3] - t, m_i[1]]
-                   for s, p, q, m_i, (_, t) in zip(shifted, by_a, by_u, m, curv)])
-
-    return [p[0] for p in by_a] + [p[1] for p in by_a], m, jacobian
+    k, z = len(unknowns), list(seed)
+    for _ in range(max_iter):
+        x, y, v = z[0], z[1:k + 1], [1.0, *z[k + 1:]]
+        if not (abs(x) < 1.0 and all(map(math.isfinite, y + v))):
+            break
+        try:
+            here = JetPoint(xp(x))
+            by_e = [_residuals(here, rhs, known, unknowns,
+                               [xp(*yv, i == j) for i, yv in enumerate(zip(y, v))])
+                    for j in range(k)]
+            eqs = []  # per equation: H[v, v]/2, T[v, v, v]/6, its rows of J - I and H[v, .]
+            for ps in zip(*by_e):
+                h = (sum(v_j * p[2] for v_j, p in zip(v, ps)) - ps[0][1]) / sum(v)
+                t = (sum(v_j * p[3] for v_j, p in zip(v, ps)) - 2.0 * h) / sum(v)
+                eqs.append((h, t, tuple(p[2] - h for p in ps), [p[3] - t for p in ps]))
+            g = [p[0] for p in by_e[0]] + [p[1] for p in by_e[0]]
+            if _converged(g, tol):
+                return z, tuple(e[2] for e in eqs), [e[0] for e in eqs], max(map(abs, g))
+            shifted = _residuals(JetPoint(xp(x, 0.0, 1.0)), rhs, known, unknowns,
+                                 [xp(*yv) for yv in zip(y, v)])
+            rows = [([s[2] - h, *m_i, *[0.0] * (k - 1)], [s[3] - t, *h_i, *m_i[1:]])
+                    for s, (h, t, m_i, h_i) in zip(shifted, eqs)]
+            step = _solve([r for r, _ in rows] + [r for _, r in rows], [-g_i for g_i in g])
+        except (OverflowError, ZeroDivisionError):
+            break
+        z = [z_i + d for z_i, d in zip(z, step)]
+    raise ArithmeticError("fold-point Newton iteration did not converge")
 
 
 def solve_char_system(pointed: gf.PointedSeries,
                       seed: tuple[float, float, float, float] = (0.2, 0.13, 0.07, 0.8),
                       tol: float = 1e-12, max_iter: int = 100) -> CharSolution:
-    """Newton iteration for the branch point of the pointed system.
-
-    Unknowns (x, a, u, c) with a the common R/M value; conditions F = y and
-    (J - I) v = 0 with v = (1, c), J the Jacobian of F in y = (a, u): the
-    fold-point system, which holds where det(I - J) = 0.  Its Jacobian is
-    exact (:func:`_fold_system`) and its x-column is evaluated only when a
-    step is taken.  An iterate outside the ring's domain (|x| >= 1, or a
-    value that is not finite) or a singular step ends the iteration.
-    """
-    x, a, u, c = seed
-    for _ in range(max_iter):
-        if not (abs(x) < 1.0 and all(map(math.isfinite, (a, u, c)))):
-            break
-        try:
-            g, m, jacobian = _fold_system(x, a, u, c, pointed)
-            if _converged(g, tol):
-                return CharSolution(rho=x, a_R=a, a_U=u, c=c, j_minus_i=m,
-                                    residual=max(map(abs, g)))
-            dx, da, du, dc = _solve(jacobian(), [-gi for gi in g])
-        except (OverflowError, ZeroDivisionError):
-            break
-        x, a, u, c = x + dx, a + da, u + du, c + dc
-    raise ArithmeticError("branch-point Newton iteration did not converge")
+    """The branch point of the pointed system: the fold point (x, a, u, c) of
+    its unknowns (a, u), a the common R/M value, with v = (1, c), where
+    det(I - J) = 0."""
+    z, m, _, residual = _fold_point(gf._pointed_rhs, (pointed.a_leg,),
+                                    (pointed.a_R, pointed.a_U), seed, tol, max_iter)
+    return CharSolution(*z, m, residual)
 
 
 # -- singular expansions --------------------------------------------------
@@ -477,13 +475,14 @@ def singular_expansions(char: CharSolution, pointed: gf.PointedSeries,
     w = (r, -p) if abs(p) + abs(r) >= abs(q) + abs(s) else (s, -q)
     me = (p * e[0] + q * e[1], r * e[0] + s * e[1])
     point = JetPoint(xp(char.rho, 0.0, -char.rho))
+    system = gf._pointed_rhs, (pointed.a_leg,), (pointed.a_R, pointed.a_U)
     a, u = xp(char.a_R), xp(char.a_U)
     d = 0.0
     for k in range(1, DEG):
         g = []
         for c in (0.0, 1.0):
             a[k], u[k] = c * v[0] + d * e[0], c * v[1] + d * e[1]
-            r_a, r_u = _pointed_residuals(point, pointed, a, u)
+            r_a, r_u = _residuals(point, *system, (a, u))
             g.append((r_a[k + 1], r_u[k + 1]))
         g0, g1 = g
         dg = [y1 - y0 for y0, y1 in zip(g0, g1)]
@@ -494,7 +493,7 @@ def singular_expansions(char: CharSolution, pointed: gf.PointedSeries,
         a[k], u[k] = c * v[0] + d * e[0], c * v[1] + d * e[1]
         d = -_dot(me, [y0 + t * dy for y0, dy in zip(g0, dg)]) / _dot(me, me)
     a[DEG], u[DEG] = d * e[0], d * e[1]
-    r_a, r_u = _pointed_residuals(point, pointed, a, u)
+    r_a, r_u = _residuals(point, *system, (a, u))
     g = r_a + r_u
     if not _converged(g, tol):
         raise ArithmeticError("singular-expansion residual above tolerance")
@@ -551,48 +550,22 @@ def verify_selfdual_growth(pointed: gf.PointedSeries, s_U_paper: PowerSeries, rh
     F(x, s) has nonnegative coefficients, so it increases in x and is
     increasing and convex in s >= 0: g(x) = max over s >= 0 of s - F(x, s)
     decreases in x, and s = F(x, s) has a solution exactly where g(x) >= 0
-    (Pivoteau-Salvy-Soria, JCTA 2012).  g is read at its crest F_s = 1 (or
-    s = 0), found by Newton with exact F_s and F_ss; an inexact crest only
-    lowers g.  The root of g is the branch point, found by regula falsi
-    (Illinois); the shipped bound has it at x = 0.39300.  "No branch point"
-    means g(sqrt(rho)) >= 0: up to truncation and float error, the system
-    has a fixed point throughout the window.
+    (Pivoteau-Salvy-Soria, JCTA 2012).  A fold point (s = F, F_s = 1) with
+    s >= 0 and F_ss > 0 is the crest of s - F at height 0, so its x is the
+    unique root of g: the branch point, found by :func:`_fold_point` from a
+    fixed seed; the shipped bound has it at x = 0.39300.  A root past
+    sqrt(rho) means no branch point in the window: up to truncation and float
+    error, the system has a fixed point throughout it.  Any other outcome
+    raises ArithmeticError.
     """
-    pairs = gf.pair_class(pointed, s_U_paper)
-    s_bound = gf.compute_s_bound(pointed, s_U_paper)
-
-    def crest(x: float, s: float) -> tuple[float, float]:
-        # g(x) and the crest, by Newton on F_s = 1 from s; F, F_s and
-        # F_ss / 2 are the X^0..X^2 coefficients with s + X at r = 1
-        point = JetPoint(xp(x))
-        for _ in range(100):
-            (f,) = gf._s_bound_rhs(point.leaf(pairs), point.leaf(pointed.a_leg),
-                                   point.leaf(s_bound, xp(s, 1.0)))
-            f0, f_s, half_f_ss = f()[:3]
-            if abs(1.0 - f_s) <= tol or (s == 0.0 and f_s >= 1.0):
-                return s - f0, s
-            s = max(0.0, s + (1.0 - f_s) / (2.0 * half_f_ss))
-        raise ArithmeticError(f"self-dual scan: no crest found at x = {x:.8f}")
-
     x_max = math.sqrt(rho)
-    b, (g_b, s) = x_max, crest(x_max, 0.0)
-    if g_b >= 0.0:
+    (x, s), _, (half_f_ss,), residual = _fold_point(
+        gf._s_bound_rhs, (gf.pair_class(pointed, s_U_paper), pointed.a_leg),
+        (gf.compute_s_bound(pointed, s_U_paper),), (0.40, 0.45), tol)
+    if not (x > 0.0 and s >= 0.0 and half_f_ss > 0.0):
+        raise ArithmeticError(
+            f"self-dual scan: the fold point at x = {x:.8f}, s = {s:.8f} is not a branch point")
+    if x > x_max:
         return BranchPointReport(no_branch_point=True, x_max=x_max)
-    # g > 0 at the lower end is checked; g(0+) = max of s - e^s + 1 + s + s^2/2 > 0
-    a, (g_a, s) = x_max / 2.0, crest(x_max / 2.0, s)
-    while not g_a > 0.0:
-        b, g_b, a = a, g_a, a / 2.0
-        g_a, s = crest(a, s)
-    # Illinois: b is the newest point; the value at a is halved when a is kept
-    for _ in range(100):
-        x = b - g_b * (b - a) / (g_b - g_a)
-        g, s = crest(x, s)
-        if abs(g) <= tol:
-            return BranchPointReport(no_branch_point=False, x_max=x_max,
-                                     branch_x=x, branch_s=s, residual=abs(g))
-        if (g > 0.0) != (g_b > 0.0):
-            a, g_a = b, g_b
-        else:
-            g_a /= 2.0
-        b, g_b = x, g
-    raise ArithmeticError("self-dual scan: regula falsi did not converge")
+    return BranchPointReport(no_branch_point=False, x_max=x_max, branch_x=x, branch_s=s,
+                             residual=residual)

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from functools import partial
 
 import pytest
 
@@ -21,6 +22,25 @@ def close(want):
 def _pairs(p, sd):
     """The pair class of the self-dual bound, as `verify_selfdual_growth` builds it."""
     return gf.pair_class(p, sd.s_U_paper)
+
+
+def _pointed_system(p):
+    """(rhs, known, unknowns) of the pointed system, as `solve_char_system` passes them."""
+    return gf._pointed_rhs, (p.a_leg,), (p.a_R, p.a_U)
+
+
+def _bound_system(p, sd):
+    """(rhs, known, unknowns) of the bounding series, as `verify_selfdual_growth` passes them."""
+    return gf._s_bound_rhs, (_pairs(p, sd), p.a_leg), (sd.s_bound,)
+
+
+def _fold_residual(system, z):
+    """(F - y, (J - I) v) at z = (x, y, v_2..v_k): the X^0 and X^1 coefficients
+    of fresh evaluations at the constant point x with y + X v."""
+    k = len(system[2])
+    x, y, v = z[0], z[1:k + 1], [1.0, *z[k + 1:]]
+    r = asy._residuals(asy.JetPoint(asy.xp(x)), *system, [asy.xp(*yv) for yv in zip(y, v)])
+    return [p[0] for p in r] + [p[1] for p in r]
 
 
 # The reference route for the ring's leaves, which shares no step with its
@@ -105,9 +125,7 @@ class TestCharSystem:
     def test_residual_norm_small(self, char30, pointed30):
         # the carried residual is the max-norm of (F - y, (J - I) v) at rho,
         # v = (1, c): the X^0 and X^1 coefficients with y + X v
-        r_a, r_u = asy._pointed_residuals(asy.JetPoint(asy.xp(char30.rho)), pointed30,
-                                          asy.xp(char30.a_R, 1.0), asy.xp(char30.a_U, char30.c))
-        g = [r_a[0], r_u[0], r_a[1], r_u[1]]
+        g = _fold_residual(_pointed_system(pointed30), char30[:4])
         assert char30.residual == max(map(abs, g))
         assert char30.residual < 1e-11
 
@@ -116,9 +134,17 @@ class TestCharSystem:
         char40 = asy.solve_char_system(p40)
         assert abs(char40.rho - char30.rho) < 1e-7
 
-    def test_bad_seed_raises(self, pointed30):
-        with pytest.raises(ArithmeticError):
-            asy.solve_char_system(pointed30, seed=(0.9, 50.0, 50.0, 0.8), max_iter=5)
+    @pytest.mark.parametrize("system", ["pointed", "bound"])
+    def test_bad_seed_raises(self, system, pointed30, selfdual30):
+        # a diverging seed is an ArithmeticError itself, not an OverflowError
+        # or a ValueError leaking out of the ring: (0.5, 0) takes the bound's
+        # iterates out of |x| < 1
+        with pytest.raises(ArithmeticError) as info:
+            if system == "pointed":
+                asy.solve_char_system(pointed30, seed=(0.9, 50.0, 50.0, 0.8), max_iter=5)
+            else:
+                asy._fold_point(*_bound_system(pointed30, selfdual30), (0.5, 0.0), RUN_TOL)
+        assert info.type is ArithmeticError
 
     @pytest.mark.parametrize("order", [3, 30, 200])
     def test_evaluation_count(self, order, monkeypatch):
@@ -131,34 +157,41 @@ class TestCharSystem:
             return residuals(point, *args)
 
         p = gf.solve_pointed(order)
-        residuals = asy._pointed_residuals
-        monkeypatch.setattr(asy, "_pointed_residuals", counted)
+        residuals = asy._residuals
+        monkeypatch.setattr(asy, "_residuals", counted)
         asy.solve_char_system(p)
         assert len(points) <= 12
         assert sum(any(x[1:]) for x in points) <= 3
 
-    def test_jacobian_against_forward_differences(self, char30, pointed30):
-        # the carried J - I and the Newton Jacobian in (x, a, u, c) against
-        # forward differences of fresh evaluations at rho
-        h = 1e-7
-        at = (char30.rho, char30.a_R, char30.a_U, char30.c)
-
-        def g(x, a, u, c):
-            # (F - y, (J - I) v): the X^0 and X^1 coefficients with y + X v
-            r_a, r_u = asy._pointed_residuals(asy.JetPoint(asy.xp(x)), pointed30,
-                                              asy.xp(a, 1.0), asy.xp(u, c))
-            return [r_a[0], r_u[0], r_a[1], r_u[1]]
-
-        columns = []
-        for j in range(4):
-            shifted = [y + h * (i == j) for i, y in enumerate(at)]
-            columns.append([(s - b) / h for s, b in zip(g(*shifted), g(*at))])
-        m = char30.j_minus_i
+    def test_jacobian_against_forward_differences(self, char30, pointed30, selfdual30,
+                                                  monkeypatch):
+        # the fold-point Newton's Jacobian in z = (x, y, v_2..v_k), read from
+        # its one step off the pointed system's and the bound's fold points,
+        # and the carried J - I, against forward differences of fresh
+        # evaluations there
+        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
+        jacobians = []
+        solve = asy._solve
+        monkeypatch.setattr(asy, "_solve", lambda a, b: jacobians.append(a) or solve(a, b))
+        h, differences = 1e-7, []
+        bound_at = [report.branch_x, report.branch_s]
+        for args, at in ((_pointed_system(pointed30), list(char30[:4])),
+                         (_bound_system(pointed30, selfdual30), bound_at)):
+            columns = []
+            for j in range(len(at)):
+                shifted = [z + h * (i == j) for i, z in enumerate(at)]
+                columns.append([(s - b) / h for s, b in zip(_fold_residual(args, shifted),
+                                                             _fold_residual(args, at))])
+            with pytest.raises(ArithmeticError):  # tol 0: one step, then no convergence
+                asy._fold_point(*args, at, 0.0, max_iter=1)
+            jacobian = jacobians.pop()
+            for j, column in enumerate(columns):
+                # F_s - 1 is 0 at the bound's fold, where the difference reads h F_ss / 2
+                assert [row[j] for row in jacobian] == pytest.approx(column, rel=1e-6, abs=1e-6), j
+            differences.append(columns)
+        m, columns = char30.j_minus_i, differences[0]
         assert [m[0][0], m[1][0], m[0][1], m[1][1]] == pytest.approx(
             columns[1][:2] + columns[2][:2], rel=1e-6)
-        _, _, jacobian = asy._fold_system(*at, pointed30)
-        for j, column in enumerate(columns):
-            assert [row[j] for row in jacobian()] == pytest.approx(column, rel=1e-6), j
 
 
 class TestSingularExpansions:
@@ -173,7 +206,8 @@ class TestSingularExpansions:
     def test_residuals_matched(self, char30, expansion30, pointed30):
         # every coefficient X^0..X^DEG, not only the X^0..X^3 that asympt prints
         branch_point = asy.JetPoint(asy.xp(char30.rho, 0.0, -char30.rho))
-        r_a, r_u = asy._pointed_residuals(branch_point, pointed30, expansion30.a, expansion30.u)
+        r_a, r_u = asy._residuals(branch_point, *_pointed_system(pointed30),
+                                  (expansion30.a, expansion30.u))
         assert len(r_a) == len(r_u) == asy.DEG + 1
         assert max(map(abs, r_a + r_u)) < 1e-12
         assert expansion30.residual == max(map(abs, r_a + r_u))
@@ -190,8 +224,8 @@ class TestSingularExpansions:
             calls.append(None)
             return residuals(*args)
 
-        residuals = asy._pointed_residuals
-        monkeypatch.setattr(asy, "_pointed_residuals", counted)
+        residuals = asy._residuals
+        monkeypatch.setattr(asy, "_residuals", counted)
         asy.singular_expansions(char30, pointed30)
         assert len(calls) <= 9
 
@@ -276,19 +310,20 @@ class TestSelfDualGrowth:
         assert rep.describe().startswith("no branch point")
 
     def test_scan_evaluation_count(self, pointed30, selfdual30, char30, monkeypatch):
-        # one evaluation per crest Newton step, and each crest is started
-        # from the last one, so a few steps per regula falsi step suffice
-        calls = []
+        # one constant-point evaluation per iterate, and one at x + X^2 per
+        # step taken: four steps from the fixed seed
+        points = []
 
-        def counted(*args):
-            calls.append(None)
-            return rhs(*args)
+        def counted(point, *args):
+            points.append(point.x)
+            return residuals(point, *args)
 
-        rhs = gf._s_bound_rhs
-        monkeypatch.setattr(gf, "_s_bound_rhs", counted)
+        residuals = asy._residuals
+        monkeypatch.setattr(asy, "_residuals", counted)
         report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
         assert not report.no_branch_point
-        assert len(calls) <= 80
+        assert len(points) <= 9
+        assert sum(any(x[1:]) for x in points) <= 4
 
     def test_exact_s_column(self, pointed30, selfdual30):
         # -2 (F_ss / 2), from the X^2 coefficient, against a forward
@@ -308,7 +343,7 @@ class TestSelfDualGrowth:
                                                           char30):
         # s <- F(x, s) from s = 0 increases to the least fixed point where one
         # exists and grows past every bound where none does; it shares no
-        # code with the crest Newton or the regula falsi of the scan
+        # code with the fold-point Newton of the scan
         pairs = _pairs(pointed30, selfdual30)
         report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
 
@@ -327,6 +362,48 @@ class TestSelfDualGrowth:
         assert step < 1e-13 and 0.0 < s < report.branch_s
         s, _ = iterate(report.branch_x + 1e-3)
         assert s > 1.0
+
+
+def _series_parallel_rhs(leg, a):
+    # the R-equation of _pointed_rhs with a_U = 0: a = MSet(a + x) - 1 - (a + x)
+    f = a + leg
+    return (f.mset() - 1 - f,)
+
+
+class TestFoldPoint:
+    """The one fold-point Newton on systems that no command solves."""
+
+    @pytest.fixture(scope="class")
+    def pointed60(self):
+        return gf.solve_pointed(60)
+
+    @pytest.mark.parametrize("order", [30, 60])
+    def test_series_parallel_known_answer(self, order):
+        # series-parallel networks by edges, x + 2a, are OEIS A000084, and
+        # their growth constant is 1/rho = 3.5608393095 (Moon 1987; Finch,
+        # Mathematical Constants, section 5.6): numbers that no code here
+        # produced, reached through mset, the online solve and the fold Newton
+        leg = PowerSeries.x(order)
+        (a,) = gf._fixed_point(_series_parallel_rhs, (leg,), 1)
+        assert list((leg + 2 * a).coeffs[1:15]) == [
+            1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624, 14136, 43930, 137908, 437502]
+        (rho, _), _, _, residual = asy._fold_point(_series_parallel_rhs, (leg,), (a,),
+                                                   (0.3, 0.0), RUN_TOL)
+        assert 1.0 / rho == pytest.approx(3.5608393095, rel=0, abs=1e-10)
+        assert residual < RUN_TOL
+
+    @pytest.mark.parametrize("variant, order, want", [
+        ("paper", 30, 0.4275297645), ("paper", 60, 0.4274799190),
+        ("corrected", 30, 0.4480638949), ("corrected", 60, 0.4472749997)])
+    def test_selfdual_variant_branch_points(self, variant, order, want, pointed30, pointed60):
+        # README discrepancy #2 quotes these: each exact self-dual series
+        # branches before sqrt(rho), so no dominating series can reach it
+        p = {30: pointed30, 60: pointed60}[order]
+        s_U = gf.compute_selfdual(p, variant)
+        (x, s), _, (half_f_ss,), _ = asy._fold_point(
+            partial(gf._selfdual_rhs, variant), p, (s_U,), (0.45, 0.5), RUN_TOL)
+        assert x == pytest.approx(want, rel=0, abs=1e-10)
+        assert x < math.sqrt(RHO) and s > 0.0 and half_f_ss > 0.0
 
 
 class TestJetTailCutoff:
