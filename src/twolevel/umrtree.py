@@ -240,10 +240,9 @@ def self_dual_pointed_root_degrees(n: int) -> set[int]:
 
 @lru_cache(maxsize=None)
 def _rooted_trees(n: int) -> tuple:
-    """Each tree with n legs once, rooted at its centre: the trees whose root
-    has at least 3 children and a label that holds without a parent edge (U:
-    k <= children - 2), generated as such, and whose root is the least centre
-    rooting."""
+    """Each tree with n legs once, rooted at its centre: the pointed trees
+    whose label still holds without the parent edge (R, M: 3 children; U:
+    k <= children - 2) and whose root is the least centre rooting."""
     if n < 3:
         raise ValueError("a UMR-tree has at least 3 legs")
     if n > TREE_CAP:
@@ -251,10 +250,11 @@ def _rooted_trees(n: int) -> tuple:
     _subtree_facts(n - 2)  # a root has at least 3 children
     out = []
     for cat in ("R", "M", "U"):
-        for children in _child_multisets(_CHILD_CATS[cat], n, 3):
-            for k in range(2, len(children) - 1) if cat == "U" else (0,):
-                if _is_least_centre_rooting(root := (cat, k, children)):
-                    out.append(root)
+        for node in _pointed(n, cat):
+            _, k, children = node
+            if (len(children) >= 3 and k <= len(children) - 2
+                    and _is_least_centre_rooting(node)):
+                out.append(node)
     return tuple(out)
 
 

@@ -239,6 +239,17 @@ class TestAsympt:
         assert err.startswith("error: coefficient 456 of an order-460 series exceeds the "
                               "float range")
 
+    @pytest.mark.parametrize("order", [200, 450])
+    def test_selfdual_scan_at_high_order(self, capsys, order):
+        # 450 is the largest order whose series stay in the float range; the
+        # scan's fixed seed still reaches the branch point there
+        code, out, err = run(["--order", str(order), "--format", "json", "asympt"], capsys)
+        assert code == 0, err
+        scan = {r["constant"]: r for r in json.loads(out)["data"]}["selfdual_scan"]
+        assert scan["value"] == ("branch point at x = 0.39300081 (s = 0.46526135), "
+                                 "inside (0, 0.45265422]")
+        assert float(scan["residual"]) <= 1e-12
+
 
 class TestBound:
     def test_exact_rows(self, capsys):
