@@ -31,8 +31,9 @@ reads its value at x = 0, which is 0.0 for every series MSet accepts, so no
 sum changes.  A leaf's values come from its coefficients, made floats once
 (ValueError past the float range), by one Horner kernel: passes over all r
 together give the series' Taylor coefficients at x(0)^r up to the order that
-can reach X^DEG (only the value at a constant point), composed with
-x(X)^r - x(0)^r at a moving one.
+can reach the highest power of X the caller reads, X^DEG unless it says less
+(only the value at a constant point), composed with x(X)^r - x(0)^r at a
+moving one.
 
 Polynomials in X are plain lists of DEG + 1 floats (index = power of X),
 truncated after degree DEG, and the linear solves are Gaussian elimination.
@@ -180,10 +181,12 @@ class JetPoint:
 
     The cutoff R is the last r >= 1 with |x(0)|^r > TAIL_EPS; past it every
     element reads its value at x = 0.  Values at r >= 2 are floats at a
-    constant point and X-polynomials at a moving one (``ops``).
+    constant point and X-polynomials at a moving one (``ops``).  ``reads``
+    is the highest power of X the caller reads; coefficients above it may
+    be incomplete.
     """
 
-    def __init__(self, x_of_X: list[float]):
+    def __init__(self, x_of_X: list[float], reads: int = DEG):
         x0 = x_of_X[0]
         if not abs(x0) < 1:
             raise ValueError("ring evaluation requires |x(0)| < 1")
@@ -194,10 +197,10 @@ class JetPoint:
         self.r_max = r_max
         self._ys = [x0**r for r in range(1, r_max + 1)]
         # x(X)^r = x0^r + shift_r, and shift_r^j is O(X^(j val)): Taylor
-        # orders past DEG // val cannot reach X^DEG
+        # orders past reads // val cannot reach X^reads
         val = next((i for i, c in enumerate(x_of_X) if i and c), None)
         self.ops = _FLOATS if val is None else _XPOLYS
-        self._taylor = 0 if val is None else DEG // val
+        self._taylor = 0 if val is None else reads // val
         self._shifts = []  # at r = 1..R, at a moving point
         if val is not None:
             power = x_of_X
@@ -406,10 +409,11 @@ def _fold_point(rhs, known, unknowns, seed, tol: float, max_iter: int = 100):
     give H[v, v]/2 and T[v, v, v]/6, over sum(v).  The x-column costs one
     evaluation at x + X^2 with y + X v, whose X^2 and X^3 coefficients carry
     F_x and d/dx (J v) in place of (J - I) e_j and H[v, e_j]; it is made
-    only when a step is taken.  An iterate outside the ring's domain (|x| >=
-    1, or a value that is not finite), an overflow or a singular step ends
-    the iteration with ArithmeticError.  Returns z, J - I, H[v, v]/2 and the
-    max-norm of (F - y, (J - I) v), below tol.
+    only when a step is taken, and read only through X^3.  An iterate
+    outside the ring's domain (|x| >= 1, or a value that is not finite), an
+    overflow or a singular step ends the iteration with ArithmeticError.
+    Returns z, J - I, H[v, v]/2 and the max-norm of (F - y, (J - I) v),
+    below tol.
     """
     k, z = len(unknowns), list(seed)
     for _ in range(max_iter):
@@ -429,7 +433,7 @@ def _fold_point(rhs, known, unknowns, seed, tol: float, max_iter: int = 100):
             g = [p[0] for p in by_e[0]] + [p[1] for p in by_e[0]]
             if _converged(g, tol):
                 return z, tuple(e[2] for e in eqs), [e[0] for e in eqs], max(map(abs, g))
-            shifted = _residuals(JetPoint(xp(x, 0.0, 1.0)), rhs, known, unknowns,
+            shifted = _residuals(JetPoint(xp(x, 0.0, 1.0), reads=3), rhs, known, unknowns,
                                  [xp(*yv) for yv in zip(y, v)])
             rows = [([s[2] - h, *m_i, *[0.0] * (k - 1)], [s[3] - t, *h_i, *m_i[1:]])
                     for s, (h, t, m_i, h_i) in zip(shifted, eqs)]

@@ -14,6 +14,7 @@ other modules it runs, so a launch loads nothing its subcommand does not use.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 from itertools import combinations
@@ -288,5 +289,19 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """The process entry (``python -m twolevel``, the ``twolevel`` script):
+    :func:`main` on ``sys.argv``, then its exit code."""
+    code = main()
+    # The process is about to end, and the OS reclaims its memory whole.
+    # Frozen objects are left out of the interpreter's shutdown collections,
+    # which would otherwise traverse every module's classes and functions
+    # and every table the command built.  atexit handlers, the stdio flush
+    # and module teardown still run; only cyclic garbage is left to the OS,
+    # and the package holds nothing that needs a finalizer.
+    gc.freeze()
+    return code
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

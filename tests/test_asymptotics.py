@@ -473,6 +473,23 @@ class TestLeafKernel:
                 want = series_at_xpoly(series, xp_pow(x_of_X, r))
                 assert value == pytest.approx(want, rel=1e-13, abs=0), r
 
+    @pytest.mark.parametrize("system", ["pointed", "bound"])
+    def test_reads_trims_no_coefficient_it_keeps(self, system, char30, pointed30, selfdual30):
+        # at x + X^2, reads=3 drops the Taylor term b_2 shift^2 = O(X^4):
+        # X^0..X^3 of every residual are the same floats as with reads=DEG
+        if system == "pointed":
+            args, heads = _pointed_system(pointed30), [
+                asy.xp(char30.a_R, 1.0), asy.xp(char30.a_U, char30.c)]
+        else:
+            args = _bound_system(pointed30, selfdual30)
+            heads = [asy.xp(selfdual30.s_bound.eval_float(char30.rho), 1.0)]
+        x_of_X = asy.xp(char30.rho, 0.0, 1.0)
+        trimmed, full = asy.JetPoint(x_of_X, reads=3), asy.JetPoint(x_of_X)
+        assert (trimmed._taylor, full._taylor) == (1, 2)
+        got = asy._residuals(trimmed, *args, heads)
+        want = asy._residuals(full, *args, heads)
+        assert [p[:4] for p in got] == [p[:4] for p in want]
+
     def test_each_tail_is_built_once(self, monkeypatch, capsys):
         # every node builds its tail at most once, and every leaf once per point
         nodes, leaves = [], Counter()
@@ -505,9 +522,9 @@ class TestLeafKernel:
         built = []
 
         class Counted(asy.JetPoint):
-            def __init__(self, x_of_X):
+            def __init__(self, x_of_X, **kwargs):
                 built.append(x_of_X)
-                super().__init__(x_of_X)
+                super().__init__(x_of_X, **kwargs)
 
         monkeypatch.setattr(asy, "JetPoint", Counted)
         assert cli.main([command]) == 0

@@ -1,5 +1,6 @@
 import ast
 import csv
+import gc
 import io
 import json
 import math
@@ -364,6 +365,33 @@ def run_python(*argv: str, check: bool = True) -> subprocess.CompletedProcess:
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run([sys.executable, *argv], capture_output=True,
                           text=True, check=check, env=env)
+
+
+class TestEntry:
+    """`run` is the process entry; `main` has no process-level effect."""
+
+    def test_main_leaves_the_heap_unfrozen(self, capsys):
+        before = gc.get_freeze_count()
+        assert run(["--order", "10", "coeffs", "T"], capsys)[0] == 0
+        assert gc.get_freeze_count() == before
+
+    def test_output_is_complete_after_the_freeze(self, capsys):
+        argv = ["--format", "json", "--order", "400", "coeffs", "T"]
+        proc = run_python("-m", "twolevel", *argv, check=False)
+        assert proc.returncode == 0, proc.stderr
+        assert len(json.loads(proc.stdout)["data"]) == 401
+        assert proc.stdout == run(argv, capsys)[1]
+
+    def test_error_exits_1(self):
+        proc = run_python("-m", "twolevel", "--order", "2", "coeffs", "T", check=False)
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr == "error: order must be >= 3\n"
+
+    def test_console_script_is_run(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text())["project"]["scripts"]
+        assert scripts == {"twolevel": "twolevel.cli:run"}
 
 
 class TestImports:
