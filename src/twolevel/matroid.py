@@ -4,13 +4,13 @@ Matroids are stored by their circuits; everything else is derived from two
 bitmask tables over the subsets of the ground set, so ground sets stay small.
 One subset generator fills both: the dependent sets (supersets of circuits)
 back ``bases``, ``rank`` and ``is_2connected``, the last two through one
-greedy rank; the independent sets (subsets of bases) give ``dual`` and
-``two_sum_via_bases`` their circuits.  This module is the brute-force oracle
-used to cross-validate the generating-function counts.
+greedy rank; the independent sets (subsets of bases) give ``dual`` its
+circuits.  This module is the brute-force oracle used to cross-validate the
+generating-function counts.
 """
 from __future__ import annotations
 
-from itertools import combinations, groupby, product
+from itertools import combinations, groupby
 
 BASES_CAP = 14
 ISO_CAP = 12
@@ -79,13 +79,6 @@ def uniform(n: int, k: int, labels=None) -> Matroid:
     if len(ground) != n:
         raise ValueError("label count must equal n")
     return Matroid(ground, [set(c) for c in combinations(ground, k + 1)])
-
-
-def relabel(m: Matroid, mapping) -> Matroid:
-    return Matroid(
-        [mapping[e] for e in m.ground],
-        [{mapping[e] for e in c} for c in m.circuits],
-    )
 
 
 def _subsets(mask: int):
@@ -174,13 +167,6 @@ def is_coloop(m: Matroid, e) -> bool:
     return all(e not in c for c in m.circuits)
 
 
-def direct_sum(m1: Matroid, m2: Matroid) -> Matroid:
-    if set(m1.ground) & set(m2.ground):
-        offset = max(m1.ground) + 1 - min(m2.ground)
-        m2 = relabel(m2, {e: e + offset for e in m2.ground})
-    return Matroid(m1.ground + m2.ground, m1.circuits | m2.circuits)
-
-
 def two_sum(m1: Matroid, e1, m2: Matroid, e2) -> Matroid:
     """2-sum of the matroids m1 and m2 along base points e1, e2 by the
     circuit composition rule (Oxley, Prop. 7.1.20): the circuits of each
@@ -208,16 +194,6 @@ def two_sum(m1: Matroid, e1, m2: Matroid, e2) -> Matroid:
     return Matroid(ground, circs)
 
 
-def two_sum_via_bases(m1: Matroid, e1, m2: Matroid, e2) -> Matroid:
-    """Independent 2-sum route through the bases definition."""
-    ground = tuple(sorted(g for g in m1.ground + m2.ground if g not in (e1, e2)))
-    return _from_bases(ground, [
-        (b1 | b2) - {e1, e2}
-        for b1, b2 in product(bases(m1), bases(m2))
-        if (e1 in b1) + (e2 in b2) == 1
-    ])
-
-
 def is_2connected(m: Matroid) -> bool:
     """No proper nonempty separator T with rank(T) + rank(E - T) = rank(E)."""
     dep = _dependent_table(m)
@@ -226,20 +202,6 @@ def is_2connected(m: Matroid) -> bool:
     for t in range(1, full):
         if _greedy_rank(dep, t) + _greedy_rank(dep, full ^ t) == total:
             return False
-    return True
-
-
-def circuit_axioms_ok(m: Matroid) -> bool:
-    """Antichain plus the circuit elimination axiom, checked exhaustively."""
-    circs = list(m.circuits)
-    for i, c1 in enumerate(circs):
-        for c2 in circs[:i]:
-            if c1 <= c2 or c2 <= c1:
-                return False
-            for e in c1 & c2:
-                union = (c1 | c2) - {e}
-                if not any(c3 <= union for c3 in circs):
-                    return False
     return True
 
 
@@ -292,10 +254,3 @@ def is_isomorphic(m1: Matroid, m2: Matroid) -> bool:
 
     return backtrack(0)
 
-
-def matroid_record(m: Matroid) -> str:
-    """Stable one-line record: sorted circuit list over the sorted ground set."""
-    circs = sorted(tuple(sorted(c)) for c in m.circuits)
-    ground = ",".join(str(e) for e in m.ground)
-    body = ";".join("{" + ",".join(str(e) for e in c) + "}" for c in circs)
-    return f"ground=[{ground}] circuits=[{body}]"

@@ -4,24 +4,23 @@ Each tree is generated once, rooted at its centre (Wright, Richmond,
 Odlyzko and McKay, "Constant time generation of free trees", 1986): a
 rooted tree is kept only if its root is a centre of the vertex tree, and of
 the two rootings of a tree with two centres only the one that sorts first.
-Children are pointed subtrees, built by the same generator that
+A tree is a nested node ``(cat, k, children)``: the category of its vertex,
+the rank k of a U-vertex (0 for M and R, whose rank follows from their
+size), and its children, pointed subtrees and legs, sorted so that every
+leg comes last.  Children are built by the same generator that
 independently realizes the pointed series counted in :mod:`twolevel.gfsystem`:
 for each multiset of subtree sizes, every choice with repetition from the
 pointed trees of each size, so each child is a shared, already generated
 tree.  The height and the dual of each subtree are computed once and looked
 up by the centre test and the self-duality tests.
-``count_self_dual`` compares each centre rooting with its dual.  The
-canonical form, the least encoding rooted at the centre, backs
-``tree_record``; with ``is_self_dual_tree`` it is an independent route that
-the tests use as their reference, and no command computes one.
+``count_self_dual`` compares each centre rooting with its dual, and
+``tree_to_matroid`` folds a node into its matroid by 2-sums.
 """
 from __future__ import annotations
 
-import random
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
-from typing import NamedTuple
 
 from . import matroid as mat
 
@@ -31,104 +30,6 @@ LEG = ("leg",)
 
 # which pointed-subtree categories may hang below a vertex of each category
 _CHILD_CATS = {"R": ("M", "U"), "M": ("R", "U"), "U": ("M", "R", "U")}
-
-
-class _LabelFields(NamedTuple):
-    category: str
-    n: int
-    k: int
-
-
-class UniformLabel(_LabelFields):
-    """Vertex label: the uniform matroid U_{n,k} in category M, R, or U."""
-
-    __slots__ = ()
-
-    def __new__(cls, category: str, n: int, k: int):
-        self = super().__new__(cls, category, n, k)
-        if self.category == "M":
-            ok = self.k == 1 and self.n >= 3
-        elif self.category == "R":
-            ok = self.k == self.n - 1 and self.n >= 3
-        elif self.category == "U":
-            ok = self.n >= 4 and 2 <= self.k <= self.n - 2
-        else:
-            ok = False
-        if not ok:
-            raise ValueError(f"invalid label {self.category}_{self.n},{self.k}")
-        return self
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
-    def dual(self) -> "UniformLabel":
-        if self.category == "M":
-            return UniformLabel("R", self.n, self.n - 1)
-        if self.category == "R":
-            return UniformLabel("M", self.n, 1)
-        return UniformLabel("U", self.n, self.n - self.k)
-
-
-class _TreeFields(NamedTuple):
-    labels: tuple[UniformLabel, ...]
-    edges: tuple[tuple[int, int], ...]
-    legs: tuple[int, ...]
-
-
-class UMRTree(_TreeFields):
-    """Typed labelled tree; legs[i] counts the free elements at vertex i."""
-
-    __slots__ = ()
-
-    def __new__(cls, labels, edges, legs):
-        self = super().__new__(cls, labels, edges, legs)
-        labels, edges, legs = self
-        s = len(labels)
-        if len(legs) != s or len(edges) != s - 1:
-            raise ValueError("malformed tree")
-        for i, j in edges:
-            if not (0 <= i < s and 0 <= j < s):
-                raise ValueError(f"edge ({i}, {j}) leaves the vertex set")
-            ci, cj = labels[i].category, labels[j].category
-            if ci == cj and ci in ("M", "R"):
-                raise ValueError(f"adjacent {ci}-vertices")
-        adj = self.adjacency()
-        # s-1 edges that reach all s vertices from vertex 0 form a tree
-        if sum(1 for _ in _walk(adj)) != s - 1:
-            raise ValueError("edges do not connect the vertex set")
-        for v, lab in enumerate(labels):
-            if legs[v] < 0 or legs[v] + len(adj[v]) != lab.n:
-                raise ValueError(f"legs + degree != n at vertex {v}")
-        return self
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
-
-    def num_legs(self) -> int:
-        return sum(self.legs)
-
-    def adjacency(self) -> list[list[int]]:
-        """Neighbours of each vertex, in the order of ``edges``."""
-        adj = [[] for _ in self.labels]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
-
-def _walk(adj):
-    """The edges (parent, child) of a depth-first walk from vertex 0, each
-    yielded when the walk first reaches its child."""
-    reached, stack = {0}, [0]
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if v not in reached:
-                reached.add(v)
-                yield u, v
-                stack.append(v)
 
 
 # -- pointed (rooted) subtree generation --------------------------------
@@ -230,12 +131,6 @@ def count_self_dual_pointed(n: int) -> int:
     return sum(1 for node in _pointed(n, "U") if _is_self_dual_pointed(node))
 
 
-def self_dual_pointed_root_degrees(n: int) -> set[int]:
-    """Restricted degrees occurring at roots of self-dual pointed trees."""
-    _subtree_facts(n - 2)  # a U-vertex has at least 3 children
-    return {len(node[2]) for node in _pointed(n, "U") if _is_self_dual_pointed(node)}
-
-
 # -- unrooted enumeration ------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -291,111 +186,46 @@ def _is_self_dual_root(root: tuple) -> bool:
     return _dual_node(root, parent_edges=0) in _centre_rootings(root)
 
 
-@lru_cache(maxsize=None)
-def _label(cat: str, n: int, k: int) -> UniformLabel:
-    return UniformLabel(cat, n, k)
-
-
-def _node_to_tree(root: tuple) -> UMRTree:
-    labels: list[UniformLabel] = []
-    legs: list[int] = []
-    edges: list[tuple[int, int]] = []
-
-    def walk(node: tuple, parent: int | None) -> None:
-        cat, k, children = node
-        n_label = len(children) + (parent is not None)
-        k = 1 if cat == "M" else n_label - 1 if cat == "R" else k
-        idx = len(labels)
-        labels.append(_label(cat, n_label, k))
-        n_legs = children.count(LEG)
-        legs.append(n_legs)
-        if parent is not None:
-            edges.append((parent, idx))
-        for c in children[:len(children) - n_legs]:
-            walk(c, idx)
-
-    walk(root, None)
-    return UMRTree(tuple(labels), tuple(edges), tuple(legs))
-
-
-def _encode(tree: UMRTree, v: int, parent: int | None, adj) -> tuple:
-    lab = tree.labels[v]
-    subs = tuple(
-        sorted(_encode(tree, w, v, adj) for w in adj[v] if w != parent)
-    )
-    return (lab.category, lab.n, lab.k, tree.legs[v], subs)
-
-
-def canonical_form(tree: UMRTree) -> tuple:
-    """Minimum rooted encoding over the centre of the tree."""
-    adj = tree.adjacency()
-    return min(_encode(tree, v, None, adj) for v in _centre(adj))
-
-
-def _centre(adj) -> list[int]:
-    """The one or two vertices left after peeling leaves layer by layer."""
-    degree = [len(ws) for ws in adj]
-    layer = [v for v, d in enumerate(degree) if d <= 1]
-    left = len(adj)
-    while left > 2:
-        left -= len(layer)
-        peeled = []
-        for v in layer:
-            for w in adj[v]:
-                degree[w] -= 1
-                if degree[w] == 1:
-                    peeled.append(w)
-        layer = peeled
-    return layer
-
-
-def dual_tree(tree: UMRTree) -> UMRTree:
-    return UMRTree(
-        tuple(lab.dual() for lab in tree.labels), tree.edges, tree.legs
-    )
-
-
-def is_self_dual_tree(tree: UMRTree) -> bool:
-    return canonical_form(tree) == canonical_form(dual_tree(tree))
-
-
-def enumerate_umr_trees(n: int) -> list[UMRTree]:
-    """All UMR-trees with exactly n legs, one per isomorphism class."""
-    return [_node_to_tree(root) for root in _rooted_trees(n)]
+def enumerate_umr_trees(n: int) -> tuple:
+    """All UMR-trees with exactly n legs, one per isomorphism class, each a
+    node rooted at its centre."""
+    return _rooted_trees(n)
 
 
 def count_trees(n: int) -> int:
-    """T(n): UMR-trees with n legs, counted without building their records."""
+    """T(n): UMR-trees with n legs."""
     return len(_rooted_trees(n))
 
 
 def count_self_dual(n: int) -> int:
     """S2(n): self-dual UMR-trees with n legs, decided on the centre
-    rootings (``is_self_dual_tree`` is the canonical-form route)."""
+    rootings."""
     return sum(1 for root in _rooted_trees(n) if _is_self_dual_root(root))
 
 
-def tree_to_matroid(tree: UMRTree, rng: random.Random | None = None) -> mat.Matroid:
-    """Fold the labels by 2-sums; base points may be randomized (the result
-    is the same matroid up to isomorphism for every choice)."""
-    elems: list[list[int]] = []
+def tree_to_matroid(root: tuple) -> mat.Matroid:
+    """Fold the uniform matroids of the vertices by 2-sums.  Vertices are
+    numbered in preorder and each vertex's elements consecutively from 1; a
+    non-root vertex is glued to its parent on its last element, its children
+    take the next elements down, and its legs keep the rest."""
     next_id = 1
-    for lab in tree.labels:
-        elems.append(list(range(next_id, next_id + lab.n)))
-        next_id += lab.n
-    available = [list(es) for es in elems]
-    if rng is not None:
-        for es in available:
-            rng.shuffle(es)
-    lab0 = tree.labels[0]
-    m = mat.uniform(lab0.n, lab0.k, labels=elems[0])
-    for u, v in _walk(tree.adjacency()):
-        labv = tree.labels[v]
-        mv = mat.uniform(labv.n, labv.k, labels=elems[v])
-        m = mat.two_sum(m, available[u].pop(), mv, available[v].pop())
-    return m
 
+    def fold(node: tuple, parent_edges: int) -> mat.Matroid:
+        nonlocal next_id
+        cat, k, children = node
+        n = len(children) + parent_edges
+        k = 1 if cat == "M" else n - 1 if cat == "R" else k
+        first, next_id = next_id, next_id + n
+        m = mat.uniform(n, k, labels=range(first, next_id))
+        point = next_id - 1 - parent_edges
+        for child in children:
+            if child == LEG:
+                break
+            # the child's last element: its first is next_id, and it has
+            # one element per child plus its parent edge
+            glue = next_id + len(child[2])
+            m = mat.two_sum(m, point, fold(child, 1), glue)
+            point -= 1
+        return m
 
-def tree_record(tree: UMRTree) -> str:
-    """Stable one-line record of the canonical encoding."""
-    return repr(canonical_form(tree))
+    return fold(root, 0)

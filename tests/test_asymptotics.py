@@ -364,6 +364,47 @@ class TestSelfDualGrowth:
         s, _ = iterate(report.branch_x + 1e-3)
         assert s > 1.0
 
+    def test_branch_point_is_where_the_least_gap_vanishes(self, pointed30, selfdual30,
+                                                          char30):
+        # m(x) = min over s in [0, 1] of F(x, s) - s is negative while s = F
+        # has a root and positive past the branch point; bisection in x over
+        # golden-section minima in s shares no code with the fold-point Newton
+        pairs = _pairs(pointed30, selfdual30)
+        golden = (math.sqrt(5.0) - 1.0) / 2.0
+
+        def least_gap(x):
+            point = asy.JetPoint(asy.xp(x))
+
+            def gap(s):
+                (f,) = gf._s_bound_rhs(point.leaf(pairs), point.leaf(pointed30.a_leg),
+                                       point.leaf(selfdual30.s_bound, asy.xp(s)))
+                return f()[0] - s
+
+            lo, hi = 0.0, 1.0
+            a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
+            ga, gb = gap(a), gap(b)
+            while hi - lo > 1e-7:
+                if ga < gb:
+                    hi, b, gb = b, a, ga
+                    a = hi - golden * (hi - lo)
+                    ga = gap(a)
+                else:
+                    lo, a, ga = a, b, gb
+                    b = lo + golden * (hi - lo)
+                    gb = gap(b)
+            return min(ga, gb)
+
+        lo, hi = 0.38, 0.40
+        assert least_gap(lo) < 0.0 < least_gap(hi)
+        while hi - lo > 1e-12:
+            mid = (lo + hi) / 2.0
+            if least_gap(mid) < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
+        assert (lo + hi) / 2.0 == pytest.approx(report.branch_x, rel=0, abs=1e-9)
+
 
 def _series_parallel_rhs(leg, a):
     # the R-equation of _pointed_rhs with a_U = 0: a = MSet(a + x) - 1 - (a + x)
@@ -632,9 +673,11 @@ class TestPinnedConstants:
     }
 
     def test_selfdual_scan(self, char30, pointed30, selfdual30):
-        # a regression pin of the root from an earlier, independent 2-D Newton
-        # search on (s = F, F_s = 1); the route that shares no code with the
-        # solver is test_monotone_iteration_brackets_the_branch_point
+        # a regression pin of the root from a 2-D Newton search on (s = F,
+        # F_s = 1), which is the solver itself; the routes that share no code
+        # with it are test_monotone_iteration_brackets_the_branch_point and
+        # test_branch_point_is_where_the_least_gap_vanishes, which finds x
+        # within 1e-9 of this value
         report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
         assert report.branch_x == pytest.approx(0.3930010376370808, rel=0, abs=1e-9)
         assert report.branch_s == pytest.approx(0.465261382005694, rel=0, abs=1e-9)

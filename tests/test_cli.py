@@ -1,20 +1,26 @@
 import ast
 import csv
 import gc
+import importlib
+import inspect
 import io
 import json
 import math
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import twolevel
 from twolevel import cli
 from twolevel import gfsystem as gf
 from twolevel import umrtree as umr
 from twolevel.powerseries import PowerSeries
+
+import reference_routes as ref
 
 
 def run(argv, capsys):
@@ -116,7 +122,7 @@ class TestVerify:
         realised = []
 
         def to_matroid(tree, realise=umr.tree_to_matroid):
-            realised.append(tree.num_legs())
+            realised.append(ref.num_legs(tree))
             return realise(tree)
 
         monkeypatch.setattr(umr, "tree_to_matroid", to_matroid)
@@ -173,11 +179,9 @@ class TestVerify:
         (variant,) = [r for r in report["data"] if r["check"] == "selfdual_variant"]
         assert (variant["n"], variant["status"]) == ("3..10", "ok")
 
-    def test_selfdual_chain_needs_no_canonical_form(self, capsys, monkeypatch):
-        def refuse(tree):
-            raise AssertionError("verify called canonical_form")
-
-        monkeypatch.setattr(umr, "canonical_form", refuse)
+    def test_selfdual_chain_needs_no_canonical_form(self, capsys):
+        # the canonical form is the tests' reference route; the package has none
+        assert not hasattr(umr, "canonical_form")
         code, out, _ = run(["--order", "10", "--tree-cap", "6", "--format", "json", "verify"],
                            capsys)
         assert code == 0
@@ -431,6 +435,39 @@ class TestImports:
         last = run_python("-c", probe).stdout.splitlines()[-1]
         expected = sorted(f"twolevel.{m}" for m in modules | {"cli", "powerseries"})
         assert last == f"0 {expected} False"
+
+
+class TestReachability:
+    """Every module-level public function of the package runs in some
+    command; what only the tests reach belongs in the tests."""
+
+    # the process entry around main(), which TestEntry runs in a subprocess
+    EXEMPT = {"twolevel.cli.run"}
+
+    def test_every_public_function_runs_in_a_command(self, capsys):
+        modules = [importlib.import_module(f"twolevel.{info.name}")
+                   for info in pkgutil.iter_modules(twolevel.__path__)
+                   if info.name != "__main__"]  # importing it runs the command line
+        commands = [["--order", "10", "coeffs", name] for name in cli.SERIES]
+        commands += [["--order", "12", "--tree-cap", "7", "verify"], ["asympt"], ["bound"]]
+        called = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                called.add(frame.f_code)
+
+        sys.setprofile(profile)
+        try:
+            codes = [cli.main(argv) for argv in commands]
+        finally:
+            sys.setprofile(None)
+        capsys.readouterr()
+        assert codes == [0] * len(commands)
+        unreached = [f"{mod.__name__}.{name}" for mod in modules
+                     for name, fn in vars(mod).items()
+                     if inspect.isfunction(fn) and fn.__module__ == mod.__name__
+                     and not name.startswith("_") and fn.__code__ not in called]
+        assert [name for name in unreached if name not in self.EXEMPT] == []
 
 
 class TestBenchProbe:
