@@ -1,60 +1,86 @@
-"""Small-scale exact matroid algebra over circuit families.
+"""Small-scale exact matroid algebra over circuit families: the brute-force
+oracle used to cross-validate the generating-function counts.
 
-Matroids are stored by their circuits; everything else is derived from two
-bitmask tables over the subsets of the ground set, so ground sets stay small.
-One subset generator fills both: the dependent sets (supersets of circuits)
-back ``bases``, ``rank`` and ``is_2connected``, the last two through one
-greedy rank; the independent sets (subsets of bases) give ``dual`` its
-circuits.  This module is the brute-force oracle used to cross-validate the
-generating-function counts.
+A matroid holds its sorted ground set and each circuit as a bitmask over it
+(bit i stands for ``ground[i]``); ``circuits`` is a read-only view of the
+masks as sets of labels.  ``uniform`` and ``two_sum`` compose masks.  The
+dependent sets (supersets of circuits) back ``bases``, ``rank`` and
+``is_2connected``, the last two through one greedy rank; the independent
+sets (subsets of bases) give ``dual`` its circuits.
+``pairwise_non_isomorphic`` runs ``is_isomorphic`` only within buckets of
+equal invariants.
 """
 from __future__ import annotations
 
-from itertools import combinations, groupby
+from functools import lru_cache
+from itertools import combinations
 
 BASES_CAP = 14
 ISO_CAP = 12
 
 
 class Matroid:
-    """Ground-set labels plus the family of circuits (an antichain)."""
+    """Sorted ground-set labels plus the circuits (an antichain) as masks."""
 
-    __slots__ = ("ground", "circuits")
+    __slots__ = ("ground", "masks")
 
     def __init__(self, ground, circuits):
         ground = tuple(sorted(ground))
-        gset = set(ground)
-        if len(gset) != len(ground):
+        bit = {e: 1 << i for i, e in enumerate(ground)}
+        if len(bit) != len(ground):
             raise ValueError("duplicate ground elements")
-        circs = frozenset(frozenset(c) for c in circuits)
-        for c in circs:
-            if not c:
-                raise ValueError("empty circuit")
-            if not c <= gset:
-                raise ValueError("circuit not contained in ground set")
-        # c < d needs |c| < |d|, so circuits of one size are never compared
-        buckets = [list(cs) for _, cs in groupby(sorted(circs, key=len), key=len)]
-        for small, large in combinations(buckets, 2):
-            if any(c < d for c in small for d in large):
-                raise ValueError("circuit family is not an antichain")
+        circuits = [frozenset(c) for c in circuits]
+        if frozenset() in circuits:
+            raise ValueError("empty circuit")
+        if not frozenset().union(*circuits) <= bit.keys():
+            raise ValueError("circuit not contained in ground set")
         self.ground = ground
-        self.circuits = circs
+        self.masks = _antichain([sum(map(bit.get, c)) for c in circuits])
+
+    @property
+    def circuits(self) -> frozenset:
+        """The circuits as frozensets of ground-set labels."""
+        return frozenset(_elements(self.ground, c) for c in self.masks)
 
     def __eq__(self, other):
         return (
             isinstance(other, Matroid)
             and self.ground == other.ground
-            and self.circuits == other.circuits
+            and self.masks == other.masks
         )
 
     def __hash__(self):
-        return hash((self.ground, self.circuits))
+        return hash((self.ground, self.masks))
 
     def __repr__(self):
-        return f"Matroid(|E|={len(self.ground)}, {len(self.circuits)} circuits)"
+        return f"Matroid(|E|={len(self.ground)}, {len(self.masks)} circuits)"
 
     def size(self) -> int:
         return len(self.ground)
+
+
+def _antichain(masks) -> frozenset:
+    """The masks, once none is found inside another: c < d, that is c & d
+    == c for c != d, needs |c| < |d|, so each is scanned against those after
+    it in size order, and the largest need no scan."""
+    masks = frozenset(masks)
+    ordered = sorted(masks, key=int.bit_count)
+    for i, c in enumerate(ordered):
+        if c.bit_count() == ordered[-1].bit_count():
+            break
+        if c in map(c.__and__, ordered[i + 1:]):
+            raise ValueError("circuit family is not an antichain")
+    return masks
+
+
+def _matroid(ground: tuple, masks) -> Matroid:
+    """The matroid on ground whose circuits are masks over it; a ground set
+    out of order, or with repeats, goes through the labels."""
+    if list(ground) != sorted(set(ground)):
+        return Matroid(ground, [_elements(ground, c) for c in masks])
+    m = object.__new__(Matroid)
+    m.ground, m.masks = ground, _antichain(masks)
+    return m
 
 
 # P6: the excluded minor with a single 3-circuit; fixture, not computed.
@@ -71,6 +97,11 @@ P6 = Matroid(
 )
 
 
+@lru_cache(maxsize=None)
+def _uniform_masks(n: int, k: int) -> frozenset:
+    return frozenset(sum(1 << i for i in c) for c in combinations(range(n), k + 1))
+
+
 def uniform(n: int, k: int, labels=None) -> Matroid:
     """U_{n,k} with 0 < k < n; circuits are all (k+1)-subsets."""
     if k <= 0 or k >= n:
@@ -78,7 +109,7 @@ def uniform(n: int, k: int, labels=None) -> Matroid:
     ground = tuple(labels) if labels is not None else tuple(range(1, n + 1))
     if len(ground) != n:
         raise ValueError("label count must equal n")
-    return Matroid(ground, [set(c) for c in combinations(ground, k + 1)])
+    return _matroid(ground, _uniform_masks(n, k))
 
 
 def _subsets(mask: int):
@@ -97,14 +128,11 @@ def _elements(ground, mask: int) -> frozenset:
 
 def _dependent_table(m: Matroid) -> bytearray:
     """dep[mask] = 1 exactly when mask contains a circuit of m."""
-    n = len(m.ground)
-    idx = {e: i for i, e in enumerate(m.ground)}
-    full = (1 << n) - 1
-    dep = bytearray(1 << n)
-    for c in m.circuits:
-        cm = sum(1 << idx[e] for e in c)
-        for sub in _subsets(full ^ cm):
-            dep[cm | sub] = 1
+    full = (1 << len(m.ground)) - 1
+    dep = bytearray(full + 1)
+    for c in m.masks:
+        for sub in _subsets(full ^ c):
+            dep[c | sub] = 1
     return dep
 
 
@@ -120,25 +148,27 @@ def _greedy_rank(dep: bytearray, mask: int) -> int:
     return indep.bit_count()
 
 
-def _from_bases(ground: tuple, base_sets) -> Matroid:
-    """The matroid on ground with the given bases: the independent sets are
-    their subsets, the circuits the minimal sets that are not."""
+def _from_bases(ground: tuple, base_masks) -> Matroid:
+    """The matroid on the sorted ground with these base masks: its circuits
+    are the minimal sets that lie inside no base."""
     n = len(ground)
-    idx = {e: i for i, e in enumerate(ground)}
     indep = bytearray(1 << n)
-    for b in base_sets:
-        for sub in _subsets(sum(1 << idx[e] for e in b)):
+    for b in base_masks:
+        for sub in _subsets(b):
             indep[sub] = 1
-    circs = [
-        _elements(ground, mask)
-        for mask in range(1, 1 << n)
-        if not indep[mask] and all(indep[mask ^ 1 << i] for i in range(n) if mask >> i & 1)
-    ]
-    return Matroid(ground, circs)
+    circs = []
+    for mask in range(1, 1 << n):
+        if not indep[mask]:
+            rest = mask
+            while rest and indep[mask ^ rest & -rest]:
+                rest &= rest - 1
+            if not rest:
+                circs.append(mask)
+    return _matroid(ground, circs)
 
 
-def bases(m: Matroid) -> frozenset:
-    """All maximum-cardinality subsets containing no circuit.  The size is
+def _base_masks(m: Matroid) -> list[int]:
+    """All maximum-cardinality masks containing no circuit.  The size is
     found by the scan, not by the greedy rank, so the answer keeps its
     meaning for a circuit family that is not a matroid's."""
     n = len(m.ground)
@@ -147,7 +177,12 @@ def bases(m: Matroid) -> frozenset:
     dep = _dependent_table(m)
     free = [mask for mask in range(1 << n) if not dep[mask]]
     size = max(mask.bit_count() for mask in free)
-    return frozenset(_elements(m.ground, mask) for mask in free if mask.bit_count() == size)
+    return [mask for mask in free if mask.bit_count() == size]
+
+
+def bases(m: Matroid) -> frozenset:
+    """The bases as frozensets of ground-set labels."""
+    return frozenset(_elements(m.ground, b) for b in _base_masks(m))
 
 
 def rank(m: Matroid) -> int:
@@ -156,15 +191,16 @@ def rank(m: Matroid) -> int:
 
 def dual(m: Matroid) -> Matroid:
     """Matroid whose bases are the complements of the bases of m."""
-    return _from_bases(m.ground, [frozenset(m.ground) - b for b in bases(m)])
+    full = (1 << len(m.ground)) - 1
+    return _from_bases(m.ground, [full ^ b for b in _base_masks(m)])
 
 
 def is_loop(m: Matroid, e) -> bool:
-    return frozenset([e]) in m.circuits
+    return 1 << m.ground.index(e) in m.masks
 
 
 def is_coloop(m: Matroid, e) -> bool:
-    return all(e not in c for c in m.circuits)
+    return not any(map((1 << m.ground.index(e)).__and__, m.masks))
 
 
 def two_sum(m1: Matroid, e1, m2: Matroid, e2) -> Matroid:
@@ -174,24 +210,22 @@ def two_sum(m1: Matroid, e1, m2: Matroid, e2) -> Matroid:
     through them.  The inputs must be matroids: then that family is the
     antichain of circuits of the 2-sum as it stands, with nothing to
     remove, while for other circuit families it need not be a matroid's.
-    """
-    if set(m1.ground) & set(m2.ground):
+    Base points are squeezed out of the masks, and m2's go above m1's."""
+    if not set(m1.ground).isdisjoint(m2.ground):
         raise ValueError("ground sets must be disjoint")
+    circs, through, ground = [], [], ()
     for m, e in ((m1, e1), (m2, e2)):
         if e not in m.ground:
             raise ValueError(f"base point {e} not in ground set")
         if is_loop(m, e) or is_coloop(m, e):
             raise ValueError(f"base point {e} is a loop or coloop")
-    circs = {c for c in m1.circuits if e1 not in c}
-    circs |= {c for c in m2.circuits if e2 not in c}
-    for c1 in m1.circuits:
-        if e1 not in c1:
-            continue
-        for c2 in m2.circuits:
-            if e2 in c2:
-                circs.add((c1 - {e1}) | (c2 - {e2}))
-    ground = [g for g in m1.ground + m2.ground if g not in (e1, e2)]
-    return Matroid(ground, circs)
+        i, shift = m.ground.index(e), len(ground)
+        bit, low = 1 << i, (1 << i) - 1
+        circs += [(c & low | c >> 1 & ~low) << shift for c in m.masks if not c & bit]
+        through.append([(c & low | c >> 1 & ~low) << shift for c in m.masks if c & bit])
+        ground += m.ground[:i] + m.ground[i + 1:]
+    circs += [c1 | c2 for c1 in through[0] for c2 in through[1]]
+    return _matroid(ground, circs)
 
 
 def is_2connected(m: Matroid) -> bool:
@@ -205,52 +239,58 @@ def is_2connected(m: Matroid) -> bool:
     return True
 
 
+def _invariant(m: Matroid) -> tuple:
+    """Equal for isomorphic matroids: |E| and the multiset of circuit sizes."""
+    return len(m.ground), *sorted(map(int.bit_count, m.masks))
+
+
 def is_isomorphic(m1: Matroid, m2: Matroid) -> bool:
-    """Backtracking search for a circuit-preserving ground-set bijection."""
+    """Backtracking search for a circuit-preserving bijection of positions."""
     n = len(m1.ground)
     if n > ISO_CAP or len(m2.ground) > ISO_CAP:
         raise ValueError(f"ground set size exceeds isomorphism cap {ISO_CAP}")
-    if n != len(m2.ground) or len(m1.circuits) != len(m2.circuits):
-        return False
-    if sorted(map(len, m1.circuits)) != sorted(map(len, m2.circuits)):
+    if _invariant(m1) != _invariant(m2):
         return False
 
     def profiles(m):
-        """Sorted sizes of the circuits through each element."""
-        return {e: tuple(sorted(len(c) for c in m.circuits if e in c)) for e in m.ground}
+        """Sorted sizes of the circuits through each position."""
+        return [tuple(sorted(c.bit_count() for c in m.masks if c >> i & 1)) for i in range(n)]
 
     p1, p2 = profiles(m1), profiles(m2)
-    if sorted(p1.values()) != sorted(p2.values()):
+    if sorted(p1) != sorted(p2):
         return False
 
     # rarest profiles first keeps the branching factor small
-    order = sorted(m1.ground, key=lambda e: sum(1 for f in m2.ground if p2[f] == p1[e]))
-    circuits2 = m2.circuits
-    pos = {e: i for i, e in enumerate(order)}
-    # circuits become checkable once their last-placed element is assigned
+    order = sorted(range(n), key=lambda i: p2.count(p1[i]))
+    rank_of = {i: r for r, i in enumerate(order)}
+    # circuits become checkable once their last-placed position is assigned
     by_last = [[] for _ in range(n)]
-    for c in m1.circuits:
-        by_last[max(pos[e] for e in c)].append(c)
+    for c in m1.masks:
+        positions = [i for i in range(n) if c >> i & 1]
+        by_last[max(map(rank_of.__getitem__, positions))].append(positions)
+    image = [0] * n  # image[i]: the bit of m2 that position i of m1 maps to
 
-    mapping = {}
-    used = set()
-
-    def backtrack(i: int) -> bool:
-        if i == n:
+    def backtrack(r: int, used: int) -> bool:
+        if r == n:
             return True
-        e = order[i]
-        for f in m2.ground:
-            if f in used or p2[f] != p1[e]:
+        i = order[r]
+        for j in range(n):
+            if used >> j & 1 or p2[j] != p1[i]:
                 continue
-            mapping[e] = f
-            used.add(f)
-            if all(
-                frozenset(mapping[x] for x in c) in circuits2 for c in by_last[i]
-            ) and backtrack(i + 1):
+            image[i] = 1 << j
+            if all(sum(map(image.__getitem__, c)) in m2.masks for c in by_last[r]) \
+                    and backtrack(r + 1, used | 1 << j):
                 return True
-            used.discard(f)
-            del mapping[e]
         return False
 
-    return backtrack(0)
+    return backtrack(0, 0)
 
+
+def pairwise_non_isomorphic(ms) -> bool:
+    """Whether no two of the matroids are isomorphic: ``is_isomorphic`` runs
+    only on pairs that share their invariant."""
+    buckets = {}
+    for m in ms:
+        buckets.setdefault(_invariant(m), []).append(m)
+    return not any(is_isomorphic(a, b) for bucket in buckets.values()
+                   for a, b in combinations(bucket, 2))

@@ -178,8 +178,9 @@ def relabel(m, mapping):
 def two_sum_via_bases(m1, e1, m2, e2):
     """Independent 2-sum route through the bases definition."""
     ground = tuple(sorted(g for g in m1.ground + m2.ground if g not in (e1, e2)))
+    bit = {e: 1 << i for i, e in enumerate(ground)}
     return mat._from_bases(ground, [
-        (b1 | b2) - {e1, e2}
+        sum(bit[e] for e in (b1 | b2) - {e1, e2})
         for b1, b2 in product(mat.bases(m1), mat.bases(m2))
         if (e1 in b1) + (e2 in b2) == 1
     ])

@@ -179,6 +179,51 @@ class TestVerify:
         (variant,) = [r for r in report["data"] if r["check"] == "selfdual_variant"]
         assert (variant["n"], variant["status"]) == ("3..10", "ok")
 
+    def test_sizes_past_the_series_order_are_skipped(self, capsys):
+        # the order stops the enumeration at 5; --tree-cap asks up to 9
+        code, out, _ = run(["--order", "5", "--tree-cap", "9", "--format", "json", "verify"],
+                           capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["meta"]["tree_cap"] == 5
+        fixtures = ("p6_fixture", "dual_of_two_sum")  # rows at n = 6, 7 of their own
+        for n in range(6, 10):
+            rows = [r for r in report["data"] if r["n"] == n and r["check"] not in fixtures]
+            assert {r["check"]: r["status"] for r in rows} == dict.fromkeys(
+                ("trees", "selfdual_trees", "pointed_R", "pointed_U"), "skipped")
+        assert "MISMATCH" not in out
+
+    def test_a_repeated_tree_is_a_mismatch(self, capsys, monkeypatch):
+        # bucketing by invariant must still pair the two copies
+        def enumerate_umr_trees(n, enumerate_=umr.enumerate_umr_trees):
+            trees = enumerate_(n)
+            return trees + trees[-1:] if n == 6 else trees
+
+        monkeypatch.setattr(umr, "enumerate_umr_trees", enumerate_umr_trees)
+        code, out, _ = run(["--order", "10", "--tree-cap", "7", "--format", "json", "verify"],
+                           capsys)
+        assert code == 1
+        status = {(r["n"], r["check"]): r["status"] for r in json.loads(out)["data"]}
+        assert status[6, "matroids_distinct"] == "MISMATCH"
+        assert status[5, "matroids_distinct"] == status[7, "matroids_distinct"] == "ok"
+
+    def test_builds_no_m_table_at_the_largest_size(self, capsys, monkeypatch):
+        # the M-roots of the largest size come from child multisets, and
+        # nothing else there reads the M-table
+        asked = []
+
+        def pointed(n, cat, pointed_=umr._pointed):
+            asked.append((n, cat))
+            return pointed_(n, cat)
+
+        monkeypatch.setattr(umr, "_pointed", pointed)
+        umr._rooted_trees.cache_clear()
+        code, out, _ = run(["--order", "12", "--tree-cap", "9", "--format", "json", "verify"],
+                           capsys)
+        assert code == 0 and "MISMATCH" not in out
+        assert (9, "R") in asked and (9, "U") in asked
+        assert (9, "M") not in asked
+
     def test_selfdual_chain_needs_no_canonical_form(self, capsys):
         # the canonical form is the tests' reference route; the package has none
         assert not hasattr(umr, "canonical_form")
@@ -319,7 +364,9 @@ class TestPinnedOutputs:
     """The default ``--format json`` outputs of ``bound`` and ``asympt``,
     captured before the float ring evaluated by r in flat lists: ``bound``
     byte for byte, and ``asympt``'s value column (its residuals may move in
-    their last digits)."""
+    their last digits); and the ``--order 12 --tree-cap 9`` output of
+    ``verify``, the benchmark's oracle command, byte for byte, captured
+    before the bitmask circuits and the sort-free tree tables."""
 
     BOUND = (
         '{"data": ['
@@ -347,8 +394,65 @@ class TestPinnedOutputs:
         'branch point at x = 0.39300104 (s = 0.46526138), inside (0, 0.45265422]',
     ]
 
+    VERIFY = (
+        '{"data": ['
+        '{"check": "trees", "enumerated": 2, "expected": 2, "n": 3, "status": "ok"}, '
+        '{"check": "selfdual_trees", "enumerated": 0, "expected": 0, "n": 3, "status": "ok"}, '
+        '{"check": "pointed_R", "enumerated": 2, "expected": 2, "n": 3, "status": "ok"}, '
+        '{"check": "pointed_U", "enumerated": 1, "expected": 1, "n": 3, "status": "ok"}, '
+        '{"check": "matroids_distinct", "enumerated": true, "expected": true, "n": 3, '
+        '"status": "ok"}, '
+        '{"check": "selfdual_matroid", "enumerated": 0, "expected": 0, "n": 3, "status": "ok"}, '
+        '{"check": "trees", "enumerated": 4, "expected": 4, "n": 4, "status": "ok"}, '
+        '{"check": "selfdual_trees", "enumerated": 2, "expected": 2, "n": 4, "status": "ok"}, '
+        '{"check": "pointed_R", "enumerated": 6, "expected": 6, "n": 4, "status": "ok"}, '
+        '{"check": "pointed_U", "enumerated": 4, "expected": 4, "n": 4, "status": "ok"}, '
+        '{"check": "matroids_distinct", "enumerated": true, "expected": true, "n": 4, '
+        '"status": "ok"}, '
+        '{"check": "selfdual_matroid", "enumerated": 2, "expected": 2, "n": 4, "status": "ok"}, '
+        '{"check": "trees", "enumerated": 10, "expected": 10, "n": 5, "status": "ok"}, '
+        '{"check": "selfdual_trees", "enumerated": 0, "expected": 0, "n": 5, "status": "ok"}, '
+        '{"check": "pointed_R", "enumerated": 19, "expected": 19, "n": 5, "status": "ok"}, '
+        '{"check": "pointed_U", "enumerated": 15, "expected": 15, "n": 5, "status": "ok"}, '
+        '{"check": "matroids_distinct", "enumerated": true, "expected": true, "n": 5, '
+        '"status": "ok"}, '
+        '{"check": "selfdual_matroid", "enumerated": 0, "expected": 0, "n": 5, "status": "ok"}, '
+        '{"check": "trees", "enumerated": 27, "expected": 27, "n": 6, "status": "ok"}, '
+        '{"check": "selfdual_trees", "enumerated": 5, "expected": 5, "n": 6, "status": "ok"}, '
+        '{"check": "pointed_R", "enumerated": 70, "expected": 70, "n": 6, "status": "ok"}, '
+        '{"check": "pointed_U", "enumerated": 56, "expected": 56, "n": 6, "status": "ok"}, '
+        '{"check": "matroids_distinct", "enumerated": true, "expected": true, "n": 6, '
+        '"status": "ok"}, '
+        '{"check": "selfdual_matroid", "enumerated": 5, "expected": 5, "n": 6, "status": "ok"}, '
+        '{"check": "trees", "enumerated": 78, "expected": 78, "n": 7, "status": "ok"}, '
+        '{"check": "selfdual_trees", "enumerated": 0, "expected": 0, "n": 7, "status": "ok"}, '
+        '{"check": "pointed_R", "enumerated": 263, "expected": 263, "n": 7, "status": "ok"}, '
+        '{"check": "pointed_U", "enumerated": 212, "expected": 212, "n": 7, "status": "ok"}, '
+        '{"check": "matroids_distinct", "enumerated": true, "expected": true, "n": 7, '
+        '"status": "ok"}, '
+        '{"check": "trees", "enumerated": 246, "expected": 246, "n": 8, "status": "ok"}, '
+        '{"check": "selfdual_trees", "enumerated": 16, "expected": 16, "n": 8, "status": "ok"}, '
+        '{"check": "pointed_R", "enumerated": 1038, "expected": 1038, "n": 8, "status": "ok"}, '
+        '{"check": "pointed_U", "enumerated": 838, "expected": 838, "n": 8, "status": "ok"}, '
+        '{"check": "trees", "enumerated": 818, "expected": 818, "n": 9, "status": "ok"}, '
+        '{"check": "selfdual_trees", "enumerated": 0, "expected": 0, "n": 9, "status": "ok"}, '
+        '{"check": "pointed_R", "enumerated": 4184, "expected": 4184, "n": 9, "status": "ok"}, '
+        '{"check": "pointed_U", "enumerated": 3384, "expected": 3384, "n": 9, "status": "ok"}, '
+        '{"check": "selfdual_variant", "enumerated": "corrected 7/7, paper 4/7", '
+        '"expected": "corrected matches; paper variant over-counts", "n": "3..9", '
+        '"status": "ok"}, '
+        '{"check": "p6_fixture", "enumerated": true, "expected": true, "n": 6, "status": "ok"}, '
+        '{"check": "dual_of_two_sum", "enumerated": true, "expected": true, "n": 7, '
+        '"status": "ok"}'
+        '], "meta": {"order": 12, "tree_cap": 9}}'
+        "\n")
+
     def test_bound(self, capsys):
         assert run(["--format", "json", "bound"], capsys)[1] == self.BOUND
+
+    def test_verify_oracle(self, capsys):
+        argv = ["--order", "12", "--tree-cap", "9", "--format", "json", "verify"]
+        assert run(argv, capsys) == (0, self.VERIFY, "")
 
     def test_asympt_values(self, capsys):
         doc = json.loads(run(["--format", "json", "asympt"], capsys)[1])

@@ -22,6 +22,25 @@ class TestConstruction:
         with pytest.raises(ValueError, match="antichain"):
             mat.Matroid(range(1, 10), circuits)
 
+    def test_rejects_non_antichain_across_a_size_gap(self):
+        # a 2-circuit inside a 4-circuit, with no 3-circuit between them
+        with pytest.raises(ValueError, match="antichain"):
+            mat.Matroid([1, 2, 3, 4, 5], [{1, 2}, {2, 3, 4, 5}, {1, 2, 3, 4}])
+
+    def test_circuits_view_round_trips(self):
+        m = mat.two_sum(mat.uniform(4, 2), 1, mat.uniform(5, 1, labels=range(5, 10)), 7)
+        for m in (mat.P6, mat.uniform(5, 3), m):
+            assert all(type(c) is frozenset for c in m.circuits)
+            assert mat.Matroid(m.ground, m.circuits) == m
+            with pytest.raises(AttributeError):
+                m.circuits = frozenset()
+
+    def test_equal_and_hash_ignore_label_order(self):
+        m1 = mat.Matroid([1, 2, 3, 4], [{1, 2}, {1, 3, 4}, {2, 3, 4}])
+        m2 = mat.Matroid([4, 2, 3, 1], [[4, 3, 2], (2, 1), {3, 1, 4}])
+        assert m1 == m2 and hash(m1) == hash(m2) and m2.ground == (1, 2, 3, 4)
+        assert m1 != mat.Matroid([1, 2, 3, 4], [{1, 3}, {1, 2, 4}, {2, 3, 4}])
+
     def test_rejects_foreign_elements(self):
         with pytest.raises(ValueError):
             mat.Matroid([1, 2], [{3}])
@@ -68,6 +87,25 @@ class TestRankAndBases:
     def test_bases_cap(self):
         with pytest.raises(ValueError):
             mat.bases(mat.uniform(15, 7))
+
+
+class TestMaskKernels:
+    """bases, rank, dual and is_2connected read the circuit masks; their
+    answers are pinned against the definitions."""
+
+    def test_p6(self):
+        bs = {frozenset(b) for b in combinations(range(1, 7), 3)} - {frozenset({1, 2, 3})}
+        assert mat.bases(mat.P6) == bs
+        assert mat.rank(mat.P6) == 3 and mat.is_2connected(mat.P6)
+        star = {frozenset(c) for c in combinations(range(1, 7), 4) if not {4, 5, 6} <= set(c)}
+        assert mat.dual(mat.P6).circuits == star | {frozenset({4, 5, 6})}
+
+    @pytest.mark.parametrize("n,k", [(3, 1), (3, 2), (4, 2), (5, 1), (6, 2), (7, 3)])
+    def test_uniform(self, n, k):
+        u = mat.uniform(n, k, labels=range(10, 10 + n))
+        assert mat.bases(u) == {frozenset(b) for b in combinations(u.ground, k)}
+        assert mat.rank(u) == k and mat.is_2connected(u)
+        assert mat.dual(u) == mat.uniform(n, n - k, labels=u.ground)
 
 
 class TestDuality:
@@ -223,6 +261,21 @@ class TestIsomorphism:
         rng.shuffle(perm)
         m2 = ref.relabel(m1, dict(zip(m1.ground, perm)))
         assert mat.is_isomorphic(m1, m2)
+
+    def test_bucketed_distinctness_matches_all_pairs(self):
+        for n in range(3, 8):
+            ms = [umr.tree_to_matroid(t) for t in umr.enumerate_umr_trees(n)]
+            for family in (ms, ms + [ref.relabel(ms[-1], {e: -e for e in ms[-1].ground})]):
+                scan = not any(mat.is_isomorphic(a, b) for a, b in combinations(family, 2))
+                assert mat.pairwise_non_isomorphic(family) == scan
+        assert mat.pairwise_non_isomorphic([])
+
+    def test_relabelled_p6_share_a_bucket(self):
+        rng = random.Random(3)
+        perms = [rng.sample(range(1, 7), 6) for _ in range(2)]
+        a, b = (ref.relabel(mat.P6, dict(zip(range(1, 7), p))) for p in perms)
+        assert mat._invariant(a) == mat._invariant(b) == mat._invariant(mat.P6)
+        assert not mat.pairwise_non_isomorphic([mat.uniform(6, 3), a, b])
 
     def test_iso_cap(self):
         big = mat.uniform(13, 1)

@@ -49,6 +49,17 @@ def dfs_child_multisets(cats, total, min_count):
     return out
 
 
+def normalise(node, memo={}):
+    """The node with the children of every vertex sorted as tuples, the
+    order the generator does not use; legs still come last."""
+    if node == umr.LEG:
+        return node
+    if id(node) not in memo:
+        cat, k, children = node
+        memo[id(node)] = node, (cat, k, tuple(sorted(map(normalise, children))))
+    return memo[id(node)][1]
+
+
 def plain_height(node):
     return 1 + max((plain_height(c) for c in node[2] if c != umr.LEG), default=-1)
 
@@ -172,15 +183,23 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("cat", ["R", "M", "U"])
     def test_pointed_trees_distinct_and_sorted(self, cat):
+        # children come in generation order: their order keys never
+        # decrease, and legs, whose key is the largest, come last
+        umr._subtree_facts(8)
         for n in range(2, 10):
             nodes = umr._pointed(n, cat)
             assert len(set(nodes)) == len(nodes)
-            assert all(list(node[2]) == sorted(node[2]) for node in nodes)
+            for node in nodes:
+                keys = [umr._FACTS[id(c)][2] for c in node[2]]
+                assert keys == sorted(keys)
+                legs = node[2].count(umr.LEG)
+                assert node[2][len(node[2]) - legs:] == (umr.LEG,) * legs
 
     @pytest.mark.parametrize("cat", ["R", "M", "U"])
     def test_pointed_trees_match_the_recursion(self, cat):
         for n in range(2, 10):
-            assert set(umr._pointed(n, cat)) == set(dfs_pointed(n, cat))
+            assert set(map(normalise, umr._pointed(n, cat))) == set(
+                map(normalise, dfs_pointed(n, cat)))
 
     def test_children_are_the_generated_trees(self):
         # each child is the shared tree of its size's table, not a copy
@@ -196,9 +215,9 @@ class TestEnumeration:
             for cat, dual_cat in (("R", "M"), ("M", "R"), ("U", "U")):
                 duals = {id(node) for node in umr._pointed(n, dual_cat)}
                 for node in umr._pointed(n, cat):
-                    assert umr._HEIGHT[id(node)] == plain_height(node)
-                    d = umr._DUAL[id(node)]
-                    assert d == plain_dual(node)
+                    height, d, _ = umr._FACTS[id(node)]
+                    assert height == plain_height(node)
+                    assert normalise(d) == plain_dual(normalise(node))
                     assert id(d) in duals
 
     def test_pointed_counts_match_series(self, pointed30):
@@ -262,9 +281,8 @@ class TestDuality:
 
     def test_centre_rooting_route_matches_canonical_forms(self):
         for n in range(3, 11):
-            roots = umr._rooted_trees(n)
-            assert [umr._is_self_dual_root(r) for r in roots] == [
-                ref.is_self_dual_tree(plain_tree(t)) for t in umr.enumerate_umr_trees(n)]
+            roots, self_dual = umr._rooted_trees(n)
+            assert list(self_dual) == [ref.is_self_dual_tree(plain_tree(t)) for t in roots]
 
     def test_self_dual_pointed_matches_corrected_series(self, selfdual30):
         for n in range(2, 10):
@@ -283,11 +301,13 @@ class TestDuality:
             )
 
     def test_self_dual_root_degree_is_odd(self):
-        for n in (3, 5, 7):
-            umr._subtree_facts(n - 2)
-            degrees = {len(node[2]) for node in umr._pointed(n, "U")
-                       if umr._is_self_dual_pointed(node)}
-            assert all(d % 2 == 1 for d in degrees)
+        # the pointed U-trees equal to their dual, found by the plain
+        # dualization, are the ones counted, and each has an odd degree
+        for n in range(2, 9):
+            fixed = [node for node in umr._pointed(n, "U")
+                     if plain_dual(normalise(node)) == normalise(node)]
+            assert len(fixed) == umr.count_self_dual_pointed(n)
+            assert all(len(node[2]) % 2 == 1 for node in fixed)
 
 
 class TestMatroidRealization:
