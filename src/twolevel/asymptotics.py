@@ -22,18 +22,18 @@ right-hand side along x(X), as a polynomial in X:
 - at x(X) = rho (1 - X^2), with the unknowns set to their expansions, it
   is the residual of the singular expansion and, over its leaves, T's.
 
-An element f holds its head, the polynomial f(x(X)) at r = 1, computed when
-it is built, and its tail, the values f(x(X)^r) at r = 2..R, computed once,
-on first demand, as one list: plain floats at a constant point, polynomials
-in X at a moving one.  The unknowns replace a leaf's head only.  R is one
-cutoff per point, the last r with |x(0)|^r > TAIL_EPS; past it an element
-reads its value at x = 0, which is 0.0 for every series MSet accepts, so no
-sum changes.  A leaf's values come from its coefficients, made floats once
-(ValueError past the float range), by one Horner kernel: passes over all r
-together give the series' Taylor coefficients at x(0)^r up to the order that
-can reach the highest power of X the caller reads, X^DEG unless it says less
-(only the value at a constant point), composed with x(X)^r - x(0)^r at a
-moving one.
+Every value of an element f is a polynomial in X, at a constant point as at
+a moving one: its head, f(x(X)) at r = 1, computed when it is built, and its
+tail, the values f(x(X)^r) at r = 2..R, computed once, on first demand, as
+one list.  The unknowns replace a leaf's head only.  R is one cutoff per
+point, the last r with |x(0)|^r > TAIL_EPS; past it an element reads its
+value at x = 0, which is 0 for every series MSet accepts, so no sum changes.
+A leaf's values come from its coefficients, made floats once (ValueError
+past the float range), by one Horner kernel: passes over all r together
+give the series' Taylor coefficients at x(0)^r up to the order that can
+reach the highest power of X the caller reads, X^DEG unless it says less
+(none past the value at a constant point), composed with x(X)^r - x(0)^r,
+which is 0 at a constant point.
 
 Polynomials in X are plain lists of DEG + 1 floats (index = power of X),
 truncated after degree DEG, and the linear solves are Gaussian elimination.
@@ -43,10 +43,10 @@ the run's ``--tol``.
 from __future__ import annotations
 
 import math
-import operator
 import sys
 from functools import cache, partial
-from typing import Callable, NamedTuple
+from operator import add, sub
+from typing import NamedTuple
 
 from . import gfsystem as gf
 from .powerseries import PowerSeries
@@ -124,15 +124,23 @@ def xp_mul(p: list[float], q: list[float]) -> list[float]:
 
 
 def _xp_add(p: list[float], q: list[float]) -> list[float]:
-    return [a + b for a, b in zip(p, q)]
+    return list(map(add, p, q))
 
 
 def _xp_sub(p: list[float], q: list[float]) -> list[float]:
-    return [a - b for a, b in zip(p, q)]
+    return list(map(sub, p, q))
 
 
 def _xp_sum(polys) -> list[float]:
-    return [sum(cs) for cs in zip(*polys)]
+    return list(map(sum, zip(*polys)))
+
+
+def _xp_scale(p: list[float], w: float) -> list[float]:
+    return [c * w for c in p]
+
+
+def _xp_div(p: list[float], k: int) -> list[float]:
+    return [c / k for c in p]
 
 
 def xp_exp(p: list[float]) -> list[float]:
@@ -144,29 +152,6 @@ def xp_exp(p: list[float]) -> list[float]:
 
 
 # -- the float ring -------------------------------------------------------
-
-class _Values(NamedTuple):
-    """Arithmetic on the values of ring elements at one kind of point: plain
-    floats at a constant point, X-polynomials at a moving one."""
-
-    add: Callable
-    sub: Callable
-    mul: Callable
-    div: Callable  # by an integer
-    scale: Callable  # by a float weight
-    exp: Callable
-    sum: Callable  # of a list of values
-    onto: Callable  # an X-polynomial plus a list of values
-    const: Callable  # a number as a value
-    lift: Callable  # a value as an X-polynomial
-
-
-_FLOATS = _Values(operator.add, operator.sub, operator.mul, operator.truediv, operator.mul,
-                  math.exp, sum, lambda p, vs: [sum([p[0], *vs]), *p[1:]], float, xp)
-_XPOLYS = _Values(_xp_add, _xp_sub, xp_mul, lambda p, k: [c / k for c in p],
-                  lambda p, w: [c * w for c in p], xp_exp, _xp_sum,
-                  lambda p, vs: _xp_sum([p, *vs]), xp, list)
-
 
 @cache
 def _sum_terms(r_max: int, sign: float) -> list[list[tuple[int, float]]]:
@@ -180,10 +165,8 @@ class JetPoint:
     """The argument x(X) of a ring evaluation, its cutoff and its leaves.
 
     The cutoff R is the last r >= 1 with |x(0)|^r > TAIL_EPS; past it every
-    element reads its value at x = 0.  Values at r >= 2 are floats at a
-    constant point and X-polynomials at a moving one (``ops``).  ``reads``
-    is the highest power of X the caller reads; coefficients above it may
-    be incomplete.
+    element reads its value at x = 0.  ``reads`` is the highest power of X
+    the caller reads; coefficients above it may be incomplete.
     """
 
     def __init__(self, x_of_X: list[float], reads: int = DEG):
@@ -199,14 +182,12 @@ class JetPoint:
         # x(X)^r = x0^r + shift_r, and shift_r^j is O(X^(j val)): Taylor
         # orders past reads // val cannot reach X^reads
         val = next((i for i, c in enumerate(x_of_X) if i and c), None)
-        self.ops = _FLOATS if val is None else _XPOLYS
         self._taylor = 0 if val is None else reads // val
-        self._shifts = []  # at r = 1..R, at a moving point
-        if val is not None:
-            power = x_of_X
-            for _ in range(r_max):
-                self._shifts.append([0.0, *power[1:]])
-                power = xp_mul(power, x_of_X)
+        self._shifts = []  # at r = 1..R, all 0 at a constant point
+        power = x_of_X
+        for _ in range(r_max):
+            self._shifts.append([0.0, *power[1:]])
+            power = xp_mul(power, x_of_X)
         self._leaves: dict[PowerSeries, tuple[tuple[float, ...], Jet]] = {}
 
     def leaf(self, series: PowerSeries, at1: list[float] | None = None) -> "Jet":
@@ -216,19 +197,19 @@ class JetPoint:
         if entry is None:  # its head is computed only if it is asked for
             cs = _float_coeffs(series)
             entry = self._leaves[series] = cs, Jet(
-                self, None, cs[0], partial(self._leaf_values, cs, range(2, self.r_max + 1)))
+                self, None, xp(cs[0]), partial(self._leaf_values, cs, range(2, self.r_max + 1)))
         cs, base = entry
         if at1 is not None:
             return Jet(self, at1, base.zero, base.tail)
         if base.head is None:
-            base.head = self.ops.lift(self._leaf_values(cs, range(1, 2))[0])
+            base.head = self._leaf_values(cs, range(1, 2))[0]
         return base
 
-    def _leaf_values(self, cs: tuple[float, ...], rs: range) -> list:
+    def _leaf_values(self, cs: tuple[float, ...], rs: range) -> list[list[float]]:
         """cs(x(X)^r) for r in rs, from one Horner pass per Taylor order.
 
         The passes run over all r together and give f^(j)(x0^r) / j! for
-        j = 0..J; at a moving point they are composed with shift_r.
+        j = 0..J; they are composed with shift_r.
         """
         ys = self._ys[rs.start - 1:rs.stop - 1]
         top = self._taylor
@@ -238,8 +219,6 @@ class JetPoint:
             for j in range(top, 0, -1):  # (x f)^(j) / j! = x f^(j) / j! + f^(j-1) / (j-1)!
                 b[j] = [v * y + w for v, w, y in zip(b[j], b[j - 1], ys)]
             b[0] = [v * y + c for v, y in zip(b[0], ys)]
-        if not top:
-            return b[0]
         out = []
         for i, r in enumerate(rs):
             shift = self._shifts[r - 1]
@@ -263,9 +242,9 @@ def _float_coeffs(series: PowerSeries) -> tuple[float, ...]:
 
 
 class Jet:
-    """Element f of the float ring at a point x(X): the X-polynomial
-    f(x(X)) (the head), the values f(x(X)^r) at r = 2..R (the tail), and the
-    value f(0) that it reads past R.
+    """Element f of the float ring at a point x(X), as X-polynomials:
+    f(x(X)) (the head), f(x(X)^r) at r = 2..R (the tail), and the value
+    f(0) that it reads past R (the zero).
 
     The right-hand sides of :mod:`twolevel.gfsystem` run on these unchanged.
     The head is computed when the element is built, the tail once, on first
@@ -276,7 +255,7 @@ class Jet:
 
     __slots__ = ("point", "head", "zero", "_tail", "_make")
 
-    def __init__(self, point: JetPoint, head, zero: float, make_tail):
+    def __init__(self, point: JetPoint, head, zero: list[float], make_tail):
         self.point = point
         self.head = head
         self.zero = zero
@@ -286,39 +265,35 @@ class Jet:
     def __call__(self) -> list[float]:
         return self.head
 
-    def tail(self) -> list:
+    def tail(self) -> list[list[float]]:
         if self._tail is None:
             self._tail, self._make = self._make(), None
         return self._tail
 
-    def _zip(self, other, name: str) -> "Jet":
-        # the X-polynomial operation on heads, the float one on values at 0
-        op, head_op, zero_op = (
-            getattr(self.point.ops, name), getattr(_XPOLYS, name), getattr(_FLOATS, name))
+    def _zip(self, other, op) -> "Jet":
         if isinstance(other, int):  # a constant, the same at every r
-            c = self.point.ops.const(other)
-            return Jet(self.point, head_op(self.head, xp(other)), zero_op(self.zero, other),
+            c = xp(other)
+            return Jet(self.point, op(self.head, c), op(self.zero, c),
                        lambda: [op(v, c) for v in self.tail()])
         if not isinstance(other, Jet):
             return NotImplemented
-        return Jet(self.point, head_op(self.head, other.head), zero_op(self.zero, other.zero),
+        return Jet(self.point, op(self.head, other.head), op(self.zero, other.zero),
                    lambda: list(map(op, self.tail(), other.tail())))
 
     def __add__(self, other):
-        return self._zip(other, "add")
+        return self._zip(other, _xp_add)
 
     def __sub__(self, other):
-        return self._zip(other, "sub")
+        return self._zip(other, _xp_sub)
 
     def __mul__(self, other):
-        return self._zip(other, "mul")
+        return self._zip(other, xp_mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, k: int) -> "Jet":
-        div = self.point.ops.div
-        return Jet(self.point, [c / k for c in self.head], self.zero / k,
-                   lambda: [div(v, k) for v in self.tail()])
+        return Jet(self.point, _xp_div(self.head, k), _xp_div(self.zero, k),
+                   lambda: [_xp_div(v, k) for v in self.tail()])
 
     def substitute_power(self, k: int) -> "Jet":
         if k < 1:
@@ -327,31 +302,31 @@ class Jet:
             return self
         point = self.point
         r_max, t = point.r_max, self.tail()
-        head = point.ops.lift(t[k - 2]) if k <= r_max else xp(self.zero)
+        head = t[k - 2] if k <= r_max else self.zero
 
         def tail():
             # index k r for r = 2..R; past R the value at 0
             values = t[2 * k - 2::k]
-            return values + [point.ops.const(self.zero)] * (r_max - 1 - len(values))
+            return values + [self.zero] * (r_max - 1 - len(values))
 
         return Jet(point, head, self.zero, tail)
 
     def substitution_sum(self) -> "Jet":
-        ops, t = self.point.ops, self.tail()
+        t = self.tail()
         terms = _sum_terms(self.point.r_max, 1.0)[1:]
-        return Jet(self.point, ops.onto(self.head, t), self.zero,
-                   lambda: [ops.sum([t[i] for i, _ in ts]) for ts in terms])
+        return Jet(self.point, _xp_sum([self.head, *t]), self.zero,
+                   lambda: [_xp_sum([t[i] for i, _ in ts]) for ts in terms])
 
     def mset(self, signed: bool = False) -> "Jet":
-        if self.zero:
+        if any(self.zero):
             raise ValueError("multiset operator requires zero constant term")
-        ops, t = self.point.ops, self.tail()
+        t = self.tail()
         terms = _sum_terms(self.point.r_max, -1.0 if signed else 1.0)
         (_, w1), *rest = terms[0]
-        head = xp_exp(ops.onto([c * w1 for c in self.head],
-                               [ops.scale(t[i], w) for i, w in rest]))
-        return Jet(self.point, head, 1.0, lambda: [
-            ops.exp(ops.sum([ops.scale(t[i], w) for i, w in ts])) for ts in terms[1:]])
+        head = xp_exp(_xp_sum([_xp_scale(self.head, w1),
+                               *[_xp_scale(t[i], w) for i, w in rest]]))
+        return Jet(self.point, head, xp(1.0), lambda: [
+            xp_exp(_xp_sum([_xp_scale(t[i], w) for i, w in ts])) for ts in terms[1:]])
 
     mset2 = PowerSeries.mset2
     mset_odd = PowerSeries.mset_odd

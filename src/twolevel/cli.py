@@ -148,10 +148,11 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
         if n <= 6:
             add(n, "selfdual_matroid", self_dual,
                 sum(mat.is_isomorphic(m, mat.dual(m)) for m in ms))
-    # sizes --tree-cap asks for past the enumerator's cap or the series order
-    for n in range(n_max + 1, config.tree_cap + 1):
+    # sizes --tree-cap asks for past the enumerator's cap or the series order,
+    # one row per check for the whole span
+    if config.tree_cap > n_max:
         for what in ("trees", "selfdual_trees", "pointed_R", "pointed_U"):
-            skip(n, what)
+            skip(f"{n_max + 1}..{config.tree_cap}", what)
     # self-dual variant arbitration: exactly one variant matches everywhere
     span, total = f"3..{n_max}", len(sizes)
     verdict = {

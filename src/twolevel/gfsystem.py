@@ -188,6 +188,9 @@ def compute_s_bound(p: PointedSeries, s_U_paper: PowerSeries) -> PowerSeries:
 
 
 def compute_forests(t: PowerSeries) -> PowerSeries:
-    """Multisets of UMR-trees: all (possibly disconnected) 2-level matroids."""
+    """Multisets of UMR-trees, MSet(T): the 2-level matroids whose every
+    connected component has at least 3 elements, as T starts at n = 3.
+    MSet(2x + x^2 + T), with the loop, the coloop and U(1,2), counts all
+    2-level matroids."""
     return t.mset()
 

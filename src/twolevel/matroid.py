@@ -55,9 +55,6 @@ class Matroid:
     def __repr__(self):
         return f"Matroid(|E|={len(self.ground)}, {len(self.masks)} circuits)"
 
-    def size(self) -> int:
-        return len(self.ground)
-
 
 def _antichain(masks) -> frozenset:
     """The masks, once none is found inside another: c < d, that is c & d

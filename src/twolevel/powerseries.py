@@ -40,28 +40,10 @@ class PowerSeries:
     # -- constructors -------------------------------------------------
 
     @classmethod
-    def zeros(cls, order: int) -> "PowerSeries":
-        return cls([0] * (order + 1))
-
-    @classmethod
-    def one(cls, order: int) -> "PowerSeries":
-        return cls([1] + [0] * order)
-
-    @classmethod
     def x(cls, order: int) -> "PowerSeries":
         if order < 1:
             raise ValueError("order must be >= 1 to hold x")
         return cls([0, 1] + [0] * (order - 1))
-
-    @classmethod
-    def from_coeffs(cls, coeffs, order: int | None = None) -> "PowerSeries":
-        cs = list(coeffs)
-        if order is not None:
-            if len(cs) > order + 1:
-                cs = cs[: order + 1]
-            else:
-                cs += [0] * (order + 1 - len(cs))
-        return cls(cs)
 
     # -- basics -------------------------------------------------------
 

@@ -158,7 +158,7 @@ def test_criterion_5_property_suites(reference):
         counts = [0] * 4
         for _ in range(3):
             counts[rng.randint(1, 3)] += rng.randint(0, 2)
-        s = PowerSeries.from_coeffs(counts, 8)
+        s = PowerSeries(counts + [0] * 5)
         objects = [(size, i) for size in (1, 2, 3) for i in range(counts[size])]
         direct = [[0] * 9 for _ in range(9)]  # direct[m][total]
         for m in range(9):
@@ -170,7 +170,7 @@ def test_criterion_5_property_suites(reference):
         def counted(keep):
             return [sum(direct[m][n] for m in range(9) if keep(m)) for n in range(9)]
 
-        one = PowerSeries.one(8)
+        one = PowerSeries([1] + [0] * 8)
         operators = {
             "mset": (s.mset(), lambda m: True),
             "mset >= 1": (s.mset() - one, lambda m: m >= 1),

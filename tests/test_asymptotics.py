@@ -85,7 +85,7 @@ class TestXPolyHelpers:
 
     def test_series_at_xpoly_is_shifted_taylor(self):
         # (x)^2 expanded at x = 2 + u: 4 + 4u + u^2
-        sq = PowerSeries.from_coeffs([0, 0, 1], 4)
+        sq = PowerSeries([0, 0, 1, 0, 0])
         out = series_at_xpoly(sq, asy.xp(2.0, 1.0))
         assert out[:3] == close([4.0, 4.0, 1.0])
         assert out[3:] == close([0.0] * (asy.DEG - 2))
@@ -450,9 +450,12 @@ class TestFoldPoint:
 
 class TestJetTailCutoff:
     """Every element at a point is cut at the point's R, the last r with
-    |x(0)|^r > TAIL_EPS; past R it reads its value at 0."""
+    |x(0)|^r > TAIL_EPS; past R it reads its value at 0.  At a constant
+    point every value is an X-polynomial whose X^1..X^DEG coefficients are
+    zero."""
 
     X0 = 0.4
+    ZEROS = [0.0] * asy.DEG
 
     def leaf(self, pointed30, x0=X0):
         return asy.JetPoint(asy.xp(x0)).leaf(pointed30.a_R)
@@ -465,10 +468,11 @@ class TestJetTailCutoff:
         tail = f.substitute_power(2).tail()
         assert len(tail) == r_max - 1
         for r, value in enumerate(tail, 2):
+            assert value[1:] == self.ZEROS
             if 2 * r <= r_max:  # index 2 r, evaluated
-                assert value == pointed30.a_R.eval_float(self.X0 ** (2 * r)) + 1.0
+                assert value[0] == pointed30.a_R.eval_float(self.X0 ** (2 * r)) + 1.0
             else:
-                assert value == 1.0
+                assert value[0] == 1.0
 
     def test_sum_and_product_are_cut_at_the_point(self, pointed30):
         # g = f(x^2) reads its value at 0 past r = R / 2; a sum or product
@@ -478,11 +482,13 @@ class TestJetTailCutoff:
             g = f.substitute_power(2)
             r_max = f.point.r_max
             assert x0**r_max > asy.TAIL_EPS >= x0 ** (r_max + 1)
-            assert g.tail()[r_max // 2 - 1:] == [0.0] * (r_max - r_max // 2)
+            assert g.tail()[r_max // 2 - 1:] == [asy.xp()] * (r_max - r_max // 2)
             for h, op in ((f + g, float.__add__), (f * g, float.__mul__),
                           (g - f, float.__rsub__)):
                 assert h.point is f.point
-                assert h.tail() == list(map(op, f.tail(), g.tail()))
+                assert [v[0] for v in h.tail()] == [
+                    op(u[0], w[0]) for u, w in zip(f.tail(), g.tail())]
+                assert all(v[1:] == self.ZEROS for v in h.tail())
                 assert len(h.tail()) == r_max - 1
 
     def test_mset_of_substituted_leaf_is_exact(self, pointed30):
@@ -493,7 +499,9 @@ class TestJetTailCutoff:
         r_max = f.point.r_max
         cut = sum([pointed30.a_R.eval_float(self.X0 ** (2 * k)) * (1.0 / k)
                    for k in range(1, r_max // 2 + 1)])
-        assert f.substitute_power(2).mset()() == asy.xp(math.exp(cut))
+        value = f.substitute_power(2).mset()()
+        assert value[0] == math.exp(cut)
+        assert value[1:] == self.ZEROS
 
 
 class TestLeafKernel:
@@ -606,7 +614,7 @@ class TestJetRing:
 
         def inputs(*series):
             return ([point.leaf(s) for s in series],
-                    [PowerSeries.from_coeffs(s.coeffs, 90) for s in series])
+                    [PowerSeries(s.coeffs + (0,) * (90 - s.order)) for s in series])
 
         def check(ring_result, int_result, solved):
             assert int_result.truncate(solved.order) == solved
@@ -647,6 +655,28 @@ class TestJetRing:
         (got,), (want,) = (gf._selfdual_rhs(variant, *ring),
                            gf._selfdual_rhs(variant, *ints))
         check(got, want, s_U)
+
+    @pytest.mark.parametrize("x_of_X", [asy.xp(RHO), asy.xp(RHO, 0.0, -RHO)],
+                             ids=["constant", "branch_point"])
+    def test_every_value_is_an_x_polynomial(self, x_of_X, pointed30, monkeypatch):
+        # at a constant point as at a moving one: every node's head, zero and
+        # tail entries are lists of DEG + 1 floats
+        built, init = [], asy.Jet.__init__
+
+        def recorded(self, *args):
+            built.append(self)
+            init(self, *args)
+
+        monkeypatch.setattr(asy.Jet, "__init__", recorded)
+        point, p = asy.JetPoint(x_of_X), pointed30
+        gf._pointed_rhs(*map(point.leaf, (p.a_leg, p.a_R, p.a_U)))
+        assert len(built) > 10
+        for jet in built:
+            values = [jet.head, jet.zero, *jet.tail()]
+            assert len(values) == point.r_max + 1
+            for value in values:
+                assert type(value) is list and len(value) == asy.DEG + 1
+                assert all(type(c) is float for c in value)
 
     def test_inner_derivative_is_x1_coefficient(self, pointed30):
         # MSet(s + x) at r = 1 with s = s0 + X: d/ds exp(s + x + tail) = itself

@@ -152,9 +152,24 @@ class TestForests:
         assert cs[4] == 4  # two trees need at least 6 legs
         assert cs[6] == 30  # 27 single trees + 3 pairs of size-3 trees
 
+    def test_counts_components_of_at_least_three_elements(self, unrooted30):
+        # forest = MSet(T) reads 1, 0, 0, 2, 4, 10: T starts at n = 3, so it
+        # misses every matroid with a component on 1 or 2 elements
+        assert gf.compute_forests(unrooted30).integer_coeffs()[:6] == [1, 0, 0, 2, 4, 10]
+        # the connected matroids on 1 and 2 elements are the loop and the
+        # coloop (2x) and U(1,2) (x^2); with them MSet counts every 2-level
+        # matroid: all matroids on n <= 5 elements (Mayhew-Royle, JCTB 2008,
+        # OEIS A055545), as the excluded minors of 2-levelness, M(K4), W^3,
+        # Q6 and P6, have 6 elements (Grande-Sanyal, JCTB 2017); at n = 6,
+        # 98 matroids less those four
+        small = PowerSeries([0, 2, 1] + [0] * (unrooted30.order - 2))
+        g = gf.compute_forests(small + unrooted30).integer_coeffs()
+        assert g[:6] == [1, 2, 4, 8, 17, 38]
+        assert g[6] == 98 - 4 == 94
+
     def test_requires_zero_constant(self):
         with pytest.raises(ValueError):
-            gf.compute_forests(PowerSeries.one(5))
+            gf.compute_forests(PowerSeries([1, 0, 0, 0, 0, 0]))
 
 
 class TestLowerBound:
@@ -166,7 +181,7 @@ class TestLowerBound:
         assert got.integer_coeffs()[:9] == [0, 0, 0, 1, 3, 5, 16, 39, 131]
 
     def test_parity_violation_raises(self, unrooted30):
-        odd_s2 = PowerSeries.from_coeffs([0, 0, 0, 1, 0])
+        odd_s2 = PowerSeries([0, 0, 0, 1, 0])
         with pytest.raises(ArithmeticError):
             (unrooted30.truncate(4) + odd_s2) / 2
 

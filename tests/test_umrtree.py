@@ -314,7 +314,7 @@ class TestMatroidRealization:
     def test_ground_set_size_is_leg_count(self):
         for n in (3, 4, 5):
             for t in umr.enumerate_umr_trees(n):
-                assert umr.tree_to_matroid(t).size() == n
+                assert len(umr.tree_to_matroid(t).ground) == n
 
     def test_realizations_are_2connected_matroids(self):
         for t in umr.enumerate_umr_trees(5):
