@@ -23,17 +23,15 @@ right-hand side along x(X), as a polynomial in X:
   is the residual of the singular expansion and, over its leaves, T's.
 
 Every value of an element f is a polynomial in X, at a constant point as at
-a moving one: its head, f(x(X)) at r = 1, computed when it is built, and its
-tail, the values f(x(X)^r) at r = 2..R, computed once, on first demand, as
-one list.  The unknowns replace a leaf's head only.  R is one cutoff per
-point, the last r with |x(0)|^r > TAIL_EPS; past it an element reads its
-value at x = 0, which is 0 for every series MSet accepts, so no sum changes.
-A leaf's values come from its coefficients, made floats once (ValueError
-past the float range), by one Horner kernel: passes over all r together
-give the series' Taylor coefficients at x(0)^r up to the order that can
-reach the highest power of X the caller reads, X^DEG unless it says less
+a moving one, and f keeps them in one list indexed by r: f(x(X)^r) at r =
+1..R, R the last r with |x(0)|^r > TAIL_EPS, and at index 0 f(0), the limit
+r -> infinity that every r past R reads (0 wherever MSet or a sum over r
+reads it).  A leaf's values come from its coefficients, made floats once
+(ValueError past the float range), by one Horner kernel: passes over all r
+together give the series' Taylor coefficients at x(0)^r up to the order that
+can reach the highest power of X the caller reads, X^DEG unless it says less
 (none past the value at a constant point), composed with x(X)^r - x(0)^r,
-which is 0 at a constant point.
+which is 0 at a constant point.  The unknowns replace a leaf's r = 1 value.
 
 Polynomials in X are plain lists of DEG + 1 floats (index = power of X),
 truncated after degree DEG, and the linear solves are Gaussian elimination.
@@ -44,7 +42,7 @@ from __future__ import annotations
 
 import math
 import sys
-from functools import cache, partial
+from functools import cache
 from operator import add, sub
 from typing import NamedTuple
 
@@ -81,11 +79,14 @@ class SingularExpansion(NamedTuple):
 class BranchPointReport(NamedTuple):
     """Outcome of the subcritical branch-point scan for the bounding series."""
 
-    no_branch_point: bool
     x_max: float
-    branch_x: float | None = None
+    branch_x: float | None = None  # None: no branch point in (0, x_max]
     branch_s: float | None = None
     residual: float | None = None  # max-norm of (F - s, F_s - 1) at the branch point
+
+    @property
+    def no_branch_point(self) -> bool:
+        return self.branch_x is None
 
     def describe(self) -> str:
         if self.no_branch_point:
@@ -155,10 +156,11 @@ def xp_exp(p: list[float]) -> list[float]:
 
 @cache
 def _sum_terms(r_max: int, sign: float) -> list[list[tuple[int, float]]]:
-    """For r = 1..r_max, the terms sign^k f(x^(r k)) / k with r k <= r_max of
-    a sum over k, as (tail index r k - 2, weight sign^k / k)."""
-    return [[(r * k - 2, sign**k / k) for k in range(1, r_max // r + 1)]
-            for r in range(1, r_max + 1)]
+    """For r = 0..r_max, the terms sign^k f(x^(r k)) / k of a sum over k, as
+    (index r k, weight sign^k / k) with r k <= r_max; at r = 0 the one term
+    f(0), which is 0 in every sum the ring takes."""
+    return [[(r * k, sign**k / k) for k in range(1, r_max // r + 1 if r else 2)]
+            for r in range(r_max + 1)]
 
 
 class JetPoint:
@@ -173,7 +175,6 @@ class JetPoint:
         x0 = x_of_X[0]
         if not abs(x0) < 1:
             raise ValueError("ring evaluation requires |x(0)| < 1")
-        self.x = x_of_X
         r_max = 1
         while abs(x0) ** (r_max + 1) > TAIL_EPS:
             r_max += 1
@@ -188,31 +189,26 @@ class JetPoint:
         for _ in range(r_max):
             self._shifts.append([0.0, *power[1:]])
             power = xp_mul(power, x_of_X)
-        self._leaves: dict[PowerSeries, tuple[tuple[float, ...], Jet]] = {}
+        self._leaves: dict[PowerSeries, list[list[float]]] = {}
 
     def leaf(self, series: PowerSeries, at1: list[float] | None = None) -> "Jet":
-        """series(x(X)^r) as a ring element; ``at1`` replaces its head, and
-        the tail, built once at this point, is shared."""
-        entry = self._leaves.get(series)
-        if entry is None:  # its head is computed only if it is asked for
+        """series(x(X)^r) as a ring element, its values built once at this
+        point and shared; ``at1`` replaces its value at r = 1."""
+        values = self._leaves.get(series)
+        if values is None:
             cs = _float_coeffs(series)
-            entry = self._leaves[series] = cs, Jet(
-                self, None, xp(cs[0]), partial(self._leaf_values, cs, range(2, self.r_max + 1)))
-        cs, base = entry
+            values = self._leaves[series] = [xp(cs[0]), *self._leaf_values(cs)]
         if at1 is not None:
-            return Jet(self, at1, base.zero, base.tail)
-        if base.head is None:
-            base.head = self._leaf_values(cs, range(1, 2))[0]
-        return base
+            values = [values[0], at1, *values[2:]]
+        return Jet(self, values[1], lambda: values)
 
-    def _leaf_values(self, cs: tuple[float, ...], rs: range) -> list[list[float]]:
-        """cs(x(X)^r) for r in rs, from one Horner pass per Taylor order.
+    def _leaf_values(self, cs: tuple[float, ...]) -> list[list[float]]:
+        """cs(x(X)^r) for r = 1..R, from one Horner pass per Taylor order.
 
         The passes run over all r together and give f^(j)(x0^r) / j! for
         j = 0..J; they are composed with shift_r.
         """
-        ys = self._ys[rs.start - 1:rs.stop - 1]
-        top = self._taylor
+        ys, top = self._ys, self._taylor
         b = [[0.0] * len(ys) for _ in range(top + 1)]
         degree = max((n for n, c in enumerate(cs) if c), default=0)
         for c in reversed(cs[:degree + 1]):  # zeros above it leave b at 0.0
@@ -220,8 +216,7 @@ class JetPoint:
                 b[j] = [v * y + w for v, w, y in zip(b[j], b[j - 1], ys)]
             b[0] = [v * y + c for v, y in zip(b[0], ys)]
         out = []
-        for i, r in enumerate(rs):
-            shift = self._shifts[r - 1]
+        for i, shift in enumerate(self._shifts):
             p = xp(b[top][i])
             for j in range(top - 1, -1, -1):
                 p = xp_mul(p, shift)
@@ -242,43 +237,37 @@ def _float_coeffs(series: PowerSeries) -> tuple[float, ...]:
 
 
 class Jet:
-    """Element f of the float ring at a point x(X), as X-polynomials:
-    f(x(X)) (the head), f(x(X)^r) at r = 2..R (the tail), and the value
-    f(0) that it reads past R (the zero).
+    """Element f of the float ring at a point x(X): ``values()`` is f(0) at
+    index 0 and f(x(X)^r) at r = 1..R, and ``head`` its r = 1 entry.
 
     The right-hand sides of :mod:`twolevel.gfsystem` run on these unchanged.
-    The head is computed when the element is built, the tail once, on first
-    demand, as one list: only an MSet, a sum over r or a substitution reads
-    it.  a(x^k) reads index k r, and MSet at r is exp(sum_k f(x^(r k))/k)
+    The head is computed when the element is built, the list once, on first
+    demand: only an MSet, a sum over r or a substitution reads it.  a(x^k)
+    reads index k r, or 0 past R, and MSet at r is exp(sum_k f(x^(r k))/k)
     over r k <= R.
     """
 
-    __slots__ = ("point", "head", "zero", "_tail", "_make")
+    __slots__ = ("point", "head", "_values", "_make")
 
-    def __init__(self, point: JetPoint, head, zero: list[float], make_tail):
+    def __init__(self, point: JetPoint, head: list[float], make_values):
         self.point = point
         self.head = head
-        self.zero = zero
-        self._tail = None
-        self._make = make_tail
+        self._values = None
+        self._make = make_values
 
-    def __call__(self) -> list[float]:
-        return self.head
-
-    def tail(self) -> list[list[float]]:
-        if self._tail is None:
-            self._tail, self._make = self._make(), None
-        return self._tail
+    def values(self) -> list[list[float]]:
+        if self._values is None:
+            self._values, self._make = self._make(), None
+        return self._values
 
     def _zip(self, other, op) -> "Jet":
         if isinstance(other, int):  # a constant, the same at every r
             c = xp(other)
-            return Jet(self.point, op(self.head, c), op(self.zero, c),
-                       lambda: [op(v, c) for v in self.tail()])
+            return Jet(self.point, op(self.head, c), lambda: [op(v, c) for v in self.values()])
         if not isinstance(other, Jet):
             return NotImplemented
-        return Jet(self.point, op(self.head, other.head), op(self.zero, other.zero),
-                   lambda: list(map(op, self.tail(), other.tail())))
+        return Jet(self.point, op(self.head, other.head),
+                   lambda: list(map(op, self.values(), other.values())))
 
     def __add__(self, other):
         return self._zip(other, _xp_add)
@@ -292,41 +281,33 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, k: int) -> "Jet":
-        return Jet(self.point, _xp_div(self.head, k), _xp_div(self.zero, k),
-                   lambda: [_xp_div(v, k) for v in self.tail()])
+        return Jet(self.point, _xp_div(self.head, k),
+                   lambda: [_xp_div(v, k) for v in self.values()])
 
     def substitute_power(self, k: int) -> "Jet":
         if k < 1:
             raise ValueError("substitution power must be >= 1")
         if k == 1:
             return self
-        point = self.point
-        r_max, t = point.r_max, self.tail()
-        head = t[k - 2] if k <= r_max else self.zero
-
-        def tail():
-            # index k r for r = 2..R; past R the value at 0
-            values = t[2 * k - 2::k]
-            return values + [self.zero] * (r_max - 1 - len(values))
-
-        return Jet(point, head, self.zero, tail)
+        r_max, v = self.point.r_max, self.values()
+        return Jet(self.point, v[k] if k <= r_max else v[0], lambda: [
+            v[r * k] if r * k <= r_max else v[0] for r in range(r_max + 1)])
 
     def substitution_sum(self) -> "Jet":
-        t = self.tail()
-        terms = _sum_terms(self.point.r_max, 1.0)[1:]
-        return Jet(self.point, _xp_sum([self.head, *t]), self.zero,
-                   lambda: [_xp_sum([t[i] for i, _ in ts]) for ts in terms])
+        v, terms = self.values(), _sum_terms(self.point.r_max, 1.0)
+        return Jet(self.point, _xp_sum([v[i] for i, _ in terms[1]]),
+                   lambda: [_xp_sum([v[i] for i, _ in ts]) for ts in terms])
 
     def mset(self, signed: bool = False) -> "Jet":
-        if any(self.zero):
+        v = self.values()
+        if any(v[0]):
             raise ValueError("multiset operator requires zero constant term")
-        t = self.tail()
         terms = _sum_terms(self.point.r_max, -1.0 if signed else 1.0)
-        (_, w1), *rest = terms[0]
-        head = xp_exp(_xp_sum([_xp_scale(self.head, w1),
-                               *[_xp_scale(t[i], w) for i, w in rest]]))
-        return Jet(self.point, head, xp(1.0), lambda: [
-            xp_exp(_xp_sum([_xp_scale(t[i], w) for i, w in ts])) for ts in terms[1:]])
+
+        def at(ts):
+            return xp_exp(_xp_sum([_xp_scale(v[i], w) for i, w in ts]))
+
+        return Jet(self.point, at(terms[1]), lambda: list(map(at, terms)))
 
     mset2 = PowerSeries.mset2
     mset_odd = PowerSeries.mset_odd
@@ -369,7 +350,7 @@ def _residuals(point: JetPoint, rhs, known, unknowns, heads: list[list[float]]):
     """F - y over the ring, F = rhs(*known, *unknowns) with the unknowns'
     heads y at r = 1."""
     outs = rhs(*map(point.leaf, known), *map(point.leaf, unknowns, heads))
-    return [_xp_sub(f(), y) for f, y in zip(outs, heads)]
+    return [_xp_sub(f.head, y) for f, y in zip(outs, heads)]
 
 
 def _fold_point(rhs, known, unknowns, seed, tol: float, max_iter: int = 100):
@@ -419,14 +400,12 @@ def _fold_point(rhs, known, unknowns, seed, tol: float, max_iter: int = 100):
     raise ArithmeticError("fold-point Newton iteration did not converge")
 
 
-def solve_char_system(pointed: gf.PointedSeries,
-                      seed: tuple[float, float, float, float] = (0.2, 0.13, 0.07, 0.8),
-                      tol: float = 1e-12, max_iter: int = 100) -> CharSolution:
+def solve_char_system(pointed: gf.PointedSeries, tol: float = 1e-12) -> CharSolution:
     """The branch point of the pointed system: the fold point (x, a, u, c) of
     its unknowns (a, u), a the common R/M value, with v = (1, c), where
-    det(I - J) = 0."""
+    det(I - J) = 0, found by :func:`_fold_point` from a fixed seed."""
     z, m, _, residual = _fold_point(gf._pointed_rhs, (pointed.a_leg,),
-                                    (pointed.a_R, pointed.a_U), seed, tol, max_iter)
+                                    (pointed.a_R, pointed.a_U), (0.2, 0.13, 0.07, 0.8), tol)
     return CharSolution(*z, m, residual)
 
 
@@ -478,7 +457,7 @@ def singular_expansions(char: CharSolution, pointed: gf.PointedSeries,
         raise ArithmeticError("singular-expansion residual above tolerance")
     leaves = gf.PointedSeries(point.leaf(pointed.a_R, a), point.leaf(pointed.a_U, u),
                               point.leaf(pointed.a_leg))
-    return SingularExpansion(rho=char.rho, a=a, u=u, t=gf.assemble_T(leaves)(),
+    return SingularExpansion(rho=char.rho, a=a, u=u, t=gf.assemble_T(leaves).head,
                              residual=max(map(abs, g)))
 
 
@@ -494,7 +473,7 @@ def expand_forests(expansion: SingularExpansion, pointed: gf.PointedSeries) -> l
     asymptotics, so by convention it is not expanded.
     """
     t = JetPoint(xp(expansion.rho)).leaf(gf.assemble_T(pointed), expansion.t)
-    return gf.compute_forests(t)()
+    return gf.compute_forests(t).head
 
 
 def transfer(poly: list[float], rho: float, tol: float) -> AsymptoticEstimate:
@@ -545,6 +524,5 @@ def verify_selfdual_growth(pointed: gf.PointedSeries, s_U_paper: PowerSeries, rh
         raise ArithmeticError(
             f"self-dual scan: the fold point at x = {x:.8f}, s = {s:.8f} is not a branch point")
     if x > x_max:
-        return BranchPointReport(no_branch_point=True, x_max=x_max)
-    return BranchPointReport(no_branch_point=False, x_max=x_max, branch_x=x, branch_s=s,
-                             residual=residual)
+        return BranchPointReport(x_max)
+    return BranchPointReport(x_max, x, s, residual)

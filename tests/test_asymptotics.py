@@ -34,6 +34,23 @@ def _bound_system(p, sd):
     return gf._s_bound_rhs, (_pairs(p, sd), p.a_leg), (sd.s_bound,)
 
 
+def _record_evaluations(monkeypatch):
+    """For each ring evaluation of a residual from here on, whether its point
+    moves (x(X) is not constant), recorded through a JetPoint subclass."""
+    moves = []
+
+    class Recorded(asy.JetPoint):
+        def __init__(self, x_of_X, **kwargs):
+            super().__init__(x_of_X, **kwargs)
+            self.moves = any(x_of_X[1:])
+
+    residuals = asy._residuals
+    monkeypatch.setattr(asy, "JetPoint", Recorded)
+    monkeypatch.setattr(asy, "_residuals",
+                        lambda point, *args: moves.append(point.moves) or residuals(point, *args))
+    return moves
+
+
 def _fold_residual(system, z):
     """(F - y, (J - I) v) at z = (x, y, v_2..v_k): the X^0 and X^1 coefficients
     of fresh evaluations at the constant point x with y + X v."""
@@ -93,7 +110,7 @@ class TestXPolyHelpers:
     def test_tail_value_geometric(self):
         # MSet(x) = exp(sum_{r>=1} x^r / r) = 1 / (1 - x), tail cut by the point
         leg = asy.JetPoint(asy.xp(0.5)).leaf(PowerSeries.x(2))
-        got = leg.mset()()
+        got = leg.mset().head
         assert got[0] == pytest.approx(2.0, abs=1e-12)
         assert all(c == 0.0 for c in got[1:])
 
@@ -141,7 +158,8 @@ class TestCharSystem:
         # iterates out of |x| < 1
         with pytest.raises(ArithmeticError) as info:
             if system == "pointed":
-                asy.solve_char_system(pointed30, seed=(0.9, 50.0, 50.0, 0.8), max_iter=5)
+                asy._fold_point(*_pointed_system(pointed30), (0.9, 50.0, 50.0, 0.8), RUN_TOL,
+                                max_iter=5)
             else:
                 asy._fold_point(*_bound_system(pointed30, selfdual30), (0.5, 0.0), RUN_TOL)
         assert info.type is ArithmeticError
@@ -149,19 +167,12 @@ class TestCharSystem:
     @pytest.mark.parametrize("order", [3, 30, 200])
     def test_evaluation_count(self, order, monkeypatch):
         # two constant-point evaluations per iterate, and one at x + X^2 per
-        # step taken: three steps from the default seed at every order
-        points = []
-
-        def counted(point, *args):
-            points.append(point.x)
-            return residuals(point, *args)
-
+        # step taken: three steps from the fixed seed at every order
         p = gf.solve_pointed(order)
-        residuals = asy._residuals
-        monkeypatch.setattr(asy, "_residuals", counted)
+        moves = _record_evaluations(monkeypatch)
         asy.solve_char_system(p)
-        assert len(points) <= 12
-        assert sum(any(x[1:]) for x in points) <= 3
+        assert len(moves) <= 12
+        assert sum(moves) <= 3
 
     def test_jacobian_against_forward_differences(self, char30, pointed30, selfdual30,
                                                   monkeypatch):
@@ -270,8 +281,8 @@ class TestForests:
         monkeypatch.setattr(gf, "compute_forests", lambda t: seen.append(t) or forests(t))
         f_poly = asy.expand_forests(expansion30, pointed30)
         assert len(seen) == 1 and isinstance(seen[0], asy.Jet)
-        assert seen[0]() == expansion30.t
-        assert f_poly == forests(seen[0])()
+        assert seen[0].head == expansion30.t
+        assert f_poly == forests(seen[0]).head
 
 
 class TestTransfer:
@@ -307,24 +318,18 @@ class TestSelfDualGrowth:
         assert "branch point at" in report.describe()
 
     def test_report_describe_positive_case(self):
-        rep = asy.BranchPointReport(no_branch_point=True, x_max=0.45)
+        rep = asy.BranchPointReport(x_max=0.45)
+        assert rep.no_branch_point
         assert rep.describe().startswith("no branch point")
 
     def test_scan_evaluation_count(self, pointed30, selfdual30, char30, monkeypatch):
         # one constant-point evaluation per iterate, and one at x + X^2 per
         # step taken: four steps from the fixed seed
-        points = []
-
-        def counted(point, *args):
-            points.append(point.x)
-            return residuals(point, *args)
-
-        residuals = asy._residuals
-        monkeypatch.setattr(asy, "_residuals", counted)
+        moves = _record_evaluations(monkeypatch)
         report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
         assert not report.no_branch_point
-        assert len(points) <= 9
-        assert sum(any(x[1:]) for x in points) <= 4
+        assert len(moves) <= 9
+        assert sum(moves) <= 4
 
     def test_exact_s_column(self, pointed30, selfdual30):
         # -2 (F_ss / 2), from the X^2 coefficient, against a forward
@@ -334,7 +339,7 @@ class TestSelfDualGrowth:
             (f,) = gf._s_bound_rhs(point.leaf(_pairs(pointed30, selfdual30)),
                                    point.leaf(pointed30.a_leg),
                                    point.leaf(selfdual30.s_bound, asy.xp(s, 1.0)))
-            return f()
+            return f.head
 
         h = 1e-7
         f, g = taylor(0.45), taylor(0.45 + h)
@@ -354,7 +359,7 @@ class TestSelfDualGrowth:
             for _ in range(1000):
                 (f,) = gf._s_bound_rhs(point.leaf(pairs), point.leaf(pointed30.a_leg),
                                        point.leaf(selfdual30.s_bound, asy.xp(s)))
-                s, last = f()[0], s
+                s, last = f.head[0], s
                 if s > 1.0 or s - last < 1e-13:
                     return s, s - last
             raise AssertionError(f"no decision at x = {x} in 1000 steps")
@@ -378,7 +383,7 @@ class TestSelfDualGrowth:
             def gap(s):
                 (f,) = gf._s_bound_rhs(point.leaf(pairs), point.leaf(pointed30.a_leg),
                                        point.leaf(selfdual30.s_bound, asy.xp(s)))
-                return f()[0] - s
+                return f.head[0] - s
 
             lo, hi = 0.0, 1.0
             a, b = hi - golden * (hi - lo), lo + golden * (hi - lo)
@@ -450,9 +455,9 @@ class TestFoldPoint:
 
 class TestJetTailCutoff:
     """Every element at a point is cut at the point's R, the last r with
-    |x(0)|^r > TAIL_EPS; past R it reads its value at 0.  At a constant
-    point every value is an X-polynomial whose X^1..X^DEG coefficients are
-    zero."""
+    |x(0)|^r > TAIL_EPS; past R it reads its value at 0, which its list holds
+    at index 0.  At a constant point every value is an X-polynomial whose
+    X^1..X^DEG coefficients are zero."""
 
     X0 = 0.4
     ZEROS = [0.0] * asy.DEG
@@ -465,13 +470,14 @@ class TestJetTailCutoff:
         f = self.leaf(pointed30) + 1
         r_max = f.point.r_max
         assert self.X0**r_max > asy.TAIL_EPS >= self.X0 ** (r_max + 1)
-        tail = f.substitute_power(2).tail()
-        assert len(tail) == r_max - 1
-        for r, value in enumerate(tail, 2):
+        g = f.substitute_power(2)
+        values = g.values()
+        assert len(values) == r_max + 1 and g.head == values[1]
+        for r, value in enumerate(values):
             assert value[1:] == self.ZEROS
-            if 2 * r <= r_max:  # index 2 r, evaluated
+            if 0 < 2 * r <= r_max:  # index 2 r, evaluated
                 assert value[0] == pointed30.a_R.eval_float(self.X0 ** (2 * r)) + 1.0
-            else:
+            else:  # index 0, and every r past R / 2
                 assert value[0] == 1.0
 
     def test_sum_and_product_are_cut_at_the_point(self, pointed30):
@@ -482,14 +488,15 @@ class TestJetTailCutoff:
             g = f.substitute_power(2)
             r_max = f.point.r_max
             assert x0**r_max > asy.TAIL_EPS >= x0 ** (r_max + 1)
-            assert g.tail()[r_max // 2 - 1:] == [asy.xp()] * (r_max - r_max // 2)
+            assert g.values()[0] == asy.xp()
+            assert g.values()[r_max // 2 + 1:] == [asy.xp()] * (r_max - r_max // 2)
             for h, op in ((f + g, float.__add__), (f * g, float.__mul__),
                           (g - f, float.__rsub__)):
                 assert h.point is f.point
-                assert [v[0] for v in h.tail()] == [
-                    op(u[0], w[0]) for u, w in zip(f.tail(), g.tail())]
-                assert all(v[1:] == self.ZEROS for v in h.tail())
-                assert len(h.tail()) == r_max - 1
+                assert [v[0] for v in h.values()] == [
+                    op(u[0], w[0]) for u, w in zip(f.values(), g.values())]
+                assert all(v[1:] == self.ZEROS for v in h.values())
+                assert len(h.values()) == r_max + 1 and h.head == h.values()[1]
 
     def test_mset_of_substituted_leaf_is_exact(self, pointed30):
         # MSet sums k = 1..R, but the terms past R / 2 are the value at 0,
@@ -499,14 +506,14 @@ class TestJetTailCutoff:
         r_max = f.point.r_max
         cut = sum([pointed30.a_R.eval_float(self.X0 ** (2 * k)) * (1.0 / k)
                    for k in range(1, r_max // 2 + 1)])
-        value = f.substitute_power(2).mset()()
+        value = f.substitute_power(2).mset().head
         assert value[0] == math.exp(cut)
         assert value[1:] == self.ZEROS
 
 
 class TestLeafKernel:
-    """The leaves' Horner kernel against the reference route, and the tails
-    it builds once."""
+    """The leaves' Horner kernel against the reference route, and the value
+    lists it builds once."""
 
     @pytest.mark.parametrize("x_of_X, taylor", [
         (asy.xp(RHO, 0.0, -RHO), 2), (asy.xp(RHO, 0.0, 1.0), 2), (asy.xp(0.1, 1.0), 5)],
@@ -516,9 +523,10 @@ class TestLeafKernel:
         assert point._taylor == taylor
         for series in (pointed30.a_R, pointed30.a_U, pointed30.a_leg):
             leaf = point.leaf(series)
-            got = [leaf(), *leaf.tail()]
-            assert len(got) == point.r_max
-            for r, value in enumerate(got, 1):
+            got = leaf.values()
+            assert len(got) == point.r_max + 1 and leaf.head is got[1]
+            assert got[0] == asy.xp(series.coeff(0))
+            for r, value in enumerate(got[1:], 1):
                 want = series_at_xpoly(series, xp_pow(x_of_X, r))
                 assert value == pytest.approx(want, rel=1e-13, abs=0), r
 
@@ -539,25 +547,25 @@ class TestLeafKernel:
         want = asy._residuals(full, *args, heads)
         assert [p[:4] for p in got] == [p[:4] for p in want]
 
-    def test_each_tail_is_built_once(self, monkeypatch, capsys):
-        # every node builds its tail at most once, and every leaf once per point
+    def test_each_value_list_is_built_once(self, monkeypatch, capsys):
+        # every node builds its value list at most once, and every leaf once
+        # per point
         nodes, leaves = [], Counter()
         init, values = asy.Jet.__init__, asy.JetPoint._leaf_values
 
-        def counted_init(self, point, head, zero, make_tail):
+        def counted_init(self, point, head, make_values):
             builds = [0]
             nodes.append(builds)
 
             def make():
                 builds[0] += 1
-                return make_tail()
+                return make_values()
 
-            init(self, point, head, zero, make)
+            init(self, point, head, make)
 
-        def counted_values(point, cs, rs):
-            if rs.start == 2:
-                leaves[point, cs] += 1
-            return values(point, cs, rs)
+        def counted_values(point, cs):
+            leaves[point, cs] += 1
+            return values(point, cs)
 
         monkeypatch.setattr(asy.Jet, "__init__", counted_init)
         monkeypatch.setattr(asy.JetPoint, "_leaf_values", counted_values)
@@ -619,7 +627,7 @@ class TestJetRing:
         def check(ring_result, int_result, solved):
             assert int_result.truncate(solved.order) == solved
             want = series_at_xpoly(int_result, x_of_X)
-            assert ring_result() == pytest.approx(want, rel=1e-12, abs=0)
+            assert ring_result.head == pytest.approx(want, rel=1e-12, abs=0)
 
         return inputs, check
 
@@ -659,8 +667,8 @@ class TestJetRing:
     @pytest.mark.parametrize("x_of_X", [asy.xp(RHO), asy.xp(RHO, 0.0, -RHO)],
                              ids=["constant", "branch_point"])
     def test_every_value_is_an_x_polynomial(self, x_of_X, pointed30, monkeypatch):
-        # at a constant point as at a moving one: every node's head, zero and
-        # tail entries are lists of DEG + 1 floats
+        # at a constant point as at a moving one: every node's head and the
+        # entries of its value list are lists of DEG + 1 floats
         built, init = [], asy.Jet.__init__
 
         def recorded(self, *args):
@@ -672,17 +680,41 @@ class TestJetRing:
         gf._pointed_rhs(*map(point.leaf, (p.a_leg, p.a_R, p.a_U)))
         assert len(built) > 10
         for jet in built:
-            values = [jet.head, jet.zero, *jet.tail()]
-            assert len(values) == point.r_max + 1
+            values = [jet.head, *jet.values()]
+            assert len(values) == point.r_max + 2
             for value in values:
                 assert type(value) is list and len(value) == asy.DEG + 1
                 assert all(type(c) is float for c in value)
+
+    def test_arithmetic_computes_only_the_head(self, pointed30, monkeypatch):
+        # building the pointed right-hand side runs one X-polynomial kernel
+        # per +, -, * and / node, its value at r = 1, and builds no output's
+        # value list: only an MSet, a sum over r or a substitution reads one
+        point, p = asy.JetPoint(asy.xp(RHO)), pointed30
+        leaves = [point.leaf(s) for s in (p.a_leg, p.a_R, p.a_U)]
+        kernels, per_node = [], []
+        for name in ("xp_mul", "_xp_add", "_xp_sub", "_xp_sum", "_xp_scale", "_xp_div",
+                     "xp_exp"):
+            kernel = getattr(asy, name)
+            monkeypatch.setattr(asy, name,
+                                lambda *args, kernel=kernel: kernels.append(1) or kernel(*args))
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
+            def counted(self, other, method=getattr(asy.Jet, name)):
+                before = len(kernels)
+                node = method(self, other)
+                per_node.append(len(kernels) - before)
+                return node
+
+            monkeypatch.setattr(asy.Jet, name, counted)
+        outs = gf._pointed_rhs(*leaves)
+        assert len(per_node) == 12 and set(per_node) == {1}
+        assert [out._values for out in outs] == [None, None]
 
     def test_inner_derivative_is_x1_coefficient(self, pointed30):
         # MSet(s + x) at r = 1 with s = s0 + X: d/ds exp(s + x + tail) = itself
         point = asy.JetPoint(asy.xp(0.15))
         s = point.leaf(pointed30.a_U, asy.xp(0.05, 1.0))
-        e = (s + point.leaf(pointed30.a_leg)).mset()()
+        e = (s + point.leaf(pointed30.a_leg)).mset().head
         assert e[1] == pytest.approx(e[0], rel=1e-14)
         assert e[2] == pytest.approx(e[0] / 2, rel=1e-14)
 

@@ -636,6 +636,30 @@ class TestReachability:
         assert [name for name in unreached if name not in self.EXEMPT_METHODS] == []
 
 
+class TestUnusedImports:
+    """Every name a module of the package imports is read in that module;
+    names from __future__ and names listed in __all__ are exempt."""
+
+    def test_no_unused_import(self):
+        unused = []
+        for path in sorted(Path(twolevel.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            imported, exported = {}, set()
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import) or (
+                        isinstance(node, ast.ImportFrom) and node.module != "__future__"):
+                    for alias in node.names:
+                        imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+                elif isinstance(node, ast.Assign) and any(
+                        isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+                    exported |= set(ast.literal_eval(node.value))
+            read = {node.id for node in ast.walk(tree)
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+            unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
+                       if name not in read | exported]
+        assert unused == []
+
+
 class TestBenchProbe:
     """bench/run.py runs its PROBE before every benchmark and reads names of
     the package through it; a name it reads that goes away must fail here."""
