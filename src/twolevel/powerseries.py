@@ -142,11 +142,11 @@ class PowerSeries:
         return PowerSeries(out)
 
     def substitution_sum(self) -> "PowerSeries":
-        """sum_{r>=1} a(x^r) for a with zero constant term, truncated."""
-        total = self
+        """sum_{r=1..order} a(x^r), truncated, each a(x^r) added in place."""
+        a, out = self._coeffs, list(self._coeffs)
         for r in range(2, self.order + 1):
-            total = total + self.substitute_power(r)
-        return total
+            out[::r] = map(add, out[::r], a)
+        return PowerSeries(out)
 
     def mset(self, signed: bool = False) -> "PowerSeries":
         """Multiset operator MSet = exp(sum_r a(x^r)/r), as the Euler transform.

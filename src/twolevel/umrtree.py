@@ -1,47 +1,59 @@
 """Exhaustive enumeration of UMR-trees and their induced matroids.
 
 Each tree is generated once, rooted at its centre (Wright, Richmond,
-Odlyzko and McKay, "Constant time generation of free trees", 1986).  A tree
-is a nested node ``(cat, k, children)``: the category of its vertex, the
-rank k of a U-vertex (0 for M and R, whose rank follows from their size),
-and its children, pointed subtrees and legs, in generation order: by size,
-then category M < R < U, then index in that size's table, legs last.
-Children are built by the generator that independently realizes the
-pointed series of :mod:`twolevel.gfsystem`, as choices with repetition
-from the already generated trees of each size, which come out in that
-order unsorted.  Each subtree's height, dual and order key are recorded
-once, keyed by id.  Roots come from the R- and U-tables and from the
-M-vertices with at least three children, so no M-table of the largest size
-is built; ``tree_to_matroid`` folds a node into its matroid by 2-sums.
+Odlyzko and McKay, "Constant time generation of free trees", 1986).  Every
+generated pointed tree is an index into one append-only table, ``_NODES``,
+of entries ``(cat, k, children)``: the category of the vertex, the rank k
+of a U-vertex (0 for M and R, whose rank follows from their size), and the
+children's indices in generation order: by size, then category M < R < U,
+then position in that size's table, legs (entry ``LEG`` = 0) last.  The
+children are choices with repetition from the generated trees of each size,
+a generator that independently realizes the pointed series of
+:mod:`twolevel.gfsystem`.  Heights and duals are lists indexed by tree.  A
+root is an entry outside the table, taken from the R- and U-tables and from
+the M-vertices with at least three children, so no M-table of the largest
+size is built; ``tree_to_matroid`` folds a root into its matroid by 2-sums.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 from functools import lru_cache
 from itertools import chain, combinations_with_replacement
-from operator import itemgetter
 
 from . import matroid as mat
 
 TREE_CAP = 10
 
-LEG = ("leg",)
+LEG = 0
 
 # which pointed-subtree categories may hang below a vertex of each category,
 # in generation order
 _CHILD_CATS = {"R": ("M", "U"), "M": ("R", "U"), "U": ("M", "R", "U")}
 
+# The generated pointed trees, and for each the height of the vertex tree
+# below it (a leg is no vertex) and its dual's index, None until its size's
+# facts are recorded; _BY_SIGNATURE finds a tree by label and sorted children.
+_NODES: list[tuple] = [("leg", 0, ())]
+_HEIGHT: list = [-1]
+_DUAL: list = [LEG]
+_BY_SIGNATURE: dict[tuple, int] = {}
+_DUAL_CAT = {"M": "R", "R": "M", "U": "U"}
+
 
 # -- pointed (rooted) subtree generation --------------------------------
 
 @lru_cache(maxsize=None)
-def _pointed(n: int, cat: str) -> tuple:
-    """All pointed trees with n legs whose pointed vertex has category cat."""
+def _pointed(n: int, cat: str) -> range:
+    """The indices of all pointed trees with n legs whose pointed vertex has
+    category cat, appended to the table on the first call."""
     multisets = _child_multisets(_CHILD_CATS[cat], n, 2 if cat in ("R", "M") else 3)
+    start = len(_NODES)
     if cat == "U":
-        return tuple([("U", k, ch) for ch in multisets for k in range(2, len(ch))])
-    return tuple([(cat, 0, ch) for ch in multisets])
+        _NODES.extend([("U", k, ch) for ch in multisets for k in range(2, len(ch))])
+    else:
+        _NODES.extend([(cat, 0, ch) for ch in multisets])
+    _HEIGHT[start:] = _DUAL[start:] = [None] * (len(_NODES) - start)
+    return range(start, len(_NODES))
 
 
 def _child_multisets(cats: tuple, total: int, min_count: int) -> list[tuple]:
@@ -64,23 +76,8 @@ def _child_multisets(cats: tuple, total: int, min_count: int) -> list[tuple]:
     return out
 
 
-# Facts of each generated pointed tree by id() (a tuple's hash walks its
-# whole subtree; _pointed's tables keep the trees alive): the height of the
-# vertex tree below it (a leg is no vertex), the generated tree equal to its
-# dual, and its position in generation order.  _BY_SIGNATURE finds a
-# generated tree by its label and the sorted ids of its children.
-_FACTS: dict[int, tuple] = {id(LEG): (-1, LEG, math.inf)}
-_BY_SIGNATURE: dict[tuple, tuple] = {}
-_HEIGHT, _DUAL = itemgetter(0), itemgetter(1)
-_DUAL_CAT = {"M": "R", "R": "M", "U": "U"}
-
-
-def _facts(children) -> map:
-    return map(_FACTS.__getitem__, map(id, children))
-
-
 def _signature(cat: str, k: int, children) -> tuple:
-    return (cat, k, *sorted(map(id, children)))
+    return (cat, k, *sorted(children))
 
 
 def _dual_signature(cat: str, k: int, children) -> tuple:
@@ -88,7 +85,7 @@ def _dual_signature(cat: str, k: int, children) -> tuple:
     swap, U_{r,k} becomes U_{r,r-k}, where r counts the children and the
     parent edge."""
     dual_k = len(children) + 1 - k if cat == "U" else 0
-    return _signature(_DUAL_CAT[cat], dual_k, map(_DUAL, _facts(children)))
+    return _signature(_DUAL_CAT[cat], dual_k, map(_DUAL.__getitem__, children))
 
 
 @lru_cache(maxsize=None)
@@ -99,15 +96,13 @@ def _subtree_facts(size: int) -> None:
     if size < 2:
         return
     _subtree_facts(size - 1)
-    nodes = [node for cat in ("M", "R", "U") for node in _pointed(size, cat)]
-    keys = {id(node): key for key, node in enumerate(nodes, len(_FACTS))}
-    _BY_SIGNATURE.update((_signature(*node), node) for node in nodes)
-    for node in nodes:
-        if id(node) not in _FACTS:
-            height = 1 + max(map(_HEIGHT, _facts(node[2])))
-            dual = _BY_SIGNATURE[_dual_signature(*node)]
-            _FACTS[id(node)] = (height, dual, keys[id(node)])
-            _FACTS[id(dual)] = (height, node, keys[id(dual)])
+    trees = [i for cat in ("M", "R", "U") for i in _pointed(size, cat)]
+    _BY_SIGNATURE.update((_signature(*_NODES[i]), i) for i in trees)
+    for i in trees:
+        if _DUAL[i] is None:
+            dual = _BY_SIGNATURE[_dual_signature(*_NODES[i])]
+            _HEIGHT[i] = _HEIGHT[dual] = 1 + max(map(_HEIGHT.__getitem__, _NODES[i][2]))
+            _DUAL[i], _DUAL[dual] = dual, i
 
 
 def pointed_count(n: int, cat: str) -> int:
@@ -119,16 +114,15 @@ def _fixed_by_duality(children) -> bool:
     """Whether dualizing every child permutes the children.  Whether the
     first child's dual is among them is asked first, which rejects almost
     every other tree."""
-    ids = list(map(id, children))
-    return (id(_FACTS[ids[0]][1]) in ids
-            and sorted(map(id, map(_DUAL, _facts(children)))) == sorted(ids))
+    return (_DUAL[children[0]] in children
+            and sorted(map(_DUAL.__getitem__, children)) == sorted(children))
 
 
 def count_self_dual_pointed(n: int) -> int:
     """Pointed U-trees fixed by the label-dualizing involution: the root
     U_{r+1,k} is self-dual only when 2k = r + 1, which is tested first."""
     _subtree_facts(n - 2)  # a U-vertex has at least 3 children
-    return sum(1 for _, k, children in _pointed(n, "U")
+    return sum(1 for _, k, children in map(_NODES.__getitem__, _pointed(n, "U"))
                if 2 * k == len(children) + 1 and _fixed_by_duality(children))
 
 
@@ -142,10 +136,10 @@ def _rooted_trees(n: int) -> tuple[tuple, tuple]:
     h1 >= h2 the two largest heights of their children (a leg's is -1), the
     root is the one centre when h1 = h2.  When h1 = h2 + 1 it shares the
     central edge with its taller child q, which splits the tree into halves
-    p and q; of the two rootings, the one with the half first in generation
-    order at its root is kept.  Centres map to centres under isomorphism, so
-    the tree is self-dual when dualizing fixes its rooting or maps its
-    halves onto its halves."""
+    p and q; of the two rootings, the one whose root half p has the smaller
+    index (one per isomorphism class) is kept.  Centres map to centres under
+    isomorphism, so the tree is self-dual when dualizing fixes its rooting
+    or maps its halves onto its halves."""
     if n < 3:
         raise ValueError("a UMR-tree has at least 3 legs")
     if n > TREE_CAP:
@@ -153,11 +147,12 @@ def _rooted_trees(n: int) -> tuple[tuple, tuple]:
     _subtree_facts(n - 2)  # a root has at least 3 children
     m_roots = (("M", 0, children) for children in _child_multisets(_CHILD_CATS["M"], n, 3))
     roots, self_dual = [], []
-    for root in chain(_pointed(n, "R"), m_roots, _pointed(n, "U")):
+    for root in chain(map(_NODES.__getitem__, _pointed(n, "R")), m_roots,
+                      map(_NODES.__getitem__, _pointed(n, "U"))):
         cat, k, children = root
         if len(children) < 3 or k > len(children) - 2:
             continue
-        heights = list(map(_HEIGHT, _facts(children)))
+        heights = list(map(_HEIGHT.__getitem__, children))
         h2, h1 = sorted(heights)[-2:]
         if h1 == h2:
             roots.append(root)
@@ -167,16 +162,15 @@ def _rooted_trees(n: int) -> tuple[tuple, tuple]:
             i = heights.index(h1)
             q = children[i]
             p = _BY_SIGNATURE[_signature(cat, k, children[:i] + children[i + 1:])]
-            (_, p_dual, p_key), (_, q_dual, q_key) = _FACTS[id(p)], _FACTS[id(q)]
-            if p_key <= q_key:
+            if p <= q:
                 roots.append(root)
-                self_dual.append(p_dual is q or (p_dual is p and q_dual is q))
+                self_dual.append(_DUAL[p] == q or (_DUAL[p] == p and _DUAL[q] == q))
     return tuple(roots), tuple(self_dual)
 
 
 def enumerate_umr_trees(n: int) -> tuple:
-    """All UMR-trees with exactly n legs, one per isomorphism class, each a
-    node rooted at its centre."""
+    """All UMR-trees with exactly n legs, one per isomorphism class, each the
+    entry of its root, a centre."""
     return _rooted_trees(n)[0]
 
 
@@ -209,6 +203,7 @@ def tree_to_matroid(root: tuple) -> mat.Matroid:
         for child in children:
             if child == LEG:
                 break
+            child = _NODES[child]
             # the child's last element: its first is next_id, and it has
             # one element per child plus its parent edge
             glue = next_id + len(child[2])

@@ -18,7 +18,7 @@ _DUAL_CATEGORY = {"M": "R", "R": "M", "U": "U"}
 
 
 def plain_tree(root):
-    """The plain tree of a node, its vertices numbered in preorder."""
+    """The plain tree of a root entry, its vertices numbered in preorder."""
     labels, edges, legs = [], [], []
 
     def walk(node, parent):
@@ -32,7 +32,7 @@ def plain_tree(root):
             edges.append((parent, v))
         for child in children:
             if child != umr.LEG:
-                walk(child, v)
+                walk(umr._NODES[child], v)
 
     walk(root, None)
     return tuple(labels), tuple(edges), tuple(legs)
@@ -75,7 +75,7 @@ def check_tree(tree):
 
 
 def num_legs(node):
-    return sum(1 if child == umr.LEG else num_legs(child) for child in node[2])
+    return sum(1 if child == umr.LEG else num_legs(umr._NODES[child]) for child in node[2])
 
 
 def adjacency(tree):

@@ -491,11 +491,31 @@ class TestDeterminism:
         _, out2, _ = run(["--order", "10", "--format", "json", "coeffs", "sbound"], capsys)
         assert out1 == out2
 
+    # every tree of size 8, its child indices expanded to nested nodes, and
+    # the self-dual flags
+    ENUMERATE = """if True:
+        from twolevel import umrtree as umr
+        def nested(cat, k, children):
+            return cat, k, tuple("leg" if c == umr.LEG else nested(*umr._NODES[c])
+                                 for c in children)
+        print(([nested(*t) for t in umr.enumerate_umr_trees(8)], umr._rooted_trees(8)[1]))
+    """
 
-def run_python(*argv: str, check: bool = True) -> subprocess.CompletedProcess:
-    """Run python ``argv`` in a fresh interpreter that imports this checkout's twolevel."""
+    def test_enumeration_does_not_depend_on_hashing(self):
+        # the kept centre rooting depends on table order, which only the
+        # order of the table builds may set
+        out = [run_python("-c", self.ENUMERATE, PYTHONHASHSEED=seed).stdout
+               for seed in ("0", "1")]
+        assert out[0] == out[1]
+        trees, self_dual = ast.literal_eval(out[0])
+        assert (len(trees), sum(self_dual)) == (246, 16)
+
+
+def run_python(*argv: str, check: bool = True, **env: str) -> subprocess.CompletedProcess:
+    """Run python ``argv`` in a fresh interpreter that imports this checkout's
+    twolevel, with ``env`` added to the environment."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH")))))
     return subprocess.run([sys.executable, *argv], capture_output=True,
                           text=True, check=check, env=env)

@@ -113,6 +113,13 @@ class TestAlgebraProperties:
     def test_substitute_power_composes(self, a, r, s):
         assert a.substitute_power(r).substitute_power(s) == a.substitute_power(r * s)
 
+    @given(series_strategy)
+    @settings(max_examples=100)
+    def test_substitution_sum_adds_every_power(self, a):
+        # the in-place sum against one series per power, constant term too
+        want = sum((a.substitute_power(r) for r in range(2, a.order + 1)), a)
+        assert a.substitution_sum() == want
+
 
 def brute_force_multiset(coeffs, order, predicate):
     """Multiset counts by explicit enumeration for a class with finitely many

@@ -1,3 +1,4 @@
+import math
 import random
 from bisect import bisect_left
 from functools import lru_cache
@@ -14,6 +15,10 @@ from reference_routes import plain_tree
 
 
 # -- plain reference routes for the generator and its cached facts -------
+
+# a leg of a nested node; it sorts after every vertex
+LEG = ("leg",)
+
 
 @lru_cache(maxsize=None)
 def dfs_pointed(n, cat):
@@ -41,7 +46,7 @@ def dfs_child_multisets(cats, total, min_count):
 
     def rec(start, remaining, acc):
         if len(acc) + remaining >= min_count:
-            out.append(tuple(sorted(acc + (umr.LEG,) * remaining)))
+            out.append(tuple(sorted(acc + (LEG,) * remaining)))
         for i in range(max(start, fits[remaining]), len(pool)):
             rec(i, remaining - sizes[i], acc + (pool[i],))
 
@@ -49,24 +54,23 @@ def dfs_child_multisets(cats, total, min_count):
     return out
 
 
-def normalise(node, memo={}):
-    """The node with the children of every vertex sorted as tuples, the
-    order the generator does not use; legs still come last."""
-    if node == umr.LEG:
-        return node
-    if id(node) not in memo:
-        cat, k, children = node
-        memo[id(node)] = node, (cat, k, tuple(sorted(map(normalise, children))))
-    return memo[id(node)][1]
+@lru_cache(maxsize=None)
+def normalise(i):
+    """Table entry i as a nested node, the children of every vertex sorted
+    as tuples, the order the generator does not use; legs still come last."""
+    if i == umr.LEG:
+        return LEG
+    cat, k, children = umr._NODES[i]
+    return cat, k, tuple(sorted(map(normalise, children)))
 
 
 def plain_height(node):
-    return 1 + max((plain_height(c) for c in node[2] if c != umr.LEG), default=-1)
+    return 1 + max((plain_height(c) for c in node[2] if c != LEG), default=-1)
 
 
 def plain_dual(node):
-    if node == umr.LEG:
-        return umr.LEG
+    if node == LEG:
+        return LEG
     cat, k, children = node
     dch = tuple(sorted(plain_dual(c) for c in children))
     if cat == "M":
@@ -171,7 +175,7 @@ class TestEnumeration:
             every = {
                 ref.canonical_form(plain_tree(node))
                 for cat in ("R", "M", "U")
-                for node in umr._pointed(n, cat)
+                for node in map(umr._NODES.__getitem__, umr._pointed(n, cat))
                 if len(node[2]) >= 3 and node[1] <= len(node[2]) - 2
             }
             assert forms == every
@@ -183,14 +187,18 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("cat", ["R", "M", "U"])
     def test_pointed_trees_distinct_and_sorted(self, cat):
-        # children come in generation order: their order keys never
-        # decrease, and legs, whose key is the largest, come last
-        umr._subtree_facts(8)
+        # children come in generation order: their (size, category,
+        # position in the size's table) never decrease, and legs come last
+        place = {umr.LEG: (math.inf,)}
+        for size in range(2, 9):
+            for rank, c in enumerate("MRU"):
+                trees = umr._pointed(size, c)
+                place.update((i, (size, rank, i - trees.start)) for i in trees)
         for n in range(2, 10):
-            nodes = umr._pointed(n, cat)
+            nodes = [umr._NODES[i] for i in umr._pointed(n, cat)]
             assert len(set(nodes)) == len(nodes)
             for node in nodes:
-                keys = [umr._FACTS[id(c)][2] for c in node[2]]
+                keys = [place[c] for c in node[2]]
                 assert keys == sorted(keys)
                 legs = node[2].count(umr.LEG)
                 assert node[2][len(node[2]) - legs:] == (umr.LEG,) * legs
@@ -198,27 +206,52 @@ class TestEnumeration:
     @pytest.mark.parametrize("cat", ["R", "M", "U"])
     def test_pointed_trees_match_the_recursion(self, cat):
         for n in range(2, 10):
-            assert set(map(normalise, umr._pointed(n, cat))) == set(
-                map(normalise, dfs_pointed(n, cat)))
+            assert set(map(normalise, umr._pointed(n, cat))) == set(dfs_pointed(n, cat))
 
     def test_children_are_the_generated_trees(self):
-        # each child is the shared tree of its size's table, not a copy
+        # each child is a leg or a tree of a smaller size's table
         for n in range(3, 10):
-            generated = {id(c) for size in range(2, n) for cat in "RMU"
-                         for c in umr._pointed(size, cat)} | {id(umr.LEG)}
+            generated = {i for size in range(2, n) for cat in "RMU"
+                         for i in umr._pointed(size, cat)} | {umr.LEG}
             for cat in "RMU":
-                assert all(id(c) in generated for node in umr._pointed(n, cat) for c in node[2])
+                assert all(c in generated for i in umr._pointed(n, cat)
+                           for c in umr._NODES[i][2])
 
     def test_cached_heights_and_duals(self):
         umr._subtree_facts(8)
         for n in range(2, 9):
             for cat, dual_cat in (("R", "M"), ("M", "R"), ("U", "U")):
-                duals = {id(node) for node in umr._pointed(n, dual_cat)}
-                for node in umr._pointed(n, cat):
-                    height, d, _ = umr._FACTS[id(node)]
-                    assert height == plain_height(node)
-                    assert normalise(d) == plain_dual(normalise(node))
-                    assert id(d) in duals
+                for i in umr._pointed(n, cat):
+                    assert umr._HEIGHT[i] == plain_height(normalise(i))
+                    assert normalise(umr._DUAL[i]) == plain_dual(normalise(i))
+                    assert umr._DUAL[i] in umr._pointed(n, dual_cat)
+
+    def test_table_invariants(self):
+        # every child is a leg or an earlier entry with fewer legs, legs
+        # last; dualizing is an involution on the recorded trees that keeps
+        # heights, swaps M and R, and takes U_{r,k} to U_{r,r-k}
+        umr._rooted_trees(9)
+        umr._subtree_facts(8)
+        assert umr._NODES[umr.LEG] == ("leg", 0, ()) and umr.LEG == 0
+        assert len(umr._HEIGHT) == len(umr._DUAL) == len(umr._NODES)
+        legs = [1]
+        for i, (_, _, children) in enumerate(umr._NODES[1:], 1):
+            assert all(c == umr.LEG or c < i for c in children)
+            legs.append(sum(legs[c] for c in children))
+            assert all(c == umr.LEG or legs[c] < legs[i] for c in children)
+            n_legs = children.count(umr.LEG)
+            assert children[len(children) - n_legs:] == (umr.LEG,) * n_legs
+        recorded = [i for i in range(1, len(umr._NODES)) if umr._DUAL[i] is not None]
+        assert set(recorded) >= {i for n in range(2, 9) for cat in "MRU"
+                                 for i in umr._pointed(n, cat)}
+        for i in recorded:
+            d = umr._DUAL[i]
+            (cat, k, children), (dual_cat, dual_k, dual_children) = umr._NODES[i], umr._NODES[d]
+            assert umr._DUAL[d] == i and umr._HEIGHT[d] == umr._HEIGHT[i]
+            assert dual_cat == {"M": "R", "R": "M", "U": "U"}[cat]
+            assert len(dual_children) == len(children) and legs[d] == legs[i]
+            if cat == "U":
+                assert dual_k == len(children) + 1 - k
 
     def test_pointed_counts_match_series(self, pointed30):
         for n in range(2, 11):
@@ -304,10 +337,9 @@ class TestDuality:
         # the pointed U-trees equal to their dual, found by the plain
         # dualization, are the ones counted, and each has an odd degree
         for n in range(2, 9):
-            fixed = [node for node in umr._pointed(n, "U")
-                     if plain_dual(normalise(node)) == normalise(node)]
+            fixed = [i for i in umr._pointed(n, "U") if plain_dual(normalise(i)) == normalise(i)]
             assert len(fixed) == umr.count_self_dual_pointed(n)
-            assert all(len(node[2]) % 2 == 1 for node in fixed)
+            assert all(len(umr._NODES[i][2]) % 2 == 1 for i in fixed)
 
 
 class TestMatroidRealization:
