@@ -65,16 +65,15 @@ def _fixed_point(rhs, known, unknowns: int):
 
 def _readers(outs, ys) -> list:
     """The nodes below ``outs`` that read an unknown, the unknowns excluded."""
-    reads = {id(y): True for y in ys}
+    reads = dict.fromkeys(ys, True)
     found = []
 
     def visit(node):
-        key = id(node)
-        if key not in reads:
-            reads[key] = any([visit(i) for i in node.inputs])  # visit every input
-            if reads[key]:
+        if node not in reads:
+            reads[node] = any([visit(i) for i in node.inputs])  # visit every input
+            if reads[node]:
                 found.append(node)
-        return reads[key]
+        return reads[node]
 
     for out in outs:
         visit(out)
@@ -84,6 +83,7 @@ def _readers(outs, ys) -> list:
 def _pointed_rhs(leg, a_R, a_U):
     # on the slice a_M = a_R, where the M-equation is the R-equation
     f = a_R + a_U + leg
+    # not f + a_R, which the float ring rounds differently
     s = a_R + a_R + a_U + leg
     e = s.mset()
     lin = s.substitution_sum()
@@ -104,24 +104,25 @@ def solve_pointed(order: int) -> PointedSeries:
 
 
 def assemble_T(p: PointedSeries) -> PowerSeries:
-    """Unrooted series by the dissymmetry identity T = T_v + T_e - T_d."""
-    a_R, a_M, a_U, leg = p.a_R, p.a_M, p.a_U, p.a_leg
-    s = a_R + a_M + a_U + leg
-    m_edges = a_M * (a_R + a_U + leg)  # edges with an M end; t_e and t_d both count them
-    t_e = m_edges + a_R * (a_U + leg) + a_U.mset2() + leg * a_U
-    t_d = (
-        m_edges
-        + a_R * (a_M + a_U + leg)
-        + a_U * s
-        + leg * (a_R + a_M + a_U)
-    )
-    t_bullet = leg * (a_R + a_M + a_U)
-    t_R = a_R - (a_M + a_U + leg).mset2()
-    t_M = a_M - (a_R + a_U + leg).mset2()
+    """Unrooted series by the dissymmetry identity T = T_v + T_e - T_d
+    (Bergeron-Labelle-Leroux 1998, section 4.1), in collected form.
+
+    With A = a_R = a_M, U = a_U, L = leg, f = A + U + L and s = f + A, term
+    by term: T_v = t_R + t_M + t_U + L(2A + U), with t_M = t_R; T_e = A f +
+    A(U + L) + mset2(U) + L U, the M-R, M-U, M-leg, R-U, R-leg, U-U and
+    U-leg edges; T_d = A f + A f + U s + L(2A + U), the same edges directed
+    from their M-, R- and U-end and from the leg.  One A f and the leg terms
+    L(2A + U) cancel, A(U + L) - A f = -A^2 and L U - U s = -2 A U - U^2, so
+    T = 2 t_R + t_U + mset2(U) - (A + U)^2.
+    """
+    a, u, leg = p.a_R, p.a_U, p.a_leg
+    a_u = a + u
+    f = a_u + leg
+    s = a + a + u + leg  # summed as in _pointed_rhs
+    t_R = a - f.mset2()
     # multisets of at least three components
-    t_U = a_U - (s.mset() - 1 - s - s.mset2())
-    t_v = t_R + t_M + t_U + t_bullet
-    return t_v + t_e - t_d
+    t_U = u - (s.mset() - 1 - s - s.mset2())
+    return 2 * t_R + t_U + u.mset2() - a_u * a_u
 
 
 def pair_class(p: PointedSeries, s_U: PowerSeries) -> PowerSeries:
@@ -152,19 +153,20 @@ def assemble_S2(p: PointedSeries, s_U: PowerSeries) -> PowerSeries:
     S_v = E MSet(P) - 1 - mset2(core) - P + leg s_U, S_e = leg s_U +
     mset2(s_U) + P and S_d = s_U^2 + 2 leg s_U, where core = s_U + leg, E
     holds the multisets of core with an even number of parts, P the dual pairs.
+    Collected, mset2(s_U) - s_U^2 = (s_U(x^2) - s_U^2)/2.
     """
     core = s_U + p.a_leg
     even = (core.mset() + core.mset(signed=True)) / 2
     pairs = _dual_pairs("corrected", p, s_U)
-    return even * pairs.mset() - 1 - core.mset2() + s_U.mset2() - s_U * s_U
+    return even * pairs.mset() - 1 - core.mset2() + (s_U.substitute_power(2) - s_U * s_U) / 2
 
 
 def _selfdual_rhs(variant, a_R, a_U, leg, s_U):
     pairs = _dual_pairs(variant, PointedSeries(a_R, a_U, leg), s_U)
     core = s_U + leg
     odd = core.mset_odd()
-    # odd multisets of at least three, plus pair multisets times odd ones
-    return (odd - core + (pairs.mset() - 1) * odd,)
+    # odd multisets of at least three, plus nonempty pair multisets times odd ones
+    return (pairs.mset() * odd - core,)
 
 
 def compute_selfdual(p: PointedSeries, variant: str) -> PowerSeries:
@@ -178,7 +180,7 @@ def _s_bound_rhs(pairs, leg, s):
     e = core.mset()
     pair_sets = pairs.substitute_power(2).mset()  # the pair class lives at x^2
     # multisets of at least three, plus nonempty pair multisets times nonempty ones
-    return (e - 1 - core - core.mset2() + (pair_sets - 1) * (e - 1),)
+    return (pair_sets * (e - 1) - core - core.mset2(),)
 
 
 def compute_s_bound(p: PointedSeries, s_U_paper: PowerSeries) -> PowerSeries:

@@ -2,6 +2,7 @@ import ast
 import contextlib
 import csv
 import gc
+import hashlib
 import importlib
 import inspect
 import io
@@ -483,6 +484,32 @@ class TestPinnedOutputs:
 
     def test_asympt(self, capsys):
         assert run(["--format", "json", "asympt"], capsys) == (0, self.ASYMPT, "")
+
+
+class TestHighOrderPins:
+    """SHA-256 of ``--format json --order 150 coeffs NAME`` for every series,
+    captured before the equations of gfsystem were collected: brute force
+    stops at n = 9, and the independent route of bench/reference.py covers
+    neither the self-dual series nor the bound."""
+
+    SHA256 = {
+        "T": "353aa1319c758d92899d2d4835728c3c74225a8d5b495348bf9ef703a5742cf8",
+        "AR": "ced2d1f27b9f812ec6244ecd6b3c620f3e8c6c1403c4bcfbea79f945998f38e5",
+        "AU": "596d959af47c1a17e8af00e18182023a7e7911fdd1570146a58c72824a7eb146",
+        "SU_paper": "4e509b0558e71d61cf98e1b774470d8d9aa11cfa8c3a88f8b182d9af3fd76d60",
+        "SU_corrected": "1a28e5fb62b16aa26e8a82f903cfec58d9b51271b1aca7c46efa2bfd641f2d1a",
+        "sbound": "5f16346afac53328ed09005cc5bea107be19537fb30e70b41e5c065b557e21c3",
+        "forest": "abaa867fe7c87742eca99c5b2259ce66b918aec8a742e006c17204880c9fbf7a",
+    }
+
+    def test_every_series_is_pinned(self):
+        assert set(self.SHA256) == set(cli.SERIES)
+
+    @pytest.mark.parametrize("name", sorted(SHA256))
+    def test_coeffs(self, capsys, name):
+        code, out, _ = run(["--format", "json", "--order", "150", "coeffs", name], capsys)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[name]
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import hashlib
 from functools import partial
 
 import pytest
@@ -190,3 +191,38 @@ class TestLowerBound:
         s2 = gf.assemble_S2(p, gf.compute_selfdual(p, "corrected"))
         (gf.assemble_T(p) + s2) / 2  # raises ArithmeticError where L2 + S2 is odd
         assert min(s2.integer_coeffs()) == 0
+
+
+class TestCollectedForm:
+    """The equations keep their collected form: the terms that cancel in the
+    dissymmetry identity are not multiplied out and subtracted again."""
+
+    @staticmethod
+    def products(monkeypatch, build, *args):
+        calls = []
+        mul = PowerSeries.__mul__
+
+        def counted(self, other):
+            calls.append(other)
+            return mul(self, other)
+
+        monkeypatch.setattr(PowerSeries, "__mul__", counted)
+        build(*args)
+        monkeypatch.undo()
+        return len(calls)
+
+    def test_assemble_T_runs_at_most_four_products(self, monkeypatch, pointed30):
+        # one inside each mset2 (of f, s and a_U), and (a_R + a_U)^2
+        assert self.products(monkeypatch, gf.assemble_T, pointed30) <= 4
+
+    def test_assemble_S2_runs_at_most_three_products(self, monkeypatch, pointed30, selfdual30):
+        # E MSet(P), mset2(core) and s_U^2
+        s_U = selfdual30.s_U_corrected
+        assert self.products(monkeypatch, gf.assemble_S2, pointed30, s_U) <= 3
+
+    def test_S2_at_order_150_is_pinned(self):
+        # SHA-256 of repr(integer_coeffs()), captured before the collected form
+        p = gf.solve_pointed(150)
+        s2 = gf.assemble_S2(p, gf.compute_selfdual(p, "corrected"))
+        digest = hashlib.sha256(repr(s2.integer_coeffs()).encode()).hexdigest()
+        assert digest == "137a671a3fc73a73fe319377bd6cc3d5c430ada9a48310ed1bcf70bd4ab0150e"
