@@ -106,15 +106,16 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
     checked along one chain: matroid duality, the centre-rooting count
     ``count_self_dual`` and the coefficient of S2.
     """
+    from functools import cache
+
     from . import matroid as mat
     from . import umrtree as umr
 
     out = out or sys.stdout
     p = pointed or gf.solve_pointed(config.order)
     t = t if t is not None else gf.assemble_T(p)
-    s_U_paper = gf.compute_selfdual(p, "paper")
-    s_U_corrected = gf.compute_selfdual(p, "corrected")
-    s2 = gf.assemble_S2(p, s_U_corrected)
+    s_U = {v: gf.compute_selfdual(p, v) for v in ("paper", "corrected")}
+    s2 = gf.assemble_S2(p, s_U["corrected"])
     n_max = min(config.tree_cap, umr.TREE_CAP, t.order)
     rows = []
 
@@ -124,47 +125,45 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
     def skip(n, what):
         rows.append([n, what, "-", "-", "skipped"])
 
+    self_dual = cache(umr.count_self_dual)
+    matroids = cache(lambda n: [umr.tree_to_matroid(x) for x in umr.enumerate_umr_trees(n)])
+    # the per-size checks: name, last size, last size run, enumerated(n) and
+    # expected(n); the sizes between are skipped, past n_max in one span row.
+    # Matroid checks (n legs, n elements) stop at a size set by their cost
+    checks = [
+        ("trees", config.tree_cap, n_max, umr.count_trees, t.coeff),
+        ("selfdual_trees", config.tree_cap, n_max, self_dual, s2.coeff),
+        ("pointed_R", config.tree_cap, n_max, lambda n: umr.pointed_count(n, "R"), p.a_R.coeff),
+        ("pointed_U", config.tree_cap, n_max, lambda n: umr.pointed_count(n, "U"), p.a_U.coeff),
+        ("matroids_distinct", min(7, n_max), config.iso_cap,
+         lambda n: bool(matroids(n)) and mat.pairwise_non_isomorphic(matroids(n)), lambda n: True),
+        ("selfdual_matroid", min(6, n_max), config.iso_cap, self_dual,
+         lambda n: sum(mat.is_isomorphic(m, mat.dual(m)) for m in matroids(n))),
+    ]
     sizes = range(3, n_max + 1)
-    paper_hits = corrected_hits = 0
     for n in sizes:
-        self_dual = umr.count_self_dual(n)
-        add(n, "trees", umr.count_trees(n), t.coeff(n))
-        add(n, "selfdual_trees", self_dual, s2.coeff(n))
-        add(n, "pointed_R", umr.pointed_count(n, "R"), p.a_R.coeff(n))
-        add(n, "pointed_U", umr.pointed_count(n, "U"), p.a_U.coeff(n))
-        sdp = umr.count_self_dual_pointed(n)
-        paper_hits += sdp == s_U_paper.coeff(n)
-        corrected_hits += sdp == s_U_corrected.coeff(n)
-        if n > 7:
-            continue
-        # matroid-level checks; the matroid of a tree with n legs has n elements
-        if n > config.iso_cap:
-            skip(n, "matroids_distinct")
-            if n <= 6:
-                skip(n, "selfdual_matroid")
-            continue
-        ms = [umr.tree_to_matroid(x) for x in umr.enumerate_umr_trees(n)]
-        add(n, "matroids_distinct", bool(ms) and mat.pairwise_non_isomorphic(ms), True)
-        if n <= 6:
-            add(n, "selfdual_matroid", self_dual,
-                sum(mat.is_isomorphic(m, mat.dual(m)) for m in ms))
-    # sizes --tree-cap asks for past the enumerator's cap or the series order,
-    # one row per check for the whole span
-    if config.tree_cap > n_max:
-        for what in ("trees", "selfdual_trees", "pointed_R", "pointed_U"):
-            skip(f"{n_max + 1}..{config.tree_cap}", what)
+        for what, last, ran, got, want in checks:
+            if n <= min(last, ran):
+                add(n, what, got(n), want(n))
+            elif n <= last:
+                skip(n, what)
+    for what, last, *_ in checks:
+        if last > n_max:
+            skip(f"{n_max + 1}..{last}", what)
     # self-dual variant arbitration: exactly one variant matches everywhere
+    sdp = [umr.count_self_dual_pointed(n) for n in sizes]
+    hits = {v: sum(c == s.coeff(n) for n, c in zip(sizes, sdp)) for v, s in s_U.items()}
     span, total = f"3..{n_max}", len(sizes)
     verdict = {
         (True, False): "corrected matches; paper variant over-counts",
         (False, True): "paper matches; corrected variant under-counts",
         (True, True): "variants agree at these orders",
-    }.get((corrected_hits == total, paper_hits == total))
+    }.get((hits["corrected"] == total, hits["paper"] == total))
     if not total:
         skip(span, "selfdual_variant")
     else:
         rows.append([span, "selfdual_variant",
-                     f"corrected {corrected_hits}/{total}, paper {paper_hits}/{total}",
+                     f"corrected {hits['corrected']}/{total}, paper {hits['paper']}/{total}",
                      verdict or "NEITHER VARIANT MATCHES", "ok" if verdict else "MISMATCH"])
     # P6 fixture: single 3-circuit, rank 3, 2-connected, not uniform
     p6_ok = (

@@ -128,16 +128,20 @@ class TestVerify:
             return realise(tree)
 
         monkeypatch.setattr(umr, "tree_to_matroid", to_matroid)
-        code, out, _ = run(["--order", "10", "--tree-cap", "7", "--iso-cap", "5",
-                            "--format", "json", "verify"], capsys)
-        assert code == 0
-        status = {(r["n"], r["check"]): r["status"] for r in json.loads(out)["data"]}
-        assert status[5, "matroids_distinct"] == status[5, "selfdual_matroid"] == "ok"
-        assert status[6, "matroids_distinct"] == status[6, "selfdual_matroid"] == "skipped"
-        assert status[7, "matroids_distinct"] == "skipped"
-        assert "MISMATCH" not in status.values()
-        # only the sizes whose rows run are realised as matroids
-        assert realised and max(realised) <= 5
+        for order, tree_cap, iso_cap in ((10, 7, 5), (12, 9, 3)):
+            realised.clear()
+            code, out, _ = run(["--order", str(order), "--tree-cap", str(tree_cap),
+                                "--iso-cap", str(iso_cap), "--format", "json", "verify"], capsys)
+            assert code == 0
+            assert "MISMATCH" not in out
+            data = json.loads(out)["data"]
+            # matroids_distinct has rows at 3..7 and selfdual_matroid at 3..6,
+            # whatever --tree-cap asks; the sizes past --iso-cap are skipped
+            for check, last in (("matroids_distinct", 7), ("selfdual_matroid", 6)):
+                assert [(r["n"], r["status"]) for r in data if r["check"] == check] == [
+                    (n, "ok" if n <= iso_cap else "skipped") for n in range(3, last + 1)]
+            # only the sizes whose rows run are realised as matroids
+            assert sorted(set(realised)) == list(range(3, iso_cap + 1))
 
     def test_builds_tree_records_only_for_matroid_rows(self, capsys, monkeypatch):
         built = []
@@ -723,6 +727,31 @@ class TestBenchProbe:
         out = json.loads(run_python("-c", probe).stdout)
         assert out["rational"] == "builtins.int"
         assert out["selfdual_pointed"] == [0, 0, 0, 1, 0, 3, 0, 10, 0, 38]
+
+    # bench/run.py's context and loop over its commands, run in process
+    CHECKS = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import checks, reference, run
+from twolevel import cli, umrtree
+ctx = {"reference": reference.solve(run.REFERENCE_ORDER),
+       "selfdual_pointed": [umrtree.count_self_dual_pointed(n) for n in range(10)]}
+problems = {}
+for commands in run.WORKLOADS.values():
+    for name, argv in commands.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = cli.main(["--format", "json", *argv])
+        problems[name] = checks.check(name, rc, out.getvalue(), ctx)
+print(json.dumps({"checks": sorted(checks.CHECKS), "problems": problems}))
+"""
+
+    def test_outputs_pass_the_benchmark_checks(self):
+        # the benchmark refuses a run whose output fails bench/checks.py, such
+        # as a `verify` row that is not `ok`, even where the tests pin it
+        out = json.loads(run_python("-c", self.CHECKS, str(self.RUN.parent)).stdout)
+        assert sorted(out["problems"]) == out["checks"]
+        assert out["problems"] == dict.fromkeys(out["checks"], [])
 
 
 class TestBenchTracer:
