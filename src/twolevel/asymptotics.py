@@ -23,15 +23,16 @@ right-hand side along x(X), as a polynomial in X:
   is the residual of the singular expansion and, over its leaves, T's.
 
 Every value of an element f is a polynomial in X, at a constant point as at
-a moving one, and f keeps them in one list indexed by r: f(x(X)^r) at r =
-1..R, R the last r with |x(0)|^r > TAIL_EPS, and at index 0 f(0), the limit
-r -> infinity that every r past R reads (0 wherever MSet or a sum over r
-reads it).  A leaf's values come from its coefficients, made floats once
-(ValueError past the float range), by one Horner kernel: passes over all r
-together give the series' Taylor coefficients at x(0)^r up to the order that
-can reach the highest power of X the caller reads, X^DEG unless it says less
-(none past the value at a constant point), composed with x(X)^r - x(0)^r,
-which is 0 at a constant point.  The unknowns replace a leaf's r = 1 value.
+a moving one, computed on first read and kept in one list indexed by r:
+f(x(X)^r) at r = 1..R, R the last r with |x(0)|^r > TAIL_EPS, and at index 0
+f(0), the limit r -> infinity that every r past R reads (0 wherever MSet or
+a sum over r reads it).  A leaf's values come from its coefficients, made
+floats once (ValueError past the float range), by one Horner kernel: passes
+over all r together give the series' Taylor coefficients at x(0)^r up to the
+order that can reach the highest power of X the caller reads, X^DEG unless
+it says less (none past the value at a constant point), composed with
+x(X)^r - x(0)^r, which is 0 at a constant point.  The unknowns replace a
+leaf's r = 1 value.
 
 Polynomials in X are plain lists of DEG + 1 floats (index = power of X),
 truncated after degree DEG, and the linear solves are Gaussian elimination.
@@ -200,7 +201,7 @@ class JetPoint:
             values = self._leaves[series] = [xp(cs[0]), *self._leaf_values(cs)]
         if at1 is not None:
             values = [values[0], at1, *values[2:]]
-        return Jet(self, values[1], lambda: values)
+        return Jet(self, None, values)
 
     def _leaf_values(self, cs: tuple[float, ...]) -> list[list[float]]:
         """cs(x(X)^r) for r = 1..R, from one Horner pass per Taylor order.
@@ -237,37 +238,41 @@ def _float_coeffs(series: PowerSeries) -> tuple[float, ...]:
 
 
 class Jet:
-    """Element f of the float ring at a point x(X): ``values()`` is f(0) at
-    index 0 and f(x(X)^r) at r = 1..R, and ``head`` its r = 1 entry.
+    """Element f of the float ring at a point x(X): ``f[r]`` is f(x(X)^r) at
+    r = 1..R and f(0) at r = 0, and ``head`` is f[1].
 
     The right-hand sides of :mod:`twolevel.gfsystem` run on these unchanged.
-    The head is computed when the element is built, the list once, on first
-    demand: only an MSet, a sum over r or a substitution reads it.  a(x^k)
-    reads index k r, or 0 past R, and MSet at r is exp(sum_k f(x^(r k))/k)
-    over r k <= R.
+    Each operation is one step, a function of r; f[r] runs it on first read
+    and keeps the value, so an element computes each r at most once and only
+    the r that an MSet, a sum over r or a substitution reads; a leaf comes
+    with every value and no step.  a(x^k) reads index k r, or 0 past R, and
+    MSet at r is exp(sum_k f(x^(r k))/k) over r k <= R.
     """
 
-    __slots__ = ("point", "head", "_values", "_make")
+    __slots__ = ("point", "_memo", "_step")
 
-    def __init__(self, point: JetPoint, head: list[float], make_values):
+    def __init__(self, point: JetPoint, step, values: list | None = None):
         self.point = point
-        self.head = head
-        self._values = None
-        self._make = make_values
+        self._step = step
+        self._memo = values or [None] * (point.r_max + 1)
 
-    def values(self) -> list[list[float]]:
-        if self._values is None:
-            self._values, self._make = self._make(), None
-        return self._values
+    def __getitem__(self, r: int) -> list[float]:
+        value = self._memo[r]
+        if value is None:
+            value = self._memo[r] = self._step(r)
+        return value
+
+    @property
+    def head(self) -> list[float]:
+        return self[1]
 
     def _zip(self, other, op) -> "Jet":
         if isinstance(other, int):  # a constant, the same at every r
             c = xp(other)
-            return Jet(self.point, op(self.head, c), lambda: [op(v, c) for v in self.values()])
+            return Jet(self.point, lambda r: op(self[r], c))
         if not isinstance(other, Jet):
             return NotImplemented
-        return Jet(self.point, op(self.head, other.head),
-                   lambda: list(map(op, self.values(), other.values())))
+        return Jet(self.point, lambda r: op(self[r], other[r]))
 
     def __add__(self, other):
         return self._zip(other, _xp_add)
@@ -281,33 +286,26 @@ class Jet:
     __rmul__ = __mul__
 
     def __truediv__(self, k: int) -> "Jet":
-        return Jet(self.point, _xp_div(self.head, k),
-                   lambda: [_xp_div(v, k) for v in self.values()])
+        return Jet(self.point, lambda r: _xp_div(self[r], k))
 
     def substitute_power(self, k: int) -> "Jet":
         if k < 1:
             raise ValueError("substitution power must be >= 1")
         if k == 1:
             return self
-        r_max, v = self.point.r_max, self.values()
-        return Jet(self.point, v[k] if k <= r_max else v[0], lambda: [
-            v[r * k] if r * k <= r_max else v[0] for r in range(r_max + 1)])
+        r_max = self.point.r_max
+        return Jet(self.point, lambda r: self[r * k if r * k <= r_max else 0])
 
     def substitution_sum(self) -> "Jet":
-        v, terms = self.values(), _sum_terms(self.point.r_max, 1.0)
-        return Jet(self.point, _xp_sum([v[i] for i, _ in terms[1]]),
-                   lambda: [_xp_sum([v[i] for i, _ in ts]) for ts in terms])
+        terms = _sum_terms(self.point.r_max, 1.0)
+        return Jet(self.point, lambda r: _xp_sum([self[i] for i, _ in terms[r]]))
 
     def mset(self, signed: bool = False) -> "Jet":
-        v = self.values()
-        if any(v[0]):
+        if any(self[0]):
             raise ValueError("multiset operator requires zero constant term")
         terms = _sum_terms(self.point.r_max, -1.0 if signed else 1.0)
-
-        def at(ts):
-            return xp_exp(_xp_sum([_xp_scale(v[i], w) for i, w in ts]))
-
-        return Jet(self.point, at(terms[1]), lambda: list(map(at, terms)))
+        return Jet(self.point, lambda r: xp_exp(
+            _xp_sum([_xp_scale(self[i], w) for i, w in terms[r]])))
 
     mset2 = PowerSeries.mset2
     mset_odd = PowerSeries.mset_odd

@@ -70,6 +70,11 @@ def xp_pow(p, r):
     return out
 
 
+def values(f):
+    """Every value of a ring element f: f(0) at index 0, f(x(X)^r) at r = 1..R."""
+    return [f[r] for r in range(f.point.r_max + 1)]
+
+
 def series_at_xpoly(series, arg):
     """Expansion of series(arg(X)) as an X-polynomial, by Horner's rule."""
     out = asy.xp()
@@ -471,9 +476,9 @@ class TestJetTailCutoff:
         r_max = f.point.r_max
         assert self.X0**r_max > asy.TAIL_EPS >= self.X0 ** (r_max + 1)
         g = f.substitute_power(2)
-        values = g.values()
-        assert len(values) == r_max + 1 and g.head == values[1]
-        for r, value in enumerate(values):
+        got = values(g)
+        assert len(got) == r_max + 1 and g.head == got[1]
+        for r, value in enumerate(got):
             assert value[1:] == self.ZEROS
             if 0 < 2 * r <= r_max:  # index 2 r, evaluated
                 assert value[0] == pointed30.a_R.eval_float(self.X0 ** (2 * r)) + 1.0
@@ -488,15 +493,15 @@ class TestJetTailCutoff:
             g = f.substitute_power(2)
             r_max = f.point.r_max
             assert x0**r_max > asy.TAIL_EPS >= x0 ** (r_max + 1)
-            assert g.values()[0] == asy.xp()
-            assert g.values()[r_max // 2 + 1:] == [asy.xp()] * (r_max - r_max // 2)
+            assert g[0] == asy.xp()
+            assert values(g)[r_max // 2 + 1:] == [asy.xp()] * (r_max - r_max // 2)
             for h, op in ((f + g, float.__add__), (f * g, float.__mul__),
                           (g - f, float.__rsub__)):
                 assert h.point is f.point
-                assert [v[0] for v in h.values()] == [
-                    op(u[0], w[0]) for u, w in zip(f.values(), g.values())]
-                assert all(v[1:] == self.ZEROS for v in h.values())
-                assert len(h.values()) == r_max + 1 and h.head == h.values()[1]
+                assert [v[0] for v in values(h)] == [
+                    op(u[0], w[0]) for u, w in zip(values(f), values(g))]
+                assert all(v[1:] == self.ZEROS for v in values(h))
+                assert len(values(h)) == r_max + 1 and h.head == h[1]
 
     def test_mset_of_substituted_leaf_is_exact(self, pointed30):
         # MSet sums k = 1..R, but the terms past R / 2 are the value at 0,
@@ -512,8 +517,8 @@ class TestJetTailCutoff:
 
 
 class TestLeafKernel:
-    """The leaves' Horner kernel against the reference route, and the value
-    lists it builds once."""
+    """The leaves' Horner kernel against the reference route, and the values
+    that the leaves and the ring compute once."""
 
     @pytest.mark.parametrize("x_of_X, taylor", [
         (asy.xp(RHO, 0.0, -RHO), 2), (asy.xp(RHO, 0.0, 1.0), 2), (asy.xp(0.1, 1.0), 5)],
@@ -523,7 +528,7 @@ class TestLeafKernel:
         assert point._taylor == taylor
         for series in (pointed30.a_R, pointed30.a_U, pointed30.a_leg):
             leaf = point.leaf(series)
-            got = leaf.values()
+            got = values(leaf)
             assert len(got) == point.r_max + 1 and leaf.head is got[1]
             assert got[0] == asy.xp(series.coeff(0))
             for r, value in enumerate(got[1:], 1):
@@ -547,31 +552,33 @@ class TestLeafKernel:
         want = asy._residuals(full, *args, heads)
         assert [p[:4] for p in got] == [p[:4] for p in want]
 
-    def test_each_value_list_is_built_once(self, monkeypatch, capsys):
-        # every node builds its value list at most once, and every leaf once
-        # per point
-        nodes, leaves = [], Counter()
-        init, values = asy.Jet.__init__, asy.JetPoint._leaf_values
+    def test_no_ring_value_is_computed_twice(self, monkeypatch, capsys):
+        # over whole commands, every element runs its step at most once per r,
+        # and every leaf's values are built once per point
+        steps, leaves = Counter(), Counter()
+        init, leaf_values = asy.Jet.__init__, asy.JetPoint._leaf_values
 
-        def counted_init(self, point, head, make_values):
-            builds = [0]
-            nodes.append(builds)
+        def counted_init(self, point, step, values=None):
+            if step is not None:
+                def counted(r, node=object(), step=step):
+                    steps[node, r] += 1
+                    return step(r)
 
-            def make():
-                builds[0] += 1
-                return make_values()
-
-            init(self, point, head, make)
+                step = counted
+            init(self, point, step, values)
 
         def counted_values(point, cs):
             leaves[point, cs] += 1
-            return values(point, cs)
+            return leaf_values(point, cs)
 
         monkeypatch.setattr(asy.Jet, "__init__", counted_init)
         monkeypatch.setattr(asy.JetPoint, "_leaf_values", counted_values)
-        assert cli.main(["asympt"]) == 0
-        assert max(builds for builds, in nodes) == 1
-        assert leaves and set(leaves.values()) == {1}
+        for command in ("asympt", "bound"):
+            steps.clear()
+            leaves.clear()
+            assert cli.main([command]) == 0
+            assert steps and set(steps.values()) == {1}
+            assert leaves and set(leaves.values()) == {1}
 
     @pytest.mark.parametrize("command", ["asympt", "bound"])
     def test_one_branch_point_per_command(self, command, monkeypatch, capsys):
@@ -667,8 +674,8 @@ class TestJetRing:
     @pytest.mark.parametrize("x_of_X", [asy.xp(RHO), asy.xp(RHO, 0.0, -RHO)],
                              ids=["constant", "branch_point"])
     def test_every_value_is_an_x_polynomial(self, x_of_X, pointed30, monkeypatch):
-        # at a constant point as at a moving one: every node's head and the
-        # entries of its value list are lists of DEG + 1 floats
+        # at a constant point as at a moving one: every node's head and its
+        # values at r = 0..R are lists of DEG + 1 floats
         built, init = [], asy.Jet.__init__
 
         def recorded(self, *args):
@@ -680,35 +687,74 @@ class TestJetRing:
         gf._pointed_rhs(*map(point.leaf, (p.a_leg, p.a_R, p.a_U)))
         assert len(built) > 10
         for jet in built:
-            values = [jet.head, *jet.values()]
-            assert len(values) == point.r_max + 2
-            for value in values:
+            got = [jet.head, *values(jet)]
+            assert len(got) == point.r_max + 2
+            for value in got:
                 assert type(value) is list and len(value) == asy.DEG + 1
                 assert all(type(c) is float for c in value)
 
     def test_arithmetic_computes_only_the_head(self, pointed30, monkeypatch):
-        # building the pointed right-hand side runs one X-polynomial kernel
-        # per +, -, * and / node, its value at r = 1, and builds no output's
-        # value list: only an MSet, a sum over r or a substitution reads one
+        # reading the heads of the pointed right-hand side runs one
+        # X-polynomial kernel per +, -, * and / node, at r = 1 (and at the r
+        # that an MSet or a sum over r reads, for the nodes below one); index
+        # 0 is computed only where an MSet checks its input's constant term,
+        # and no output holds a value past r = 1
         point, p = asy.JetPoint(asy.xp(RHO)), pointed30
         leaves = [point.leaf(s) for s in (p.a_leg, p.a_R, p.a_U)]
-        kernels, per_node = [], []
+        running = []  # the kernels of each step being run, innermost last
+        steps, arithmetic, at_0 = {}, [], []
+        checking = [False]
         for name in ("xp_mul", "_xp_add", "_xp_sub", "_xp_sum", "_xp_scale", "_xp_div",
                      "xp_exp"):
-            kernel = getattr(asy, name)
-            monkeypatch.setattr(asy, name,
-                                lambda *args, kernel=kernel: kernels.append(1) or kernel(*args))
-        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
-            def counted(self, other, method=getattr(asy.Jet, name)):
-                before = len(kernels)
-                node = method(self, other)
-                per_node.append(len(kernels) - before)
-                return node
+            def counted_kernel(*args, kernel=getattr(asy, name)):
+                running[-1] += 1
+                return kernel(*args)
 
-            monkeypatch.setattr(asy.Jet, name, counted)
+            monkeypatch.setattr(asy, name, counted_kernel)
+        init = asy.Jet.__init__
+
+        def counted_init(self, point, step, values=None):
+            if step is not None:
+                runs = steps[self] = {}
+
+                def counted(r, step=step):
+                    if r == 0:
+                        at_0.append(checking[0])
+                    running.append(0)
+                    value = step(r)
+                    runs[r] = running.pop()
+                    return value
+
+                step = counted
+            init(self, point, step, values)
+
+        monkeypatch.setattr(asy.Jet, "__init__", counted_init)
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__truediv__"):
+            def node(self, other, method=getattr(asy.Jet, name)):
+                out = method(self, other)
+                arithmetic.append(out)
+                return out
+
+            monkeypatch.setattr(asy.Jet, name, node)
+
+        def mset(self, signed=False, method=asy.Jet.mset):
+            checking[0] = True
+            try:
+                return method(self, signed)
+            finally:
+                checking[0] = False
+
+        monkeypatch.setattr(asy.Jet, "mset", mset)
         outs = gf._pointed_rhs(*leaves)
-        assert len(per_node) == 12 and set(per_node) == {1}
-        assert [out._values for out in outs] == [None, None]
+        # building computes nothing but the MSets' checks at index 0
+        assert not running and all(set(runs) <= {0} for runs in steps.values())
+        for out in outs:
+            out.head
+        assert len(arithmetic) == 12
+        for out in arithmetic:
+            assert steps[out][1] == 1 and set(steps[out].values()) == {1}
+        assert at_0 and all(at_0)
+        assert [sorted(steps[out]) for out in outs] == [[1], [1]]
 
     def test_inner_derivative_is_x1_coefficient(self, pointed30):
         # MSet(s + x) at r = 1 with s = s0 + X: d/ds exp(s + x + tail) = itself

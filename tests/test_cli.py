@@ -19,6 +19,7 @@ import pytest
 import twolevel
 from twolevel import cli
 from twolevel import gfsystem as gf
+from twolevel import matroid as mat
 from twolevel import umrtree as umr
 from twolevel.powerseries import PowerSeries
 
@@ -121,15 +122,21 @@ class TestVerify:
         assert "MISMATCH" in buf.getvalue()
 
     def test_iso_cap_skips_matroid_checks(self, capsys, monkeypatch):
-        realised = []
+        realised, compared = [], []
 
         def to_matroid(tree, realise=umr.tree_to_matroid):
             realised.append(ref.num_legs(tree))
             return realise(tree)
 
+        def is_isomorphic(a, b, test=mat.is_isomorphic):
+            compared.append(max(len(a.ground), len(b.ground)))
+            return test(a, b)
+
         monkeypatch.setattr(umr, "tree_to_matroid", to_matroid)
-        for order, tree_cap, iso_cap in ((10, 7, 5), (12, 9, 3)):
+        monkeypatch.setattr(mat, "is_isomorphic", is_isomorphic)
+        for order, tree_cap, iso_cap in ((10, 7, 5), (12, 9, 3), (8, 7, 6)):
             realised.clear()
+            compared.clear()
             code, out, _ = run(["--order", str(order), "--tree-cap", str(tree_cap),
                                 "--iso-cap", str(iso_cap), "--format", "json", "verify"], capsys)
             assert code == 0
@@ -142,6 +149,12 @@ class TestVerify:
                     (n, "ok" if n <= iso_cap else "skipped") for n in range(3, last + 1)]
             # only the sizes whose rows run are realised as matroids
             assert sorted(set(realised)) == list(range(3, iso_cap + 1))
+            # the fixtures, on 6 and 7 elements, are skipped past the cap
+            # too, and no isomorphism test runs on a ground set past it
+            assert [(r["n"], r["status"]) for r in data if r["check"] in (
+                "p6_fixture", "dual_of_two_sum")] == [
+                (n, "ok" if n <= iso_cap else "skipped") for n in (6, 7)]
+            assert compared and max(compared) <= iso_cap
 
     def test_builds_tree_records_only_for_matroid_rows(self, capsys, monkeypatch):
         built = []
