@@ -2,11 +2,11 @@
 
 The pointed system has a common square-root branch point at x = rho.  This
 module locates it, computes singular expansions in X = sqrt(1 - x/rho) one
-order at a time, transfers the X^3 coefficient to n^(-5/2) * rho^(-n) growth
-estimates, and locates the first branch point of the bounding series for
-self-dual trees in (0, sqrt(rho)]; the shipped bound has one at x = 0.39300,
-so it grows like 2.5445^n rather than rho^(-n/2).  Both branch points come
-from one fold-point Newton iteration (:func:`_fold_point`), which takes any
+order at a time, transfers the X^3 coefficient to the amplitude C of
+C n^(-5/2) rho^(-n), and locates the first branch point of the bounding
+series for self-dual trees in (0, sqrt(rho)], which the shipped bound has at
+x = 0.39300 (growth 2.5445^n, not rho^(-n/2)).  Both branch points come from
+one fold-point Newton iteration (:func:`_fold_point`), which takes any
 right-hand side of :mod:`twolevel.gfsystem`.
 
 Every equation is written once, in :mod:`twolevel.gfsystem`, and runs over
@@ -30,9 +30,9 @@ a sum over r reads it).  A leaf's values come from its coefficients, made
 floats once (ValueError past the float range), by one Horner kernel: passes
 over all r together give the series' Taylor coefficients at x(0)^r up to the
 order that can reach the highest power of X the caller reads, X^DEG unless
-it says less (none past the value at a constant point), composed with
-x(X)^r - x(0)^r, which is 0 at a constant point.  The unknowns replace a
-leaf's r = 1 value.
+it says less, composed with the shifts x(X)^r - x(0)^r.  A constant point
+composes no Taylor term and builds no shift.  The unknowns replace a leaf's
+r = 1 value.
 
 Polynomials in X are plain lists of DEG + 1 floats (index = power of X),
 truncated after degree DEG, and the linear solves are Gaussian elimination.
@@ -54,6 +54,7 @@ DEG = 5
 TAIL_EPS = 1e-20
 
 GAMMA_M32 = math.gamma(-1.5)  # 4*sqrt(pi)/3
+POLY_EXPONENT = -2.5  # of n in C n^(-5/2) rho^(-n)
 
 
 class CharSolution(NamedTuple):
@@ -96,17 +97,6 @@ class BranchPointReport(NamedTuple):
             f"branch point at x = {self.branch_x:.8f} (s = {self.branch_s:.8f}), "
             f"inside (0, {self.x_max:.8f}]"
         )
-
-
-class AsymptoticEstimate(NamedTuple):
-    """count(n) ~ amplitude * n^poly_exponent * growth_rate^n."""
-
-    amplitude: float
-    poly_exponent: float
-    growth_rate: float
-
-    def value(self, n: int) -> float:
-        return self.amplitude * n**self.poly_exponent * self.growth_rate**n
 
 
 # -- X-polynomial arithmetic ---------------------------------------------
@@ -169,7 +159,8 @@ class JetPoint:
 
     The cutoff R is the last r >= 1 with |x(0)|^r > TAIL_EPS; past it every
     element reads its value at x = 0.  ``reads`` is the highest power of X
-    the caller reads; coefficients above it may be incomplete.
+    the caller reads; coefficients above it may be incomplete.  The shifts
+    x(X)^r - x(0)^r are built only where x(X) moves.
     """
 
     def __init__(self, x_of_X: list[float], reads: int = DEG):
@@ -185,9 +176,8 @@ class JetPoint:
         # orders past reads // val cannot reach X^reads
         val = next((i for i, c in enumerate(x_of_X) if i and c), None)
         self._taylor = 0 if val is None else reads // val
-        self._shifts = []  # at r = 1..R, all 0 at a constant point
-        power = x_of_X
-        for _ in range(r_max):
+        self._shifts, power = [], x_of_X  # at r = 1..R, where a Taylor term reads them
+        for _ in range(r_max if self._taylor else 0):
             self._shifts.append([0.0, *power[1:]])
             power = xp_mul(power, x_of_X)
         self._leaves: dict[PowerSeries, list[list[float]]] = {}
@@ -217,10 +207,10 @@ class JetPoint:
                 b[j] = [v * y + w for v, w, y in zip(b[j], b[j - 1], ys)]
             b[0] = [v * y + c for v, y in zip(b[0], ys)]
         out = []
-        for i, shift in enumerate(self._shifts):
+        for i in range(len(ys)):
             p = xp(b[top][i])
             for j in range(top - 1, -1, -1):
-                p = xp_mul(p, shift)
+                p = xp_mul(p, self._shifts[i])
                 p[0] += b[j][i]
             out.append(p)
         return out
@@ -474,8 +464,8 @@ def expand_forests(expansion: SingularExpansion, pointed: gf.PointedSeries) -> l
     return gf.compute_forests(t).head
 
 
-def transfer(poly: list[float], rho: float, tol: float) -> AsymptoticEstimate:
-    """Growth estimate from the X^3 coefficient of a singular expansion.
+def transfer(poly: list[float], tol: float) -> float:
+    """Amplitude C of [x^n] ~ C n^POLY_EXPONENT rho^(-n), from the X^3 coefficient.
 
     Requires a pure square-root branch point: the X^1 coefficient must vanish
     to within ``tol``, the tolerance the expansion was solved to (analytic and
@@ -483,15 +473,9 @@ def transfer(poly: list[float], rho: float, tol: float) -> AsymptoticEstimate:
     [x^n](1 - x/rho)^(3/2) ~ n^(-5/2) rho^(-n) / Gamma(-3/2).
     """
     if abs(poly[1]) > tol:
-        raise ArithmeticError(
-            f"X^1 coefficient {poly[1]:.3e} is not negligible; "
-            "not a (1 - x/rho)^(3/2)-type singularity"
-        )
-    return AsymptoticEstimate(
-        amplitude=poly[3] / GAMMA_M32,
-        poly_exponent=-2.5,
-        growth_rate=1.0 / rho,
-    )
+        raise ArithmeticError(f"X^1 coefficient {poly[1]:.3e} is not negligible; "
+                              "not a (1 - x/rho)^(3/2)-type singularity")
+    return poly[3] / GAMMA_M32
 
 
 # -- self-dual bounding series --------------------------------------------

@@ -71,8 +71,7 @@ def _emit(config: RunConfig, meta: dict, columns: list[str], rows: list[list],
     out = out or sys.stdout
     if config.fmt == "json":
         data = [dict(zip(columns, r)) for r in rows]
-        json.dump({"meta": meta, "data": data}, out, sort_keys=True, default=str)
-        out.write("\n")
+        out.write(json.dumps({"meta": meta, "data": data}, sort_keys=True, default=str) + "\n")
     elif config.fmt == "csv":
         import csv
 
@@ -125,19 +124,18 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
     def skip(n, what):
         rows.append([n, what, "-", "-", "skipped"])
 
-    self_dual = cache(umr.count_self_dual)
     matroids = cache(lambda n: [umr.tree_to_matroid(x) for x in umr.enumerate_umr_trees(n)])
     # the per-size checks: name, last size, last size run, enumerated(n) and
     # expected(n); the sizes between are skipped, past n_max in one span row.
     # Matroid checks (n legs, n elements) stop at a size set by their cost
     checks = [
         ("trees", config.tree_cap, n_max, umr.count_trees, t.coeff),
-        ("selfdual_trees", config.tree_cap, n_max, self_dual, s2.coeff),
+        ("selfdual_trees", config.tree_cap, n_max, umr.count_self_dual, s2.coeff),
         ("pointed_R", config.tree_cap, n_max, lambda n: umr.pointed_count(n, "R"), p.a_R.coeff),
         ("pointed_U", config.tree_cap, n_max, lambda n: umr.pointed_count(n, "U"), p.a_U.coeff),
         ("matroids_distinct", min(7, n_max), config.iso_cap,
          lambda n: bool(matroids(n)) and mat.pairwise_non_isomorphic(matroids(n)), lambda n: True),
-        ("selfdual_matroid", min(6, n_max), config.iso_cap, self_dual,
+        ("selfdual_matroid", min(6, n_max), config.iso_cap, umr.count_self_dual,
          lambda n: sum(mat.is_isomorphic(m, mat.dual(m)) for m in matroids(n))),
     ]
     sizes = range(3, n_max + 1)
@@ -205,8 +203,7 @@ def cmd_asympt(args, config: RunConfig) -> int:
     p = gf.solve_pointed(config.order)
     char, se = _tree_asymptotics(p, config)
     t_poly, f_poly = se.t, asy.expand_forests(se, p)
-    est_t = asy.transfer(t_poly, char.rho, config.tol)
-    est_f = asy.transfer(f_poly, char.rho, config.tol)
+    c_t, c_f = asy.transfer(t_poly, config.tol), asy.transfer(f_poly, config.tol)
     report = asy.verify_selfdual_growth(p, gf.compute_selfdual(p, "paper"), char.rho,
                                         config.tol)
     rows = [[name, _fmt_real(v), _fmt_real(char.residual)] for name, v in (
@@ -219,10 +216,10 @@ def cmd_asympt(args, config: RunConfig) -> int:
         rows.append([f"F{i}", _fmt_real(f_poly[i]),
                      _fmt_real(abs(f_poly[3] - f_poly[0] * t_poly[3]))])
     rows += [
-        ["C", _fmt_real(est_t.amplitude), _fmt_real(abs(t_poly[1]))],
-        ["C_forest", _fmt_real(est_f.amplitude), _fmt_real(abs(f_poly[1]))],
-        ["c_polytope", _fmt_real(est_t.amplitude / 2.0), _fmt_real(abs(t_poly[1]))],
-        ["poly_exponent", _fmt_real(est_t.poly_exponent), "0"],
+        ["C", _fmt_real(c_t), _fmt_real(abs(t_poly[1]))],
+        ["C_forest", _fmt_real(c_f), _fmt_real(abs(f_poly[1]))],
+        ["c_polytope", _fmt_real(c_t / 2.0), _fmt_real(abs(t_poly[1]))],
+        ["poly_exponent", _fmt_real(asy.POLY_EXPONENT), "0"],
         ["selfdual_scan", report.describe(),
          "-" if report.residual is None else _fmt_real(report.residual)],
     ]
@@ -244,10 +241,10 @@ def cmd_bound(args, config: RunConfig) -> int:
         for n in range(3, n_max + 1)
     ]
     char, se = _tree_asymptotics(p, config)
-    est = asy.transfer(se.t, char.rho, config.tol)
-    half = asy.AsymptoticEstimate(est.amplitude / 2.0, est.poly_exponent, est.growth_rate)
+    c = asy.transfer(se.t, config.tol) / 2.0
     for n in (10, 20, 50, 100):
-        rows.append([n, "", "", _fmt_real(half.value(n)), "asymptotic"])
+        rows.append([n, "", "", _fmt_real(c * n**asy.POLY_EXPONENT * (1.0 / char.rho)**n),
+                     "asymptotic"])
     _emit(config, {"order": config.order, "tree_cap": n_max},
           ["n", "trees", "selfdual", "lower_bound", "kind"], rows)
     return 0

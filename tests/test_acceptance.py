@@ -83,8 +83,8 @@ def test_criterion_4_constants():
     se = asy.singular_expansions(char, p30)
     t_poly = se.t
     f_poly = asy.expand_forests(se, p30)
-    c_tree = asy.transfer(t_poly, char.rho, 1e-12).amplitude
-    c_forest = asy.transfer(f_poly, char.rho, 1e-12).amplitude
+    c_tree = asy.transfer(t_poly, 1e-12)
+    c_forest = asy.transfer(f_poly, 1e-12)
     targets = [
         (char.rho, 0.20489584), (1 / char.rho, 4.88052854),
         (se.a[0], 0.13529174), (se.a[1], -0.23137622),

@@ -294,22 +294,16 @@ class TestTransfer:
     def test_amplitudes(self, expansion30, pointed30, char30):
         t_poly = expansion30.t
         f_poly = asy.expand_forests(expansion30, pointed30)
-        est_t = asy.transfer(t_poly, char30.rho, RUN_TOL)
-        est_f = asy.transfer(f_poly, char30.rho, RUN_TOL)
-        assert est_t.amplitude == pytest.approx(0.07583455, abs=TOL)
-        assert est_f.amplitude == pytest.approx(0.07850913, abs=TOL)
-        assert est_t.amplitude / 2.0 == pytest.approx(0.03791727, abs=TOL)
-        assert est_t.poly_exponent == -2.5
-        assert est_t.growth_rate == pytest.approx(1.0 / char30.rho)
+        c_t, c_f = asy.transfer(t_poly, RUN_TOL), asy.transfer(f_poly, RUN_TOL)
+        assert c_t == pytest.approx(0.07583455, abs=TOL)
+        assert c_f == pytest.approx(0.07850913, abs=TOL)
+        assert c_t / 2.0 == pytest.approx(0.03791727, abs=TOL)
+        assert asy.POLY_EXPONENT == -2.5
 
-    def test_requires_vanishing_x1(self, char30):
+    def test_requires_vanishing_x1(self):
         bad = asy.xp(0.0, 1.0, 0.0, 1.0)
         with pytest.raises(ArithmeticError):
-            asy.transfer(bad, char30.rho, RUN_TOL)
-
-    def test_estimate_value(self):
-        est = asy.AsymptoticEstimate(2.0, -2.5, 3.0)
-        assert est.value(4) == pytest.approx(2.0 * 4**-2.5 * 81.0)
+            asy.transfer(bad, RUN_TOL)
 
 
 class TestSelfDualGrowth:
@@ -521,8 +515,8 @@ class TestLeafKernel:
     that the leaves and the ring compute once."""
 
     @pytest.mark.parametrize("x_of_X, taylor", [
-        (asy.xp(RHO, 0.0, -RHO), 2), (asy.xp(RHO, 0.0, 1.0), 2), (asy.xp(0.1, 1.0), 5)],
-        ids=["branch_point", "x_plus_X2", "0.1_plus_X"])
+        (asy.xp(RHO, 0.0, -RHO), 2), (asy.xp(RHO, 0.0, 1.0), 2), (asy.xp(0.1, 1.0), 5),
+        (asy.xp(RHO), 0)], ids=["branch_point", "x_plus_X2", "0.1_plus_X", "constant"])
     def test_leaf_matches_horner_reference(self, x_of_X, taylor, pointed30):
         point = asy.JetPoint(x_of_X)
         assert point._taylor == taylor
@@ -534,6 +528,17 @@ class TestLeafKernel:
             for r, value in enumerate(got[1:], 1):
                 want = series_at_xpoly(series, xp_pow(x_of_X, r))
                 assert value == pytest.approx(want, rel=1e-13, abs=0), r
+
+    def test_constant_point_builds_no_shift(self, monkeypatch):
+        # a shift is read only by a Taylor term, and a constant point composes
+        # none: building it multiplies nothing, a moving point builds R shifts
+        calls = Counter()
+        mul = asy.xp_mul
+        monkeypatch.setattr(asy, "xp_mul", lambda p, q: calls.update(["xp_mul"]) or mul(p, q))
+        constant = asy.JetPoint(asy.xp(RHO))
+        assert calls["xp_mul"] == 0 and constant._shifts == []
+        moving = asy.JetPoint(asy.xp(RHO, 0.0, 1.0), reads=3)
+        assert calls["xp_mul"] == moving.r_max == len(moving._shifts)
 
     @pytest.mark.parametrize("system", ["pointed", "bound"])
     def test_reads_trims_no_coefficient_it_keeps(self, system, char30, pointed30, selfdual30):
@@ -798,9 +803,8 @@ class TestPinnedConstants:
 
     def test_order30_values(self, char30, expansion30):
         t_poly = expansion30.t
-        est = asy.transfer(t_poly, char30.rho, RUN_TOL)
-        got = {"inv_rho": 1.0 / char30.rho, "C": est.amplitude,
-               "c_polytope": est.amplitude / 2.0}
+        c = asy.transfer(t_poly, RUN_TOL)
+        got = {"inv_rho": 1.0 / char30.rho, "C": c, "c_polytope": c / 2.0}
         for i in (1, 2, 3):
             got[f"A{i}"], got[f"U{i}"] = expansion30.a[i], expansion30.u[i]
         for i in (0, 2, 3):

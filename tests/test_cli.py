@@ -121,6 +121,21 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH" in buf.getvalue()
 
+    def test_json_is_one_write(self):
+        # json.dump would write each chunk of its encoder, one write apiece
+        # on an unbuffered stdout
+        class Counting(io.StringIO):
+            writes = 0
+
+            def write(self, s):
+                self.writes += 1
+                return super().write(s)
+
+        buf = Counting()
+        assert cli.run_verify(cli.RunConfig(order=10, tree_cap=5, fmt="json"), out=buf) == 0
+        assert buf.writes == 1 and buf.getvalue().endswith("}\n")
+        assert json.loads(buf.getvalue())["meta"] == {"order": 10, "tree_cap": 5}
+
     def test_iso_cap_skips_matroid_checks(self, capsys, monkeypatch):
         realised, compared = [], []
 
@@ -271,10 +286,10 @@ class TestVerify:
         rows = [r for r in json.loads(out)["data"] if r["check"] == "selfdual_trees"]
         assert [(r["n"], r["enumerated"], r["status"]) for r in rows] == [
             (3, 0, "ok"), (4, 2, "ok"), (5, 0, "ok"), (6, 5, "ok")]
-        # each size is enumerated once; its self-dual count and its matroid
-        # rows reuse it
+        # each size is enumerated once; its tree count, its two self-dual
+        # counts and its matroids reuse it
         info = umr._rooted_trees.cache_info()
-        assert (info.misses, info.hits) == (4, 8)
+        assert (info.misses, info.hits) == (4, 12)
 
     def test_reports_p6_and_duality_checks(self, capsys):
         code, out, _ = run(["--order", "8", "--tree-cap", "4", "verify"], capsys)
