@@ -50,7 +50,7 @@ from typing import NamedTuple
 from . import gfsystem as gf
 from .powerseries import PowerSeries
 
-DEG = 5
+DEG = 4  # the highest power of X read: transfer reads X^3, singular_expansions X^4
 TAIL_EPS = 1e-20
 
 GAMMA_M32 = math.gamma(-1.5)  # 4*sqrt(pi)/3
@@ -106,13 +106,12 @@ def xp(*coeffs: float) -> list[float]:
 
 
 def xp_mul(p: list[float], q: list[float]) -> list[float]:
-    """Product truncated after X^DEG (DEG = 5), unrolled."""
-    p0, p1, p2, p3, p4, p5 = p
-    q0, q1, q2, q3, q4, q5 = q
+    """Product truncated after X^DEG (DEG = 4), unrolled."""
+    p0, p1, p2, p3, p4 = p
+    q0, q1, q2, q3, q4 = q
     return [p0 * q0, p0 * q1 + p1 * q0, p0 * q2 + p1 * q1 + p2 * q0,
             p0 * q3 + p1 * q2 + p2 * q1 + p3 * q0,
-            p0 * q4 + p1 * q3 + p2 * q2 + p3 * q1 + p4 * q0,
-            p0 * q5 + p1 * q4 + p2 * q3 + p3 * q2 + p4 * q1 + p5 * q0]
+            p0 * q4 + p1 * q3 + p2 * q2 + p3 * q1 + p4 * q0]
 
 
 def _xp_add(p: list[float], q: list[float]) -> list[float]:

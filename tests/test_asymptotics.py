@@ -515,7 +515,7 @@ class TestLeafKernel:
     that the leaves and the ring compute once."""
 
     @pytest.mark.parametrize("x_of_X, taylor", [
-        (asy.xp(RHO, 0.0, -RHO), 2), (asy.xp(RHO, 0.0, 1.0), 2), (asy.xp(0.1, 1.0), 5),
+        (asy.xp(RHO, 0.0, -RHO), 2), (asy.xp(RHO, 0.0, 1.0), 2), (asy.xp(0.1, 1.0), asy.DEG),
         (asy.xp(RHO), 0)], ids=["branch_point", "x_plus_X2", "0.1_plus_X", "constant"])
     def test_leaf_matches_horner_reference(self, x_of_X, taylor, pointed30):
         point = asy.JetPoint(x_of_X)

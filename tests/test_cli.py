@@ -544,6 +544,27 @@ class TestHighOrderPins:
         assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[name]
 
 
+class TestOrderPins:
+    """SHA-256 of the ``--format json`` output of ``asympt`` and ``bound``,
+    residuals included, at orders other than the default that
+    TestPinnedOutputs pins, captured before the float ring dropped its X^5
+    coefficient."""
+
+    SHA256 = {
+        "--order 5 asympt": "1ebd5247257fc5de47428c5b17862011b54657d9f489a4a1eaa3c9a98222d535",
+        "--order 60 asympt": "8fffcfaa1f29a527f71bc40f8077a67f98e812300bc70d1d606b901b976c0b2f",
+        "--order 200 --tol 1e-10 asympt":
+            "14c97c6124af7fdf1e6c5736d83aff8a18817eaba082c80c18394445f94ba710",
+        "--order 60 bound": "a179ef4746f8afb2b9800dd20097f7eae69da65e75190efaf4a50f342c8709e6",
+    }
+
+    @pytest.mark.parametrize("flags", sorted(SHA256))
+    def test_output(self, capsys, flags):
+        code, out, err = run(["--format", "json", *flags.split()], capsys)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest() == self.SHA256[flags]
+
+
 class TestDeterminism:
     def test_identical_runs_identical_output(self, capsys):
         _, out1, _ = run(["--order", "10", "--format", "json", "coeffs", "sbound"], capsys)
