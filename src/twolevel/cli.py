@@ -37,7 +37,6 @@ SERIES = {
 class _RunFields(NamedTuple):
     order: int = 30
     tree_cap: int = 8
-    iso_cap: int = 12
     tol: float = 1e-12
     fmt: str = "text"
 
@@ -51,8 +50,8 @@ class RunConfig(_RunFields):
         self = super().__new__(cls, *args, **kwargs)
         if self.order < 3:
             raise ValueError("order must be >= 3")
-        if self.tree_cap <= 0 or self.iso_cap <= 0:
-            raise ValueError("caps must be positive")
+        if self.tree_cap <= 0:
+            raise ValueError("tree_cap must be positive")
         if not 0 < self.tol < float("inf"):  # also rejects NaN
             raise ValueError("tol must be positive and finite")
         return self
@@ -125,26 +124,24 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
         rows.append([n, what, "-", "-", "skipped"])
 
     matroids = cache(lambda n: [umr.tree_to_matroid(x) for x in umr.enumerate_umr_trees(n)])
-    # the per-size checks: name, last size, last size run, enumerated(n) and
-    # expected(n); the sizes between are skipped, past n_max in one span row.
-    # Matroid checks (n legs, n elements) stop at a size set by their cost
+    # the per-size checks: name, last size, enumerated(n) and expected(n);
+    # the sizes past n_max are skipped in one span row.  Matroid checks
+    # (n legs, n elements) stop at a size set by their cost
     checks = [
-        ("trees", config.tree_cap, n_max, umr.count_trees, t.coeff),
-        ("selfdual_trees", config.tree_cap, n_max, umr.count_self_dual, s2.coeff),
-        ("pointed_R", config.tree_cap, n_max, lambda n: umr.pointed_count(n, "R"), p.a_R.coeff),
-        ("pointed_U", config.tree_cap, n_max, lambda n: umr.pointed_count(n, "U"), p.a_U.coeff),
-        ("matroids_distinct", min(7, n_max), config.iso_cap,
+        ("trees", config.tree_cap, umr.count_trees, t.coeff),
+        ("selfdual_trees", config.tree_cap, umr.count_self_dual, s2.coeff),
+        ("pointed_R", config.tree_cap, lambda n: umr.pointed_count(n, "R"), p.a_R.coeff),
+        ("pointed_U", config.tree_cap, lambda n: umr.pointed_count(n, "U"), p.a_U.coeff),
+        ("matroids_distinct", min(7, n_max),
          lambda n: bool(matroids(n)) and mat.pairwise_non_isomorphic(matroids(n)), lambda n: True),
-        ("selfdual_matroid", min(6, n_max), config.iso_cap, umr.count_self_dual,
+        ("selfdual_matroid", min(6, n_max), umr.count_self_dual,
          lambda n: sum(mat.is_isomorphic(m, mat.dual(m)) for m in matroids(n))),
     ]
     sizes = range(3, n_max + 1)
     for n in sizes:
-        for what, last, ran, got, want in checks:
-            if n <= min(last, ran):
+        for what, last, got, want in checks:
+            if n <= last:
                 add(n, what, got(n), want(n))
-            elif n <= last:
-                skip(n, what)
     for what, last, *_ in checks:
         if last > n_max:
             skip(f"{n_max + 1}..{last}", what)
@@ -163,27 +160,19 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
         rows.append([span, "selfdual_variant",
                      f"corrected {hits['corrected']}/{total}, paper {hits['paper']}/{total}",
                      verdict or "NEITHER VARIANT MATCHES", "ok" if verdict else "MISMATCH"])
-    # the fixtures: size of the ground set, name and check; past --iso-cap
-    # they are skipped
+    # the fixtures, n being the size of the ground set.  P6: single
+    # 3-circuit, rank 3, 2-connected, not uniform
+    add(6, "p6_fixture", (
+        mat.rank(mat.P6) == 3
+        and sorted(map(len, mat.P6.circuits)).count(3) == 1
+        and mat.is_2connected(mat.P6)
+        and len(mat.bases(mat.P6)) == 19
+        and not mat.is_isomorphic(mat.P6, mat.uniform(6, 3))), True)
+    # duality commutes with 2-sum on a spot-check pair
     m1, m2 = mat.uniform(4, 2), mat.uniform(5, 2, labels=range(5, 10))
-    fixtures = [
-        # P6: single 3-circuit, rank 3, 2-connected, not uniform
-        (6, "p6_fixture", lambda: (
-            mat.rank(mat.P6) == 3
-            and sorted(map(len, mat.P6.circuits)).count(3) == 1
-            and mat.is_2connected(mat.P6)
-            and len(mat.bases(mat.P6)) == 19
-            and not mat.is_isomorphic(mat.P6, mat.uniform(6, 3)))),
-        # duality commutes with 2-sum on a spot-check pair
-        (7, "dual_of_two_sum", lambda: mat.is_isomorphic(
-            mat.dual(mat.two_sum(m1, 1, m2, 7)),
-            mat.two_sum(mat.dual(m1), 1, mat.dual(m2), 7))),
-    ]
-    for n, what, check in fixtures:
-        if n <= config.iso_cap:
-            add(n, what, check(), True)
-        else:
-            skip(n, what)
+    add(7, "dual_of_two_sum", mat.is_isomorphic(
+        mat.dual(mat.two_sum(m1, 1, m2, 7)),
+        mat.two_sum(mat.dual(m1), 1, mat.dual(m2), 7)), True)
     _emit(config, {"order": config.order, "tree_cap": n_max},
           ["n", "check", "enumerated", "expected", "status"], rows, out=out)
     return 1 if any(row[-1] == "MISMATCH" for row in rows) else 0
@@ -260,8 +249,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--order", type=int, help="series truncation order")
     parser.add_argument("--tree-cap", type=int,
                         help="last size of verify's tree enumeration and of bound's exact rows")
-    parser.add_argument("--iso-cap", type=int,
-                        help="largest ground set for isomorphism checks")
     parser.add_argument("--tol", type=float,
                         help="the one tolerance of asympt and bound: every solver stops, "
                              "and every check passes, at residuals below it")

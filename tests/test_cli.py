@@ -10,6 +10,7 @@ import json
 import math
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,7 +44,7 @@ class TestConfig:
         for tol in (-1.0, 0.0, math.nan, math.inf):
             with pytest.raises(ValueError):
                 cli.RunConfig(tol=tol)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="tree_cap must be positive"):
             cli.RunConfig(tree_cap=0)
 
     def test_replace_is_checked(self):
@@ -136,7 +137,7 @@ class TestVerify:
         assert buf.writes == 1 and buf.getvalue().endswith("}\n")
         assert json.loads(buf.getvalue())["meta"] == {"order": 10, "tree_cap": 5}
 
-    def test_iso_cap_skips_matroid_checks(self, capsys, monkeypatch):
+    def test_matroid_checks_stop_at_their_cost_caps(self, capsys, monkeypatch):
         realised, compared = [], []
 
         def to_matroid(tree, realise=umr.tree_to_matroid):
@@ -149,27 +150,41 @@ class TestVerify:
 
         monkeypatch.setattr(umr, "tree_to_matroid", to_matroid)
         monkeypatch.setattr(mat, "is_isomorphic", is_isomorphic)
-        for order, tree_cap, iso_cap in ((10, 7, 5), (12, 9, 3), (8, 7, 6)):
+        for order, tree_cap in ((10, 7), (12, 9), (8, 7), (5, 9)):
             realised.clear()
             compared.clear()
             code, out, _ = run(["--order", str(order), "--tree-cap", str(tree_cap),
-                                "--iso-cap", str(iso_cap), "--format", "json", "verify"], capsys)
+                                "--format", "json", "verify"], capsys)
             assert code == 0
             assert "MISMATCH" not in out
-            data = json.loads(out)["data"]
+            report = json.loads(out)
+            n_max, data = report["meta"]["tree_cap"], report["data"]
             # matroids_distinct has rows at 3..7 and selfdual_matroid at 3..6,
-            # whatever --tree-cap asks; the sizes past --iso-cap are skipped
+            # whatever --tree-cap asks, and none past the last size enumerated
             for check, last in (("matroids_distinct", 7), ("selfdual_matroid", 6)):
                 assert [(r["n"], r["status"]) for r in data if r["check"] == check] == [
-                    (n, "ok" if n <= iso_cap else "skipped") for n in range(3, last + 1)]
+                    (n, "ok") for n in range(3, min(last, n_max) + 1)]
             # only the sizes whose rows run are realised as matroids
-            assert sorted(set(realised)) == list(range(3, iso_cap + 1))
-            # the fixtures, on 6 and 7 elements, are skipped past the cap
-            # too, and no isomorphism test runs on a ground set past it
+            assert sorted(set(realised)) == list(range(3, min(7, n_max) + 1))
+            # the fixtures, on 6 and 7 elements, always run, and no
+            # isomorphism test runs on a ground set past 7 elements
             assert [(r["n"], r["status"]) for r in data if r["check"] in (
-                "p6_fixture", "dual_of_two_sum")] == [
-                (n, "ok" if n <= iso_cap else "skipped") for n in (6, 7)]
-            assert compared and max(compared) <= iso_cap
+                "p6_fixture", "dual_of_two_sum")] == [(6, "ok"), (7, "ok")]
+            assert compared and max(compared) <= 7
+
+    def test_iso_cap_is_refused(self, capsys):
+        # argparse sets an unknown flag aside, so the spaced form reads "5"
+        # as the command; after the command, or joined, the flag is named
+        for argv, message in (
+                (["--iso-cap", "5", "verify"], "invalid choice: '5'"),
+                (["verify", "--iso-cap", "5"], "unrecognized arguments: --iso-cap 5"),
+                (["--iso-cap=5", "verify"], "unrecognized arguments: --iso-cap=5")):
+            with pytest.raises(SystemExit) as exc:
+                cli.main(argv)
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+        with pytest.raises(TypeError):
+            cli.RunConfig(iso_cap=5)
 
     def test_builds_tree_records_only_for_matroid_rows(self, capsys, monkeypatch):
         built = []
@@ -758,6 +773,17 @@ class TestUnusedImports:
             unused += [f"{path.name}:{line} {name}" for name, line in imported.items()
                        if name not in read | exported]
         assert unused == []
+
+
+class TestReadme:
+    def test_global_flags_match_the_parser(self):
+        # README's "Global flags:" paragraph, up to the next blank line
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        paragraph = text[text.index("Global flags:"):].split("\n\n")[0]
+        documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
+        parsed = {flag for action in cli._build_parser()._actions
+                  for flag in action.option_strings} - {"-h", "--help"}
+        assert documented == parsed
 
 
 class TestBenchProbe:

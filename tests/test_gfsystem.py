@@ -32,6 +32,12 @@ class TestPointed:
         with pytest.raises(ValueError):
             gf.solve_pointed(1)
 
+    def test_accepts_order_2(self):
+        # the guard's boundary; order 2 holds A_R's x^2, the two-leaf multiset
+        p = gf.solve_pointed(2)
+        assert p.a_R.coeffs == (0, 0, 1)
+        assert p.a_U.coeffs == (0, 0, 0)
+
     def test_coefficients_nonnegative(self, pointed30):
         for s in (pointed30.a_R, pointed30.a_U):
             assert all(c >= 0 for c in s.integer_coeffs())
