@@ -434,7 +434,7 @@ def singular_expansions(char: CharSolution, pointed: gf.PointedSeries,
         t = -_dot(w, g0) / _dot(w, dg)  # c^2 at k = 1, else c
         if k == 1 and not t > 0.0:
             raise ArithmeticError(f"no square-root branch point: A_1^2 ~ {t:.3e}")
-        c = math.copysign(math.sqrt(t), -v[0]) if k == 1 else t
+        c = -math.sqrt(t) if k == 1 else t
         a[k], u[k] = c * v[0] + d * e[0], c * v[1] + d * e[1]
         d = -_dot(me, [y0 + t * dy for y0, dy in zip(g0, dg)]) / _dot(me, me)
     a[DEG], u[DEG] = d * e[0], d * e[1]

@@ -34,20 +34,16 @@ SERIES = {
 }
 
 
-class _RunFields(NamedTuple):
+class RunConfig(NamedTuple):
+    """The global options; :meth:`checked` validates them."""
+
     order: int = 30
     tree_cap: int = 8
     tol: float = 1e-12
     fmt: str = "text"
 
-
-class RunConfig(_RunFields):
-    """The global options, checked when built (also by ``_replace``)."""
-
-    __slots__ = ()
-
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
+    def checked(self) -> RunConfig:
+        """This config, or ValueError naming its first bad value."""
         if self.order < 3:
             raise ValueError("order must be >= 3")
         if self.tree_cap <= 0:
@@ -55,10 +51,6 @@ class RunConfig(_RunFields):
         if not 0 < self.tol < float("inf"):  # also rejects NaN
             raise ValueError("tol must be positive and finite")
         return self
-
-    @classmethod
-    def _make(cls, fields):
-        return cls(*fields)
 
 
 def _fmt_real(v: float) -> str:
@@ -178,19 +170,12 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
     return 1 if any(row[-1] == "MISMATCH" for row in rows) else 0
 
 
-def _tree_asymptotics(p: gf.PointedSeries, config: RunConfig):
-    """Branch point and singular expansions, T's among them, at --tol."""
-    from . import asymptotics as asy
-
-    char = asy.solve_char_system(p, tol=config.tol)
-    return char, asy.singular_expansions(char, p, tol=config.tol)
-
-
 def cmd_asympt(args, config: RunConfig) -> int:
     from . import asymptotics as asy
 
     p = gf.solve_pointed(config.order)
-    char, se = _tree_asymptotics(p, config)
+    char = asy.solve_char_system(p, tol=config.tol)
+    se = asy.singular_expansions(char, p, tol=config.tol)
     t_poly, f_poly = se.t, asy.expand_forests(se, p)
     c_t, c_f = asy.transfer(t_poly, config.tol), asy.transfer(f_poly, config.tol)
     report = asy.verify_selfdual_growth(p, gf.compute_selfdual(p, "paper"), char.rho,
@@ -229,7 +214,8 @@ def cmd_bound(args, config: RunConfig) -> int:
         [n, t.coeff(n), s2.coeff(n), counts.coeff(n), "exact"]
         for n in range(3, n_max + 1)
     ]
-    char, se = _tree_asymptotics(p, config)
+    char = asy.solve_char_system(p, tol=config.tol)
+    se = asy.singular_expansions(char, p, tol=config.tol)
     c = asy.transfer(se.t, config.tol) / 2.0
     for n in (10, 20, 50, 100):
         rows.append([n, "", "", _fmt_real(c * n**asy.POLY_EXPONENT * (1.0 / char.rho)**n),
@@ -239,21 +225,25 @@ def cmd_bound(args, config: RunConfig) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The global flags alone, and the command line: those flags, then a command."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.set_defaults(**RunConfig._field_defaults)
+    flags.add_argument("--order", type=int, help="series truncation order")
+    flags.add_argument("--tree-cap", type=int,
+                       help="last size of verify's tree enumeration and of bound's exact rows")
+    flags.add_argument("--tol", type=float,
+                       help="the one tolerance of asympt and bound: every solver stops, "
+                            "and every check passes, at residuals below it")
+    flags.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
+                       help="output format")
     parser = argparse.ArgumentParser(
         prog="twolevel",
         description="Exact enumeration and asymptotics of 2-level matroids",
         formatter_class=argparse.ArgumentDefaultsHelpFormatter,
+        parents=[flags],
     )
-    parser.set_defaults(**RunConfig._field_defaults)
-    parser.add_argument("--order", type=int, help="series truncation order")
-    parser.add_argument("--tree-cap", type=int,
-                        help="last size of verify's tree enumeration and of bound's exact rows")
-    parser.add_argument("--tol", type=float,
-                        help="the one tolerance of asympt and bound: every solver stops, "
-                             "and every check passes, at residuals below it")
-    parser.add_argument("--format", dest="fmt", choices=("text", "json", "csv"),
-                        help="output format")
+    flags.error = parser.error  # a bad flag is reported with the full usage line
     sub = parser.add_subparsers(dest="command", required=True)
     p_coeffs = sub.add_parser("coeffs", help="print exact series coefficients")
     p_coeffs.add_argument("series", choices=SERIES)
@@ -264,13 +254,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_asympt.set_defaults(func=cmd_asympt)
     p_bound = sub.add_parser("bound", help="lower bounds for 2-level polytopes")
     p_bound.set_defaults(func=cmd_bound)
-    return parser
+    return flags, parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    flags, parser = _build_parser()
+    # argparse sets an unknown flag before the command aside and reads the
+    # word after it as the command; name the flag instead (help and "--" pass)
+    token = (flags.parse_known_args(argv)[1] or [""])[0]
+    if token.startswith("-") and not token.startswith(("-h", "--h")) and token != "--":
+        parser.error(f"unrecognized arguments: {token}")
+    args = parser.parse_args(argv)
     try:
-        config = RunConfig(*(getattr(args, name) for name in RunConfig._fields))
+        config = RunConfig(*(getattr(args, name) for name in RunConfig._fields)).checked()
         return args.func(args, config)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -39,18 +39,23 @@ class TestConfig:
         assert c.order == 30 and c.fmt == "text"
 
     def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            cli.RunConfig(order=2)
+        with pytest.raises(ValueError, match="order must be >= 3"):
+            cli.RunConfig(order=2).checked()
         for tol in (-1.0, 0.0, math.nan, math.inf):
-            with pytest.raises(ValueError):
-                cli.RunConfig(tol=tol)
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                cli.RunConfig(tol=tol).checked()
         with pytest.raises(ValueError, match="tree_cap must be positive"):
-            cli.RunConfig(tree_cap=0)
+            cli.RunConfig(tree_cap=0).checked()
 
-    def test_replace_is_checked(self):
-        assert cli.RunConfig()._replace(order=40).order == 40
-        with pytest.raises(ValueError):
-            cli.RunConfig()._replace(order=2)
+    def test_checked_reads_the_replaced_values(self):
+        assert cli.RunConfig()._replace(order=40).checked().order == 40
+        with pytest.raises(ValueError, match="order must be >= 3"):
+            cli.RunConfig()._replace(order=2).checked()
+
+    def test_smallest_accepted_values(self):
+        config = cli.RunConfig(order=3, tree_cap=1)
+        assert config.checked() is config
+        assert cli.main(["--order", "3", "--tree-cap", "1", "verify"]) == 0
 
 
 class TestCoeffs:
@@ -173,16 +178,30 @@ class TestVerify:
             assert compared and max(compared) <= 7
 
     def test_iso_cap_is_refused(self, capsys):
-        # argparse sets an unknown flag aside, so the spaced form reads "5"
-        # as the command; after the command, or joined, the flag is named
+        # an unknown flag is named, before the command or after it, spaced
+        # or joined; a misspelt one too
         for argv, message in (
-                (["--iso-cap", "5", "verify"], "invalid choice: '5'"),
+                (["--iso-cap", "5", "verify"], "unrecognized arguments: --iso-cap\n"),
                 (["verify", "--iso-cap", "5"], "unrecognized arguments: --iso-cap 5"),
-                (["--iso-cap=5", "verify"], "unrecognized arguments: --iso-cap=5")):
+                (["--iso-cap=5", "verify"], "unrecognized arguments: --iso-cap=5"),
+                (["--tree_cap", "5", "verify"], "unrecognized arguments: --tree_cap\n")):
             with pytest.raises(SystemExit) as exc:
                 cli.main(argv)
             assert exc.value.code == 2
             assert message in capsys.readouterr().err
+        # a negative value is still a value, an abbreviated --help still
+        # prints the help, and an ambiguous prefix is reported with the
+        # full usage line
+        assert run(["--tol", "-1", "asympt"], capsys) == (
+            1, "", "error: tol must be positive and finite\n")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--he", "verify"])
+        assert exc.value.code == 0 and "--tree-cap TREE_CAP" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--t", "5", "verify"])
+        err = capsys.readouterr().err
+        assert exc.value.code == 2 and err.startswith("usage: twolevel [-h] [--order ORDER]")
+        assert "{coeffs,verify,asympt,bound}" in err and "ambiguous option: --t" in err
         with pytest.raises(TypeError):
             cli.RunConfig(iso_cap=5)
 
@@ -781,7 +800,8 @@ class TestReadme:
         text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         paragraph = text[text.index("Global flags:"):].split("\n\n")[0]
         documented = set(re.findall(r"--[a-z][a-z-]*", paragraph))
-        parsed = {flag for action in cli._build_parser()._actions
+        _, parser = cli._build_parser()
+        parsed = {flag for action in parser._actions
                   for flag in action.option_strings} - {"-h", "--help"}
         assert documented == parsed
 
