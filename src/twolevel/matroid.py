@@ -3,10 +3,9 @@ oracle used to cross-validate the generating-function counts.
 
 A matroid holds its sorted ground set and each circuit as a bitmask over it
 (bit i stands for ``ground[i]``); ``circuits`` is a read-only view of the
-masks as sets of labels.  ``uniform`` and ``two_sum`` compose masks.  The
-dependent sets (supersets of circuits) back ``bases``, ``rank`` and
-``is_2connected``, the last two through one greedy rank; the independent
-sets (subsets of bases) give ``dual`` its circuits.
+masks as sets of labels.  ``uniform`` and ``two_sum`` compose masks.  One
+table, the greedy rank of every subset mask, backs ``bases``, ``rank``,
+``dual`` and ``is_2connected``.
 ``pairwise_non_isomorphic`` runs ``is_isomorphic`` only within buckets of
 equal invariants.
 """
@@ -123,73 +122,58 @@ def _elements(ground, mask: int) -> frozenset:
     return frozenset(e for i, e in enumerate(ground) if mask >> i & 1)
 
 
-def _dependent_table(m: Matroid) -> bytearray:
-    """dep[mask] = 1 exactly when mask contains a circuit of m."""
-    full = (1 << len(m.ground)) - 1
-    dep = bytearray(full + 1)
-    for c in m.masks:
-        for sub in _subsets(full ^ c):
-            dep[c | sub] = 1
-    return dep
-
-
-def _greedy_rank(dep: bytearray, mask: int) -> int:
-    """Rank of the subset mask, grown greedily from its lowest element."""
-    indep = 0
-    rest = mask
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        if not dep[indep | bit]:
-            indep |= bit
-    return indep.bit_count()
-
-
-def _from_bases(ground: tuple, base_masks) -> Matroid:
-    """The matroid on the sorted ground with these base masks: its circuits
-    are the minimal sets that lie inside no base."""
-    n = len(ground)
-    indep = bytearray(1 << n)
-    for b in base_masks:
-        for sub in _subsets(b):
-            indep[sub] = 1
-    circs = []
-    for mask in range(1, 1 << n):
-        if not indep[mask]:
-            rest = mask
-            while rest and indep[mask ^ rest & -rest]:
-                rest &= rest - 1
-            if not rest:
-                circs.append(mask)
-    return _matroid(ground, circs)
-
-
-def _base_masks(m: Matroid) -> list[int]:
-    """All maximum-cardinality masks containing no circuit.  The size is
-    found by the scan, not by the greedy rank, so the answer keeps its
-    meaning for a circuit family that is not a matroid's."""
+def _ranks(m: Matroid) -> bytearray:
+    """r[s]: the rank of each subset mask s, grown greedily from its lowest
+    element.  r first holds 0 on the dependent sets (supersets of circuits)
+    and |s| on the rest; then each mask adds its highest element to the
+    greedy basis of the rest when the two together still hold their size."""
     n = len(m.ground)
     if n > BASES_CAP:
         raise ValueError(f"ground set size {n} exceeds cap {BASES_CAP}")
-    dep = _dependent_table(m)
-    free = [mask for mask in range(1 << n) if not dep[mask]]
-    size = max(mask.bit_count() for mask in free)
-    return [mask for mask in free if mask.bit_count() == size]
+    full = (1 << n) - 1
+    r = bytearray(map(int.bit_count, range(full + 1)))
+    for c in m.masks:
+        for sub in _subsets(full ^ c):
+            r[c | sub] = 0
+    basis = [0] * (full + 1)
+    for s in range(1, full + 1):
+        top = 1 << s.bit_length() - 1
+        b = basis[s ^ top]
+        if r[b | top] > b.bit_count():
+            b |= top
+        basis[s] = b
+        r[s] = b.bit_count()
+    return r
 
 
 def bases(m: Matroid) -> frozenset:
-    """The bases as frozensets of ground-set labels."""
-    return frozenset(_elements(m.ground, b) for b in _base_masks(m))
+    """The bases as sets of labels: the largest masks s with r[s] == |s|,
+    that is, with no circuit inside.  Their size comes from the scan, not the
+    greedy rank, so they keep their meaning for circuits no matroid has."""
+    r = _ranks(m)
+    free = [s for s in range(len(r)) if r[s] == s.bit_count()]
+    size = max(map(int.bit_count, free))
+    return frozenset(_elements(m.ground, s) for s in free if s.bit_count() == size)
 
 
 def rank(m: Matroid) -> int:
-    return _greedy_rank(_dependent_table(m), (1 << len(m.ground)) - 1)
+    return _ranks(m)[-1]
 
 
 def dual(m: Matroid) -> Matroid:
-    """Matroid whose bases are the complements of the bases of m."""
-    full = (1 << len(m.ground)) - 1
-    return _from_bases(m.ground, [full ^ b for b in _base_masks(m)])
+    """Matroid whose bases are the complements of the bases of m: its
+    circuits are the minimal sets D whose complement has lower rank."""
+    r = _ranks(m)
+    full, total = len(r) - 1, r[-1]
+    circs = []
+    for d in range(1, full + 1):
+        if r[full ^ d] < total:
+            rest = d
+            while rest and r[full ^ d ^ rest & -rest] == total:
+                rest &= rest - 1
+            if not rest:
+                circs.append(d)
+    return _matroid(m.ground, circs)
 
 
 def is_loop(m: Matroid, e) -> bool:
@@ -227,13 +211,9 @@ def two_sum(m1: Matroid, e1, m2: Matroid, e2) -> Matroid:
 
 def is_2connected(m: Matroid) -> bool:
     """No proper nonempty separator T with rank(T) + rank(E - T) = rank(E)."""
-    dep = _dependent_table(m)
-    full = (1 << len(m.ground)) - 1
-    total = _greedy_rank(dep, full)
-    for t in range(1, full):
-        if _greedy_rank(dep, t) + _greedy_rank(dep, full ^ t) == total:
-            return False
-    return True
+    r = _ranks(m)
+    full = len(r) - 1
+    return all(r[t] + r[full ^ t] != r[full] for t in range(1, full))
 
 
 def _invariant(m: Matroid) -> tuple:

@@ -9,7 +9,7 @@ at a centre found by peeling leaves, so it shares nothing with the
 enumerator's centre rootings; its realisation folds the labels by 2-sums
 along a depth-first walk, on base points that may be shuffled.
 """
-from itertools import product
+from itertools import combinations, product
 
 from twolevel import matroid as mat
 from twolevel import umrtree as umr
@@ -175,12 +175,27 @@ def relabel(m, mapping):
     )
 
 
+def from_bases(ground, bases):
+    """The matroid on ground with these bases (sets of labels).  Its circuits
+    are the minimal sets inside no base: the subsets are scanned by size, and
+    one is kept when it lies inside no base and holds no circuit kept so far."""
+    ground = tuple(sorted(ground))
+    bit = {e: 1 << i for i, e in enumerate(ground)}
+    base_masks = [sum(map(bit.get, b)) for b in bases]
+    circuits = []
+    for size in range(1, len(ground) + 1):
+        for c in combinations(bit.values(), size):
+            c = sum(c)
+            if all(c & b != c for b in base_masks) and all(c & d != d for d in circuits):
+                circuits.append(c)
+    return mat.Matroid(ground, [{e for e in ground if c & bit[e]} for c in circuits])
+
+
 def two_sum_via_bases(m1, e1, m2, e2):
     """Independent 2-sum route through the bases definition."""
-    ground = tuple(sorted(g for g in m1.ground + m2.ground if g not in (e1, e2)))
-    bit = {e: 1 << i for i, e in enumerate(ground)}
-    return mat._from_bases(ground, [
-        sum(bit[e] for e in (b1 | b2) - {e1, e2})
+    ground = [g for g in m1.ground + m2.ground if g not in (e1, e2)]
+    return from_bases(ground, [
+        (b1 | b2) - {e1, e2}
         for b1, b2 in product(mat.bases(m1), mat.bases(m2))
         if (e1 in b1) + (e2 in b2) == 1
     ])

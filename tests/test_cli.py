@@ -1,5 +1,4 @@
 import ast
-import contextlib
 import csv
 import gc
 import hashlib
@@ -702,9 +701,9 @@ class TestImports:
 
 
 class TestReachability:
-    """Every public module-level function and every public method of a class
-    of the package runs in some command; what only the tests reach belongs
-    in the tests."""
+    """Every module-level function, public or private, and every public
+    method of a class of the package runs in some command; what only the
+    tests reach belongs in the tests."""
 
     # the process entry around main(), which TestEntry runs in a subprocess
     EXEMPT = {"twolevel.cli.run"}
@@ -726,32 +725,57 @@ class TestReachability:
                 for info in pkgutil.iter_modules(twolevel.__path__)
                 if info.name != "__main__"]  # importing it runs the command line
 
+    # one call of every command in a fresh interpreter, whose caches are as
+    # cold as a command's; prints each code object that ran by its key
+    PROFILE = """
+import contextlib, io, json, sys
+from pathlib import Path
+from twolevel import cli
+codes = set()
+def profile(frame, event, arg):
+    if event == "call":
+        codes.add(frame.f_code)
+sys.setprofile(profile)
+with contextlib.redirect_stdout(io.StringIO()):
+    exits = [cli.main(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+keys = [(str(Path(c.co_filename).resolve()), c.co_firstlineno, c.co_name) for c in codes]
+print(json.dumps([exits, keys]))
+"""
+
+    @staticmethod
+    def key(code):
+        return str(Path(code.co_filename).resolve()), code.co_firstlineno, code.co_name
+
     @pytest.fixture(scope="class")
-    def called(self, modules):
-        """The code objects that run in one call of every command."""
+    def called(self):
+        """The code objects, by key, that run in one call of every command."""
         commands = [["--order", "10", "coeffs", name] for name in cli.SERIES]
         commands += [["--order", "12", "--tree-cap", "7", "verify"], ["asympt"], ["bound"]]
-        called = set()
+        exits, called = json.loads(run_python("-c", self.PROFILE, json.dumps(commands)).stdout)
+        assert exits == [0] * len(commands)
+        return set(map(tuple, called))
 
-        def profile(frame, event, arg):
-            if event == "call":
-                called.add(frame.f_code)
+    @pytest.fixture(scope="class")
+    def functions(self, modules):
+        """Each module-level function written in the package, by qualified
+        name; one behind a functools cache is read through ``__wrapped__``."""
+        return {f"{mod.__name__}.{name}": fn for mod in modules
+                for name, obj in vars(mod).items()
+                if inspect.isfunction(fn := getattr(obj, "__wrapped__", obj))
+                and fn.__module__ == mod.__name__}
 
-        sys.setprofile(profile)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                codes = [cli.main(argv) for argv in commands]
-        finally:
-            sys.setprofile(None)
-        assert codes == [0] * len(commands)
-        return called
+    def unreached(self, functions, called, private):
+        return [name for name, fn in functions.items()
+                if name.rpartition(".")[2].startswith("_") == private
+                and self.key(fn.__code__) not in called]
 
-    def test_every_public_function_runs_in_a_command(self, modules, called):
-        unreached = [f"{mod.__name__}.{name}" for mod in modules
-                     for name, fn in vars(mod).items()
-                     if inspect.isfunction(fn) and fn.__module__ == mod.__name__
-                     and not name.startswith("_") and fn.__code__ not in called]
+    def test_every_public_function_runs_in_a_command(self, functions, called):
+        unreached = self.unreached(functions, called, private=False)
         assert [name for name in unreached if name not in self.EXEMPT] == []
+
+    def test_every_private_function_runs_in_a_command(self, functions, called):
+        assert self.unreached(functions, called, private=True) == []
 
     def test_every_public_method_runs_in_a_command(self, modules, called):
         # methods written in the module's source: not the ones NamedTuple
@@ -765,7 +789,7 @@ class TestReachability:
                     # a classmethod's function, a property's getter
                     fn = getattr(attr, "__func__", getattr(attr, "fget", attr))
                     if (inspect.isfunction(fn) and fn.__code__.co_filename == mod.__file__
-                            and not name.startswith("_") and fn.__code__ not in called):
+                            and not name.startswith("_") and self.key(fn.__code__) not in called):
                         unreached.append(f"{mod.__name__}.{cls_name}.{name}")
         assert [name for name in unreached if name not in self.EXEMPT_METHODS] == []
 

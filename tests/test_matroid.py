@@ -11,6 +11,16 @@ from twolevel import umrtree as umr
 import reference_routes as ref
 
 
+def tree_matroids(n_max):
+    """The realised UMR-tree matroids with 3..n_max elements."""
+    return [umr.tree_to_matroid(t) for n in range(3, n_max + 1)
+            for t in umr.enumerate_umr_trees(n)]
+
+
+# coloops 1 and 5, a loop 2 and a parallel pair 3, 4
+LOOPS_AND_COLOOPS = mat.Matroid(range(1, 6), [{2}, {3, 4}])
+
+
 class TestConstruction:
     def test_rejects_non_antichain(self):
         with pytest.raises(ValueError):
@@ -107,6 +117,12 @@ class TestMaskKernels:
         assert mat.rank(u) == k and mat.is_2connected(u)
         assert mat.dual(u) == mat.uniform(n, n - k, labels=u.ground)
 
+    def test_with_loops_and_coloops(self):
+        m = LOOPS_AND_COLOOPS
+        assert mat.bases(m) == {frozenset({1, 3, 5}), frozenset({1, 4, 5})}
+        assert mat.rank(m) == 3 and not mat.is_2connected(m)
+        assert mat.dual(m).circuits == {frozenset({1}), frozenset({5}), frozenset({3, 4})}
+
 
 class TestDuality:
     @pytest.mark.parametrize("n,k", [(4, 2), (5, 2), (6, 3), (6, 2)])
@@ -119,6 +135,39 @@ class TestDuality:
     def test_self_dual_uniform(self):
         u = mat.uniform(4, 2)
         assert mat.dual(u) == u
+
+    def test_matches_the_reference_bases_route(self):
+        # the dual from the rank table against the circuits that the
+        # reference route finds from the complemented bases
+        ms = tree_matroids(7) + [mat.P6, LOOPS_AND_COLOOPS]
+        ms += [mat.uniform(n, k) for n in range(2, 8) for k in range(1, n)]
+        for m in ms:
+            expected = ref.from_bases(m.ground, [set(m.ground) - b for b in mat.bases(m)])
+            assert mat.dual(m) == expected
+
+
+class TestRankTable:
+    """_ranks(m)[s] against the definitions, over every subset mask s."""
+
+    @staticmethod
+    def free(m):
+        """free[t]: whether the mask t contains no circuit."""
+        return [all(c & t != c for c in m.masks) for t in range(1 << len(m.ground))]
+
+    def test_rank_is_the_largest_circuit_free_subset(self):
+        for m in tree_matroids(6) + [mat.P6, LOOPS_AND_COLOOPS]:
+            free, r = self.free(m), mat._ranks(m)
+            for s in range(1 << len(m.ground)):
+                subsets = [t for t in range(s + 1) if t & s == t]
+                assert r[s] == max(t.bit_count() for t in subsets if free[t])
+
+    def test_full_rank_exactly_on_circuit_free_sets(self):
+        # the last is an antichain that is no matroid's, where the greedy
+        # rank falls short of the largest circuit-free subset
+        no_matroid = mat.Matroid([1, 2, 3, 4], [{1, 2}, {1, 3}, {1, 4}])
+        for m in tree_matroids(6) + [mat.P6, LOOPS_AND_COLOOPS, no_matroid]:
+            free, r = self.free(m), mat._ranks(m)
+            assert [r[s] == s.bit_count() for s in range(len(r))] == free
 
 
 class TestMinorsAndSums:

@@ -369,7 +369,7 @@ class TestMatroidRealization:
                 assert mat.is_isomorphic(m0, m1)
 
     def test_duality_commutes_with_realization(self):
-        for t in umr.enumerate_umr_trees(5):
+        for t in (t for n in range(3, 8) for t in umr.enumerate_umr_trees(n)):
             lhs = mat.dual(umr.tree_to_matroid(t))
             rhs = ref.realise(ref.dual_tree(plain_tree(t)))
             assert mat.is_isomorphic(lhs, rhs)
