@@ -10,10 +10,10 @@ one fold-point Newton iteration (:func:`_fold_point`), which takes any
 right-hand side of :mod:`twolevel.gfsystem`.
 
 Every equation is written once, in :mod:`twolevel.gfsystem`, and runs over
-three rings.  Integer series give the exact counts (``OnlineSeries`` in the
-fixed-point solver, ``PowerSeries`` elsewhere).  The float ring here
-(:class:`Jet` over a :class:`JetPoint` x(X)) gives the value of the same
-right-hand side along x(X), as a polynomial in X:
+three rings.  Integer series give the exact counts (the online ring in
+:func:`twolevel.powerseries.fixed_point`, ``PowerSeries`` elsewhere).  The
+float ring here (:class:`Jet` over a :class:`JetPoint` x(X)) gives the value
+of the same right-hand side along x(X), as a polynomial in X:
 
 - at a constant point, with unknowns y + X v + X^2 e_j, the residual F - y
   to third order, and at x(X) = x0 + X^2 with y + X v, F_x and d/dx (J v)

@@ -1,6 +1,6 @@
 """Generating-function system for UMR-trees.
 
-Solves the fixed-point equations for the pointed tree series, assembles the
+Writes the fixed-point equations for the pointed tree series, assembles the
 unrooted series T(x) and S2(x) (self-dual trees) by the dissymmetry identity,
 and derives the self-dual pointed, bounding and forest series.  Each of these
 is one ``PowerSeries`` returned by its own function, so a caller solves only
@@ -11,16 +11,16 @@ one.  The pointed system is solved on that slice, a_M = a_R, in two unknowns
 (a_R, a_U); ``PointedSeries.a_M`` reads a_R.
 
 The right-hand sides use only +, -, *, integer constants, division by an
-integer, a(x^k), sum_r a(x^r) and the multiset operators, so the fixed-point
-solver runs them over the online integer ring and :mod:`twolevel.asymptotics`
-over its float ring.
+integer, a(x^k), sum_r a(x^r) and the multiset operators, so
+:func:`twolevel.powerseries.fixed_point` solves them over the online integer
+ring and :mod:`twolevel.asymptotics` runs them over its float ring.
 """
 from __future__ import annotations
 
 from functools import partial
 from typing import NamedTuple
 
-from .powerseries import OnlineSeries, PowerSeries
+from .powerseries import PowerSeries, fixed_point
 
 
 class PointedSeries(NamedTuple):
@@ -34,50 +34,6 @@ class PointedSeries(NamedTuple):
     def a_M(self) -> PowerSeries:
         """Duality swaps R and M, so the M-pointed series is the R-pointed one."""
         return self.a_R
-
-
-def _fixed_point(rhs, known, unknowns: int):
-    """Solve ys = rhs(*known, *ys) for a tuple of series ys, one index at a time.
-
-    The right-hand sides are built once over the online ring.  The system must
-    be well founded: coefficient n of every right-hand side has zero slope in
-    coefficient n of the unknowns, so it is exact while the unknowns read a
-    provisional 0 there.  Each unknown is then settled at n, and every node
-    that reads an unknown forgets coefficient n, to recompute it on the next
-    demand.  A final eager pass over ``PowerSeries`` must reproduce the
-    solution.
-    """
-    order = known[0].order
-    ys = [OnlineSeries.unknown() for _ in range(unknowns)]
-    outs = rhs(*map(OnlineSeries.known, known), *ys)
-    readers = _readers(outs, ys)
-    for n in range(order + 1):
-        values = [out[n] for out in outs]
-        for node in readers:
-            node.forget(n)
-        for y, v in zip(ys, values):
-            y.settle(n, v)
-    solution = tuple(PowerSeries(y.upto(order)) for y in ys)
-    if tuple(rhs(*known, *solution)) != solution:
-        raise ArithmeticError("fixed point did not converge to residual 0")
-    return solution
-
-
-def _readers(outs, ys) -> list:
-    """The nodes below ``outs`` that read an unknown, the unknowns excluded."""
-    reads = dict.fromkeys(ys, True)
-    found = []
-
-    def visit(node):
-        if node not in reads:
-            reads[node] = any([visit(i) for i in node.inputs])  # visit every input
-            if reads[node]:
-                found.append(node)
-        return reads[node]
-
-    for out in outs:
-        visit(out)
-    return found
 
 
 def _pointed_rhs(leg, a_R, a_U):
@@ -99,7 +55,7 @@ def solve_pointed(order: int) -> PointedSeries:
     if order < 2:
         raise ValueError("order must be >= 2")
     leg = PowerSeries.x(order)
-    a_R, a_U = _fixed_point(_pointed_rhs, (leg,), 2)
+    a_R, a_U = fixed_point(_pointed_rhs, (leg,), 2)
     return PointedSeries(a_R, a_U, leg)
 
 
@@ -171,7 +127,7 @@ def _selfdual_rhs(variant, a_R, a_U, leg, s_U):
 
 def compute_selfdual(p: PointedSeries, variant: str) -> PowerSeries:
     """Self-dual U-pointed series, "paper" or "corrected" pair counting."""
-    (s_U,) = _fixed_point(partial(_selfdual_rhs, variant), p, 1)
+    (s_U,) = fixed_point(partial(_selfdual_rhs, variant), p, 1)
     return s_U
 
 
@@ -185,7 +141,7 @@ def _s_bound_rhs(pairs, leg, s):
 
 def compute_s_bound(p: PointedSeries, s_U_paper: PowerSeries) -> PowerSeries:
     """Bounding series dominating the self-dual pointed series."""
-    (s,) = _fixed_point(_s_bound_rhs, (pair_class(p, s_U_paper), p.a_leg), 1)
+    (s,) = fixed_point(_s_bound_rhs, (pair_class(p, s_U_paper), p.a_leg), 1)
     return s
 
 

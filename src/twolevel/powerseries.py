@@ -7,7 +7,8 @@ exact; any division that leaves a remainder raises ``ArithmeticError``.
 All operations of :class:`PowerSeries` are pure and eager: a binary operation
 on series of different truncation orders truncates to the shorter one, never
 zero-extends.  :class:`OnlineSeries` is the same ring computed online, one
-coefficient at a time, for the fixed-point solver.
+coefficient at a time, on which :func:`fixed_point` solves a system of
+equations.
 """
 from __future__ import annotations
 
@@ -212,28 +213,16 @@ class OnlineSeries:
     computes coefficient n from its inputs' coefficients up to n (McIlroy,
     "Power series, power serious", 1999; van der Hoeven, "Relax, but don't
     be too lazy", 2002).  The right-hand sides of :mod:`twolevel.gfsystem`
-    run on it unchanged, which lets the fixed-point solver read them one
-    index at a time: an unknown reads 0 at an index until it is settled
-    there, and a node that read the provisional 0 forgets that index.
+    run on it unchanged, which lets :func:`fixed_point` read them one index
+    at a time.
     """
 
-    __slots__ = ("_c", "_step", "inputs")
+    __slots__ = ("_c", "_step", "_inputs")
 
     def __init__(self, step, inputs=(), coeffs=None):
         self._c = [] if coeffs is None else coeffs
         self._step = step
-        self.inputs = inputs
-
-    @classmethod
-    def known(cls, series: PowerSeries) -> "OnlineSeries":
-        def beyond(n):
-            raise IndexError(f"coefficient {n} outside truncation order {series.order}")
-
-        return cls(beyond, coeffs=list(series.coeffs))
-
-    @classmethod
-    def unknown(cls) -> "OnlineSeries":
-        return cls(lambda n: 0)
+        self._inputs = inputs
 
     def upto(self, n: int) -> list:
         """The coefficient list, computed through index n."""
@@ -244,14 +233,6 @@ class OnlineSeries:
 
     def __getitem__(self, n: int) -> int:
         return self.upto(n)[n]
-
-    def forget(self, n: int) -> None:
-        del self._c[n:]
-
-    def settle(self, n: int, value: int) -> None:
-        """Fix an unknown's coefficient n, replacing its provisional 0."""
-        del self._c[n:]
-        self._c.append(value)
 
     # -- ring operations ----------------------------------------------
 
@@ -324,3 +305,50 @@ class OnlineSeries:
 
     mset2 = PowerSeries.mset2
     mset_odd = PowerSeries.mset_odd
+
+
+def _known(series: PowerSeries) -> OnlineSeries:
+    """An input of the online ring: the coefficients of ``series``, no more."""
+    def beyond(n):
+        raise IndexError(f"coefficient {n} outside truncation order {series.order}")
+
+    return OnlineSeries(beyond, coeffs=list(series.coeffs))
+
+
+def fixed_point(rhs, known, unknowns: int) -> tuple:
+    """Solve ys = rhs(*known, *ys) for a tuple of series ys, one index at a time.
+
+    The right-hand sides are built once over the online ring, where each
+    unknown reads 0 at an index until it is settled there.  The system must
+    be well founded: coefficient n of every right-hand side has zero slope in
+    coefficient n of the unknowns, so it is exact while they read that
+    provisional 0.  Each unknown is then settled at n, and every node that
+    reads an unknown forgets coefficient n, to recompute it on the next
+    demand.  A final eager pass over ``PowerSeries`` must reproduce the
+    solution.
+    """
+    order = known[0].order
+    ys = [OnlineSeries(lambda n: 0) for _ in range(unknowns)]
+    outs = rhs(*map(_known, known), *ys)
+    reads = dict.fromkeys(ys, True)
+    readers = []  # the nodes below outs that read an unknown, the unknowns excluded
+
+    def visit(node):
+        if node not in reads:
+            reads[node] = any([visit(i) for i in node._inputs])  # visit every input
+            if reads[node]:
+                readers.append(node)
+        return reads[node]
+
+    for out in outs:
+        visit(out)
+    for n in range(order + 1):
+        values = [out[n] for out in outs]
+        for node in readers:
+            del node._c[n:]
+        for y, v in zip(ys, values):
+            y._c[n:] = [v]
+    solution = tuple(PowerSeries(y.upto(order)) for y in ys)
+    if tuple(rhs(*known, *solution)) != solution:
+        raise ArithmeticError("fixed point did not converge to residual 0")
+    return solution

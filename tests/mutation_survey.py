@@ -5,14 +5,15 @@ Usage: python tests/mutation_survey.py src/twolevel/gfsystem.py [--timeout S]
 Each mutant changes one place of the module: a binary ``+`` becomes ``-``
 and ``-`` becomes ``+``, a ``*`` becomes ``+`` (augmented assignments too),
 or an integer constant grows by 1.  Every mutant is written into a copy of
-``src/`` in a temporary directory, never in place, and runs the commands
+the checkout in a temporary directory, never in place, and runs the commands
 below one process at a time, each under a timeout: first
 ``--order 12 --tree-cap 8 verify``, then the JSON output of ``asympt``,
 ``bound`` and ``coeffs`` at order 30 for every series.  A mutant is caught
 by verify's exit code (not 0, or no exit within the timeout), caught only by
 an output (exit code or stdout) that differs from the unmutated copy's, or
-it survives.  The counts and the
-survivors, with line and column, are printed.
+it survives.  The counts are printed, then each survivor, with line and
+column, and what ``pytest -x -q`` (tier-1, under the same timeout) makes of
+it in the copy: the first failing test, or "survives tier-1".
 
 Not collected by pytest; it takes minutes, not seconds.
 """
@@ -29,7 +30,11 @@ import tempfile
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
+# what the copy of the checkout leaves out: history and caches
+SKIP = shutil.ignore_patterns(".git", "__pycache__", ".hypothesis", ".pytest_cache",
+                              ".bench_runs")
 SWAPS = {ast.Add: "-", ast.Sub: "+", ast.Mult: "+"}
 OPERATORS = ("+", "-", "*", "+=", "-=", "*=")
 
@@ -82,6 +87,26 @@ def run(src: Path, argv: list[str], timeout: float):
     return proc.returncode, proc.stdout
 
 
+def tier1(root: Path, timeout: float) -> str:
+    """The first test that fails in the checkout at ``root``, or "survives tier-1"."""
+    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    # without hypothesis' plugin: on a failing example it imports its patch
+    # writer, whose DeprecationWarning (an error here) ends pytest before the
+    # failing test is named
+    try:
+        proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-rfE",
+                               "-p", "no:cacheprovider", "-p", "no:hypothesispytest"],
+                              cwd=root, env=env, capture_output=True, text=True,
+                              timeout=timeout)
+    except subprocess.TimeoutExpired:
+        return "tier-1 times out"
+    if proc.returncode == 0:
+        return "survives tier-1"
+    failed = (line.split(" - ")[0].split(" ", 1)[1] for line in proc.stdout.splitlines()
+              if line.startswith(("FAILED ", "ERROR ")))
+    return "killed by " + next(failed, f"pytest exit {proc.returncode}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("module", type=Path, help="a module file under src/")
@@ -92,12 +117,13 @@ def main() -> int:
     argvs = commands()
     groups = {"verify": [], "output": [], "survived": []}
     with tempfile.TemporaryDirectory() as tmp:
-        src = Path(tmp) / "src"
-        shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
-        target = src / relative
+        root = Path(tmp) / "checkout"
+        shutil.copytree(ROOT, root, ignore=SKIP)
+        src, target = root / "src", root / "src" / relative
         want = [run(src, argv, args.timeout) for argv in argvs]
         if want[0] == "timeout" or want[0][0] != 0:
             raise SystemExit("verify fails on the unmutated copy")
+        survivors = []
         for line, col, what, mutated in sorted(mutants(source)):
             target.write_text(mutated)
             got = run(src, argvs[0], args.timeout)
@@ -108,10 +134,17 @@ def main() -> int:
                 group = "output"
             else:
                 group = "survived"
+                survivors.append(mutated)
             groups[group].append(f"src/{relative}:{line}:{col + 1}: {what}")
-    print(", ".join(f"{name} {len(found)}" for name, found in groups.items()),
-          f"of {sum(map(len, groups.values()))} mutants")
-    print("\n".join(groups["survived"]))
+        print(", ".join(f"{name} {len(found)}" for name, found in groups.items()),
+              f"of {sum(map(len, groups.values()))} mutants", flush=True)
+        if survivors:
+            target.write_text(source)
+            if tier1(root, args.timeout) != "survives tier-1":
+                raise SystemExit("tier-1 fails on the unmutated copy")
+        for where, mutated in zip(groups["survived"], survivors):
+            target.write_text(mutated)
+            print(f"{where}: {tier1(root, args.timeout)}", flush=True)
     return 0
 
 

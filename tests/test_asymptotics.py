@@ -7,7 +7,7 @@ import pytest
 from twolevel import asymptotics as asy
 from twolevel import cli
 from twolevel import gfsystem as gf
-from twolevel.powerseries import PowerSeries
+from twolevel.powerseries import PowerSeries, fixed_point
 
 RHO = 0.20489584
 TOL = 1e-6
@@ -430,7 +430,7 @@ class TestFoldPoint:
         # Mathematical Constants, section 5.6): numbers that no code here
         # produced, reached through mset, the online solve and the fold Newton
         leg = PowerSeries.x(order)
-        (a,) = gf._fixed_point(_series_parallel_rhs, (leg,), 1)
+        (a,) = fixed_point(_series_parallel_rhs, (leg,), 1)
         assert list((leg + 2 * a).coeffs[1:15]) == [
             1, 2, 4, 10, 24, 66, 180, 522, 1532, 4624, 14136, 43930, 137908, 437502]
         (rho, _), _, _, residual = asy._fold_point(_series_parallel_rhs, (leg,), (a,),

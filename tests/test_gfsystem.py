@@ -1,10 +1,9 @@
 import hashlib
-from functools import partial
 
 import pytest
 
 from twolevel import gfsystem as gf
-from twolevel.powerseries import OnlineSeries, PowerSeries
+from twolevel.powerseries import PowerSeries
 
 # coefficient tables used as fixed expectations (independently reproduced by
 # the brute-force enumeration in test_umrtree / test_acceptance)
@@ -103,51 +102,6 @@ class TestIndependentRoute:
         assert p.a_U.integer_coeffs() == reference200.a_U
         assert t.integer_coeffs() == reference200.t
         assert gf.compute_forests(t).integer_coeffs() == reference200.forest
-
-
-class TestOnlineSolver:
-    def test_ill_founded_system_fails_the_residual_pass(self):
-        # y = x + (1 + x) y has slope 1 in y_n: the provisional 0 is not exact
-        def rhs(leg, y):
-            return (leg + (leg + 1) * y,)
-
-        with pytest.raises(ArithmeticError, match="residual 0"):
-            gf._fixed_point(rhs, (PowerSeries.x(10),), 1)
-
-    def test_constant_term_read_through_substitution(self):
-        # y = 1 + x y(x^2) is 1 + x + x^3 + x^7 + x^15 + ...: index 0 of y(x^2)
-        # is read before y_0 is settled, so it must be recomputed too
-        def rhs(leg, y):
-            return (leg * y.substitute_power(2) + 1,)
-
-        (y,) = gf._fixed_point(rhs, (PowerSeries.x(20),), 1)
-        assert y.integer_coeffs() == [int(n + 1 in (1, 2, 4, 8, 16)) for n in range(21)]
-
-    @pytest.fixture(scope="class")
-    def order60(self, solve_selfdual):
-        p = gf.solve_pointed(60)
-        return p, solve_selfdual(p)
-
-    @staticmethod
-    def assert_same_on_both_rings(rhs, *inputs):
-        online = rhs(*map(OnlineSeries.known, inputs))
-        for got, want in zip(online, rhs(*inputs), strict=True):
-            assert got.upto(60)[:61] == list(want.coeffs)
-
-    def test_pointed_rhs(self, order60):
-        p, _ = order60
-        self.assert_same_on_both_rings(gf._pointed_rhs, p.a_leg, p.a_R, p.a_U)
-
-    @pytest.mark.parametrize("variant", ["paper", "corrected"])
-    def test_selfdual_rhs(self, order60, variant):
-        p, sd = order60
-        self.assert_same_on_both_rings(partial(gf._selfdual_rhs, variant), p.a_R, p.a_U,
-                                       p.a_leg, getattr(sd, f"s_U_{variant}"))
-
-    def test_s_bound_rhs(self, order60):
-        p, sd = order60
-        self.assert_same_on_both_rings(gf._s_bound_rhs, gf.pair_class(p, sd.s_U_paper),
-                                       p.a_leg, sd.s_bound)
 
 
 class TestForests:

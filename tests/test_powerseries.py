@@ -1,11 +1,16 @@
+import ast
 from fractions import Fraction
+from functools import partial
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twolevel.powerseries import OnlineSeries, PowerSeries
+from twolevel import gfsystem as gf
+from twolevel import powerseries
+from twolevel.powerseries import OnlineSeries, PowerSeries, _known, fixed_point
 
 ORDER = 8
 
@@ -23,6 +28,14 @@ no_constant_strategy = series_strategy.map(lambda s: series([0, *s.coeffs[1:]]))
 class TestBasics:
     def test_constructors(self):
         assert PowerSeries.x(3).coeffs == (0, 1, 0, 0)
+        assert PowerSeries.x(1).coeffs == (0, 1)
+        with pytest.raises(ValueError):
+            PowerSeries.x(0)
+
+    def test_repr_shows_at_most_eight_coefficients(self):
+        assert repr(series(range(8), order=7)) == "PowerSeries([0, 1, 2, 3, 4, 5, 6, 7]; order=7)"
+        assert (repr(series(range(9), order=8))
+                == "PowerSeries([0, 1, 2, 3, 4, 5, 6, 7, ...]; order=8)")
 
     def test_order_and_coeff(self):
         s = series([1, 2, 3])
@@ -206,8 +219,7 @@ class TestMultisetIdentities:
             series([1, 1]).mset()
 
 
-def online(s):
-    return OnlineSeries.known(s)
+online = _known
 
 
 def online_coeffs(s):
@@ -224,6 +236,7 @@ class TestOnlineSeries:
             (a * b, online(a) * online(b)),
             (k * a, k * online(a)),
             (2 * a / 2, 2 * online(a) / 2),
+            (a.substitute_power(1), online(a).substitute_power(1)),
             (a.substitute_power(3), online(a).substitute_power(3)),
             (c.substitution_sum(), online(c).substitution_sum()),
             (c.mset(), online(c).mset()),
@@ -247,3 +260,68 @@ class TestOnlineSeries:
     def test_known_series_ends_at_its_order(self):
         with pytest.raises(IndexError):
             online(series([1]))[ORDER + 1]
+
+
+class TestOnlineSolver:
+    def test_ill_founded_system_fails_the_residual_pass(self):
+        # y = x + (1 + x) y has slope 1 in y_n: the provisional 0 is not exact
+        def rhs(leg, y):
+            return (leg + (leg + 1) * y,)
+
+        with pytest.raises(ArithmeticError, match="residual 0"):
+            fixed_point(rhs, (PowerSeries.x(10),), 1)
+
+    def test_constant_term_read_through_substitution(self):
+        # y = 1 + x y(x^2) is 1 + x + x^3 + x^7 + x^15 + ...: index 0 of y(x^2)
+        # is read before y_0 is settled, so it must be recomputed too
+        def rhs(leg, y):
+            return (leg * y.substitute_power(2) + 1,)
+
+        (y,) = fixed_point(rhs, (PowerSeries.x(20),), 1)
+        assert y.integer_coeffs() == [int(n + 1 in (1, 2, 4, 8, 16)) for n in range(21)]
+
+    @pytest.fixture(scope="class")
+    def order60(self, solve_selfdual):
+        p = gf.solve_pointed(60)
+        return p, solve_selfdual(p)
+
+    @staticmethod
+    def assert_same_on_both_rings(rhs, *inputs):
+        online = rhs(*map(_known, inputs))
+        for got, want in zip(online, rhs(*inputs), strict=True):
+            assert got.upto(60)[:61] == list(want.coeffs)
+
+    def test_pointed_rhs(self, order60):
+        p, _ = order60
+        self.assert_same_on_both_rings(gf._pointed_rhs, p.a_leg, p.a_R, p.a_U)
+
+    @pytest.mark.parametrize("variant", ["paper", "corrected"])
+    def test_selfdual_rhs(self, order60, variant):
+        p, sd = order60
+        self.assert_same_on_both_rings(partial(gf._selfdual_rhs, variant), p.a_R, p.a_U,
+                                       p.a_leg, getattr(sd, f"s_U_{variant}"))
+
+    def test_s_bound_rhs(self, order60):
+        p, sd = order60
+        self.assert_same_on_both_rings(gf._s_bound_rhs, gf.pair_class(p, sd.s_U_paper),
+                                       p.a_leg, sd.s_bound)
+
+
+class TestModuleBoundary:
+    """The online ring and its solve are one module's: other modules see only
+    ``fixed_point`` and plain ``PowerSeries``."""
+
+    def test_online_series_is_named_only_in_powerseries(self):
+        naming = set()
+        for path in Path(powerseries.__file__).parent.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if (isinstance(node, ast.Name) and node.id == "OnlineSeries"
+                        or isinstance(node, ast.Attribute) and node.attr == "OnlineSeries"
+                        or isinstance(node, ast.ImportFrom)
+                        and any(alias.name == "OnlineSeries" for alias in node.names)):
+                    naming.add(path.name)
+        assert naming == {"powerseries.py"}
+
+    @pytest.mark.parametrize("name", ["known", "unknown", "forget", "settle", "inputs"])
+    def test_online_series_leaves_the_solve_to_fixed_point(self, name):
+        assert not hasattr(OnlineSeries, name)
