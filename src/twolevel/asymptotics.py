@@ -10,8 +10,8 @@ one fold-point Newton iteration (:func:`_fold_point`), which takes any
 right-hand side of :mod:`twolevel.gfsystem`.
 
 Every equation is written once, in :mod:`twolevel.gfsystem`, and runs over
-three rings.  Integer series give the exact counts (the online ring in
-:func:`twolevel.powerseries.fixed_point`, ``PowerSeries`` elsewhere).  The
+two rings.  Integer series give the exact counts (the online ring of
+:mod:`twolevel.powerseries`, which every ``PowerSeries`` operation reads).  The
 float ring here (:class:`Jet` over a :class:`JetPoint` x(X)) gives the value
 of the same right-hand side along x(X), as a polynomial in X:
 

@@ -4,11 +4,12 @@ Every series of this package counts objects, so coefficients are plain
 ``int``.  The multiset operator is the Euler transform, whose divisions are
 exact; any division that leaves a remainder raises ``ArithmeticError``.
 
-All operations of :class:`PowerSeries` are pure and eager: a binary operation
-on series of different truncation orders truncates to the shorter one, never
-zero-extends.  :class:`OnlineSeries` is the same ring computed online, one
-coefficient at a time, on which :func:`fixed_point` solves a system of
-equations.
+The ring is written once, online: an :class:`OnlineSeries` computes one
+coefficient at a time from its inputs' coefficients up to the same index, and
+:func:`fixed_point` solves a system of equations on it.  A
+:class:`PowerSeries` is a value; each of its operations reads the online one
+on its operands, so a binary operation on series of different truncation
+orders truncates to the shorter one, never zero-extends.
 """
 from __future__ import annotations
 
@@ -86,91 +87,40 @@ class PowerSeries:
         tail = ", ..." if self.order > 7 else ""
         return f"PowerSeries([{head}{tail}]; order={self.order})"
 
-    # -- ring operations ----------------------------------------------
+    # -- ring operations, each read off the online ring ------------------
 
     def __add__(self, other):
-        if isinstance(other, int):  # a constant
-            return PowerSeries((self._coeffs[0] + other,) + self._coeffs[1:])
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return PowerSeries([a + b for a, b in zip(self._coeffs, other._coeffs)])
+        return _online(OnlineSeries.__add__, self, other)
 
     def __sub__(self, other):
-        if isinstance(other, int):
-            return self + -other
-        if not isinstance(other, PowerSeries):
-            return NotImplemented
-        return PowerSeries([a - b for a, b in zip(self._coeffs, other._coeffs)])
+        return _online(OnlineSeries.__sub__, self, other)
 
     def __neg__(self):
-        return PowerSeries([-c for c in self._coeffs])
+        return self.scale(-1)
 
     def scale(self, c) -> "PowerSeries":
-        c = index(c)
-        return PowerSeries([c * a for a in self._coeffs])
+        return _online(OnlineSeries.__mul__, self, index(c))
 
-    def __rmul__(self, other):
+    def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        return NotImplemented
+        return _online(OnlineSeries.__mul__, self, other)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         """Exact division by an integer; raises ArithmeticError on a remainder."""
-        if isinstance(other, int):
-            return PowerSeries([_exact_div(c, other) for c in self._coeffs])
-        return NotImplemented
-
-    def __mul__(self, other):
-        if not isinstance(other, PowerSeries):
-            if isinstance(other, int):
-                return self.scale(other)
-            return NotImplemented
-        a, b = self._coeffs, other._coeffs
-        return PowerSeries([sum(map(mul, a[:k + 1], b[k::-1]))
-                            for k in range(min(self.order, other.order) + 1)])
+        return _online(OnlineSeries.__truediv__, self, other)
 
     # -- combinatorial operators ---------------------------------------
 
     def substitute_power(self, r: int) -> "PowerSeries":
         """Return a(x^r), truncated to this series' order."""
-        if r < 1:
-            raise ValueError("substitution power must be >= 1")
-        if r == 1:
-            return self
-        n = self.order
-        out = [0] * (n + 1)
-        out[::r] = self._coeffs[: n // r + 1]
-        return PowerSeries(out)
-
-    def substitution_sum(self) -> "PowerSeries":
-        """sum_{r=1..order} a(x^r), truncated, each a(x^r) added in place."""
-        a, out = self._coeffs, list(self._coeffs)
-        for r in range(2, self.order + 1):
-            out[::r] = map(add, out[::r], a)
-        return PowerSeries(out)
+        return _online(OnlineSeries.substitute_power, self, r)
 
     def mset(self, signed: bool = False) -> "PowerSeries":
-        """Multiset operator MSet = exp(sum_r a(x^r)/r), as the Euler transform.
-
-        n*b_n = sum_{k=1..n} c_k*b_(n-k) with c_k = sum_{d|k} d*a_d; every
-        division is exact.  With ``signed`` the term of a(x^r) carries the
-        sign (-1)^r, which counts each multiset with the sign (-1)^(number of
-        components).
-        """
-        a = self._coeffs
-        if a[0]:
-            raise ValueError("multiset operator requires zero constant term")
-        n = self.order
-        c = [0] * (n + 1)
-        for d in range(1, n + 1):
-            da = d * a[d]
-            if da:
-                for r, k in enumerate(range(d, n + 1, d), 1):
-                    c[k] += -da if signed and r % 2 else da
-        b = [1]
-        for m in range(1, n + 1):
-            b.append(_exact_div(sum(map(mul, c[1:m + 1], reversed(b))), m))
-        return PowerSeries(b)
+        """Multiset operator MSet, as :meth:`OnlineSeries.mset`."""
+        return _online(OnlineSeries.mset, self, signed)
 
     def mset2(self) -> "PowerSeries":
         """Multisets of exactly two components, (a^2 + a(x^2)) / 2."""
@@ -285,7 +235,13 @@ class OnlineSeries:
                             (self,))
 
     def mset(self, signed: bool = False) -> "OnlineSeries":
-        """The Euler transform of :meth:`PowerSeries.mset`, kept running."""
+        """Multiset operator MSet = exp(sum_r a(x^r)/r), as the Euler transform.
+
+        n*b_n = sum_{k=1..n} c_k*b_(n-k) with c_k = sum_{d|k} d*a_d; every
+        division is exact.  With ``signed`` the term of a(x^r) carries the
+        sign (-1)^r, which counts each multiset with the sign (-1)^(number of
+        components).
+        """
         def c_step(n):
             return sum(-d * self[d] if signed and n // d % 2 else d * self[d]
                        for d in _divisors(n)) if n else 0
@@ -315,6 +271,14 @@ def _known(series: PowerSeries) -> OnlineSeries:
     return OnlineSeries(beyond, coeffs=list(series.coeffs))
 
 
+def _online(op, *args):
+    """``op`` on the online ring, each series of ``args`` a known input,
+    read to the shortest of their orders; NotImplemented is passed on."""
+    order = min(a.order for a in args if isinstance(a, PowerSeries))
+    out = op(*(_known(a) if isinstance(a, PowerSeries) else a for a in args))
+    return out if out is NotImplemented else PowerSeries(out.upto(order))
+
+
 def fixed_point(rhs, known, unknowns: int) -> tuple:
     """Solve ys = rhs(*known, *ys) for a tuple of series ys, one index at a time.
 
@@ -323,9 +287,9 @@ def fixed_point(rhs, known, unknowns: int) -> tuple:
     be well founded: coefficient n of every right-hand side has zero slope in
     coefficient n of the unknowns, so it is exact while they read that
     provisional 0.  Each unknown is then settled at n, and every node that
-    reads an unknown forgets coefficient n, to recompute it on the next
-    demand.  A final eager pass over ``PowerSeries`` must reproduce the
-    solution.
+    reads an unknown forgets coefficient n and recomputes it on the settled
+    unknowns; a right-hand side whose recomputed coefficient differs from the
+    settled one leaves a residual, and the solve raises ArithmeticError.
     """
     order = known[0].order
     ys = [OnlineSeries(lambda n: 0) for _ in range(unknowns)]
@@ -348,7 +312,6 @@ def fixed_point(rhs, known, unknowns: int) -> tuple:
             del node._c[n:]
         for y, v in zip(ys, values):
             y._c[n:] = [v]
-    solution = tuple(PowerSeries(y.upto(order)) for y in ys)
-    if tuple(rhs(*known, *solution)) != solution:
-        raise ArithmeticError("fixed point did not converge to residual 0")
-    return solution
+        if [out[n] for out in outs] != values:
+            raise ArithmeticError("fixed point did not converge to residual 0")
+    return tuple(PowerSeries(y.upto(order)) for y in ys)

@@ -90,12 +90,9 @@ def run(src: Path, argv: list[str], timeout: float):
 def tier1(root: Path, timeout: float) -> str:
     """The first test that fails in the checkout at ``root``, or "survives tier-1"."""
     env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    # without hypothesis' plugin: on a failing example it imports its patch
-    # writer, whose DeprecationWarning (an error here) ends pytest before the
-    # failing test is named
     try:
         proc = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-rfE",
-                               "-p", "no:cacheprovider", "-p", "no:hypothesispytest"],
+                               "-p", "no:cacheprovider"],
                               cwd=root, env=env, capture_output=True, text=True,
                               timeout=timeout)
     except subprocess.TimeoutExpired:

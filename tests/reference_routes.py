@@ -8,6 +8,11 @@ whether one is a UMR-tree.  Its canonical form is the least encoding rooted
 at a centre found by peeling leaves, so it shares nothing with the
 enumerator's centre rootings; its realisation folds the labels by 2-sums
 along a depth-first walk, on base points that may be shuffled.
+
+A plain series is the list of its integer coefficients 0..order.  Its
+multiset operator multiplies out the product of (1 - x^k)^(-a_k), not the
+package's Euler recurrence, and the equations of the pointed, self-dual and
+bounding series are written on plain series again.
 """
 from itertools import combinations, product
 
@@ -213,3 +218,76 @@ def circuit_axioms_ok(m):
                 if not any(c3 <= union for c3 in circs):
                     return False
     return True
+
+
+# -- series as plain lists of integer coefficients 0..order -----------------
+
+def cauchy_product(a, b):
+    """The Cauchy product, truncated to the shorter order."""
+    return [sum(a[i] * b[n - i] for i in range(n + 1)) for n in range(min(len(a), len(b)))]
+
+
+def substitute(a, r):
+    """a(x^r), truncated to the order of a."""
+    return [0 if n % r else a[n // r] for n in range(len(a))]
+
+
+def divisor_sum(a):
+    """sum_(r>=1) a(x^r) with coefficient 0 read as 0: coefficient n is the
+    sum of a_d over the divisors d of n."""
+    return [sum(a[d] for d in range(1, n + 1) if n % d == 0) for n in range(len(a))]
+
+
+def multiset(a, signed=False):
+    """MSet(a) as the product over k >= 1 of (1 - x^k)^(-a_k), or with
+    ``signed`` of (1 + x^k)^(-a_k), each factor expanded by the binomial
+    series; a_0 must be 0."""
+    if a[0]:
+        raise ValueError("multiset of a class with an object of size 0")
+    order, sign = len(a) - 1, -1 if signed else 1
+    out = [1] + [0] * order
+    for k in range(1, order + 1):
+        binomial = [1]  # the coefficients of y^j in (1 - sign y)^(-a_k)
+        for j in range(1, order // k + 1):
+            binomial.append(binomial[-1] * (a[k] + j - 1) // j * sign)
+        out = [sum(binomial[j] * out[n - j * k] for j in range(n // k + 1))
+               for n in range(order + 1)]
+    return out
+
+
+def pointed_rhs(leg, a_R, a_U):
+    """The pointed equations on plain lists: R-pointed trees are multisets
+    of at least two subtrees from f = a_R + a_U + leg, and U-pointed ones
+    MSet(s) (sum_r s(x^r) - 2) + s + 2, with s = f + a_R."""
+    f = [r + u + g for r, u, g in zip(a_R, a_U, leg)]
+    s = [c + r for c, r in zip(f, a_R)]
+    e = multiset(s)
+    new_R = [m - c for m, c in zip(multiset(f), f)]
+    new_U = [p + c - 2 * m for p, c, m in zip(cauchy_product(e, divisor_sum(s)), s, e)]
+    new_R[0] -= 1
+    new_U[0] += 2
+    return new_R, new_U
+
+
+def selfdual_rhs(variant, a_R, a_U, leg, s_U):
+    """The self-dual pointed equation on plain lists: multisets of dual
+    pairs times odd multisets of core = s_U + leg, less core.  The pairs are
+    the pair class 2 a_R + a_U - s_U at x^2, halved in the corrected variant."""
+    divisor = {"paper": 1, "corrected": 2}[variant]
+    pair_class = [2 * r + u - s for r, u, s in zip(a_R, a_U, s_U)]
+    pairs = [c // divisor for c in substitute(pair_class, 2)]
+    core = [s + g for s, g in zip(s_U, leg)]
+    odd = [(m - n) // 2 for m, n in zip(multiset(core), multiset(core, signed=True))]
+    return ([c - k for c, k in zip(cauchy_product(multiset(pairs), odd), core)],)
+
+
+def s_bound_rhs(pairs, leg, s):
+    """The bounding equation on plain lists: multisets of the pair class at
+    x^2 times nonempty multisets of core = s + leg, less core and less the
+    multisets of two, (core^2 + core(x^2)) / 2."""
+    core = [a + g for a, g in zip(s, leg)]
+    nonempty = multiset(core)
+    nonempty[0] -= 1
+    two = [(p + q) // 2 for p, q in zip(cauchy_product(core, core), substitute(core, 2))]
+    return ([c - k - t for c, k, t in zip(cauchy_product(multiset(substitute(pairs, 2)), nonempty),
+                                           core, two)],)

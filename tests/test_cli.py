@@ -713,7 +713,10 @@ class TestReachability:
     # PowerSeries.truncate and .eval_float run in no command but stay:
     # bench/tracer.py wraps vars(PowerSeries)[name] for each name of its
     # metrics, so deleting either breaks a traced run.  For the same reason
-    # the `exp = mset_restricted = extended = None` line stays, and so does
+    # every operator of PowerSeries keeps its name (the arithmetic dunders,
+    # scale, substitute_power and mset), though each is a read of the online
+    # ring; scale runs as the integer path of __mul__.  The `exp =
+    # mset_restricted = extended = None` line stays too, and so does
     # powerseries.Rational, which bench/run.py's PROBE reads; being no
     # functions, neither is seen by these checks.
     EXEMPT_METHODS = {"twolevel.powerseries.PowerSeries.truncate",
@@ -828,6 +831,33 @@ class TestReadme:
         parsed = {flag for action in parser._actions
                   for flag in action.option_strings} - {"-h", "--help"}
         assert documented == parsed
+
+
+class TestSuiteReport:
+    """Under pyproject.toml's warning filters, a failing property test is
+    named and the tests after it still run."""
+
+    TESTS = """
+from hypothesis import given, strategies as st
+
+@given(st.integers())
+def test_property(n):
+    assert n < 5
+
+def test_plain():
+    pass
+"""
+
+    def test_failing_property_test_is_named(self, tmp_path):
+        (tmp_path / "test_report.py").write_text(self.TESTS)
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-c", str(pyproject),
+             "--rootdir", str(tmp_path), "-p", "no:cacheprovider", "test_report.py"],
+            cwd=tmp_path, capture_output=True, text=True)
+        assert proc.returncode == 1, proc.stdout + proc.stderr
+        assert "FAILED test_report.py::test_property" in proc.stdout
+        assert "1 passed" in proc.stdout
 
 
 class TestBenchProbe:

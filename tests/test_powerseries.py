@@ -12,6 +12,8 @@ from twolevel import gfsystem as gf
 from twolevel import powerseries
 from twolevel.powerseries import OnlineSeries, PowerSeries, _known, fixed_point
 
+import reference_routes as ref
+
 ORDER = 8
 
 
@@ -78,6 +80,7 @@ class TestBasics:
         s = series([0, 2])
         assert (3 * s).coeff(1) == 6
         assert (s / 2).coeff(1) == 1
+        assert (-s).coeff(1) == -2
 
     def test_constants_add_to_the_constant_term(self):
         s = series([5, 2])
@@ -90,7 +93,7 @@ class TestBasics:
         # [x^n] sum_{r>=1} a(x^r) = sum_{d | n} a_d
         s = series([0, 1, 2, 3, 4, 5, 6, 7, 8])
         want = [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(ORDER + 1)]
-        assert s.substitution_sum().integer_coeffs() == want
+        assert list(online_coeffs(online(s).substitution_sum())) == want
 
     def test_division_is_exact(self):
         with pytest.raises(ArithmeticError):
@@ -129,9 +132,11 @@ class TestAlgebraProperties:
     @given(series_strategy)
     @settings(max_examples=100)
     def test_substitution_sum_adds_every_power(self, a):
-        # the in-place sum against one series per power, constant term too
-        want = sum((a.substitute_power(r) for r in range(2, a.order + 1)), a)
-        assert a.substitution_sum() == want
+        # against one plain-list series per power, r = 1..order; the online
+        # sum reads coefficient 0 as 0, where this truncated sum has order a_0
+        want = [sum(cs) for cs in zip(*(ref.substitute(list(a.coeffs), r)
+                                        for r in range(1, a.order + 1)))]
+        assert online_coeffs(online(a).substitution_sum()) == (0, *want[1:])
 
 
 def brute_force_multiset(coeffs, order, predicate):
@@ -230,22 +235,26 @@ class TestOnlineSeries:
     @given(series_strategy, series_strategy, no_constant_strategy, st.integers(-3, 3))
     @settings(max_examples=50)
     def test_operations_match_eager(self, a, b, c, k):
+        # against the plain-list kernels of reference_routes
+        a_, b_, c_ = (list(s.coeffs) for s in (a, b, c))
         pairs = (
-            (a + b, online(a) + online(b)),
-            (a - k, online(a) - k),
-            (a * b, online(a) * online(b)),
-            (k * a, k * online(a)),
-            (2 * a / 2, 2 * online(a) / 2),
-            (a.substitute_power(1), online(a).substitute_power(1)),
-            (a.substitute_power(3), online(a).substitute_power(3)),
-            (c.substitution_sum(), online(c).substitution_sum()),
-            (c.mset(), online(c).mset()),
-            (c.mset(signed=True), online(c).mset(signed=True)),
-            (c.mset2(), online(c).mset2()),
-            (c.mset_odd(), online(c).mset_odd()),
+            ([x + y for x, y in zip(a_, b_)], online(a) + online(b)),
+            ([a_[0] - k, *a_[1:]], online(a) - k),
+            (ref.cauchy_product(a_, b_), online(a) * online(b)),
+            ([k * x for x in a_], k * online(a)),
+            (a_, 2 * online(a) / 2),
+            (a_, online(a).substitute_power(1)),
+            (ref.substitute(a_, 3), online(a).substitute_power(3)),
+            (ref.divisor_sum(c_), online(c).substitution_sum()),
+            (ref.multiset(c_), online(c).mset()),
+            (ref.multiset(c_, signed=True), online(c).mset(signed=True)),
+            ([(x + y) // 2 for x, y in zip(ref.cauchy_product(c_, c_), ref.substitute(c_, 2))],
+             online(c).mset2()),
+            ([(x - y) // 2 for x, y in zip(ref.multiset(c_), ref.multiset(c_, signed=True))],
+             online(c).mset_odd()),
         )
         for eager, lazy in pairs:
-            assert online_coeffs(lazy) == eager.coeffs
+            assert online_coeffs(lazy) == tuple(eager)
 
     def test_mset_requires_zero_constant(self):
         with pytest.raises(ValueError):
@@ -271,6 +280,15 @@ class TestOnlineSolver:
         with pytest.raises(ArithmeticError, match="residual 0"):
             fixed_point(rhs, (PowerSeries.x(10),), 1)
 
+    def test_residual_is_checked_at_the_last_coefficient(self):
+        # y = z + y with z = x^10 holds below index 10, where z reads 0; at 10
+        # the provisional 0 settles y_10 = 1, and the recomputed z + y reads 2
+        def rhs(z, y):
+            return (z + y,)
+
+        with pytest.raises(ArithmeticError, match="residual 0"):
+            fixed_point(rhs, (series([0] * 10 + [1], order=10),), 1)
+
     def test_constant_term_read_through_substitution(self):
         # y = 1 + x y(x^2) is 1 + x + x^3 + x^7 + x^15 + ...: index 0 of y(x^2)
         # is read before y_0 is settled, so it must be recomputed too
@@ -286,25 +304,27 @@ class TestOnlineSolver:
         return p, solve_selfdual(p)
 
     @staticmethod
-    def assert_same_on_both_rings(rhs, *inputs):
-        online = rhs(*map(_known, inputs))
-        for got, want in zip(online, rhs(*inputs), strict=True):
-            assert got.upto(60)[:61] == list(want.coeffs)
+    def assert_matches_reference(rhs, reference, *inputs):
+        # the online ring against the same equations on plain lists
+        want = reference(*(list(s.coeffs) for s in inputs))
+        for got, want in zip(rhs(*map(_known, inputs)), want, strict=True):
+            assert got.upto(60)[:61] == want
 
     def test_pointed_rhs(self, order60):
         p, _ = order60
-        self.assert_same_on_both_rings(gf._pointed_rhs, p.a_leg, p.a_R, p.a_U)
+        self.assert_matches_reference(gf._pointed_rhs, ref.pointed_rhs, p.a_leg, p.a_R, p.a_U)
 
     @pytest.mark.parametrize("variant", ["paper", "corrected"])
     def test_selfdual_rhs(self, order60, variant):
         p, sd = order60
-        self.assert_same_on_both_rings(partial(gf._selfdual_rhs, variant), p.a_R, p.a_U,
-                                       p.a_leg, getattr(sd, f"s_U_{variant}"))
+        self.assert_matches_reference(partial(gf._selfdual_rhs, variant),
+                                      partial(ref.selfdual_rhs, variant), p.a_R, p.a_U,
+                                      p.a_leg, getattr(sd, f"s_U_{variant}"))
 
     def test_s_bound_rhs(self, order60):
         p, sd = order60
-        self.assert_same_on_both_rings(gf._s_bound_rhs, gf.pair_class(p, sd.s_U_paper),
-                                       p.a_leg, sd.s_bound)
+        self.assert_matches_reference(gf._s_bound_rhs, ref.s_bound_rhs,
+                                      gf.pair_class(p, sd.s_U_paper), p.a_leg, sd.s_bound)
 
 
 class TestModuleBoundary:
