@@ -52,6 +52,7 @@ from .powerseries import PowerSeries
 
 DEG = 4  # the highest power of X read: transfer reads X^3, singular_expansions X^4
 TAIL_EPS = 1e-20
+MAX_ITER = 100  # fold-point Newton iterates before ArithmeticError
 
 GAMMA_M32 = math.gamma(-1.5)  # 4*sqrt(pi)/3
 POLY_EXPONENT = -2.5  # of n in C n^(-5/2) rho^(-n)
@@ -340,7 +341,7 @@ def _residuals(point: JetPoint, rhs, known, unknowns, heads: list[list[float]]):
     return [_xp_sub(f.head, y) for f, y in zip(outs, heads)]
 
 
-def _fold_point(rhs, known, unknowns, seed, tol: float, max_iter: int = 100):
+def _fold_point(rhs, known, unknowns, seed, tol: float):
     """Newton iteration for a fold point of y = F(x, y), F = rhs(*known, *y):
     F(x, y) = y and (J - I) v = 0 with v_1 = 1, J the Jacobian of F in y, in
     the 2k unknowns z = (x, y, v_2..v_k), from z = seed (Moore-Spence, SIAM
@@ -359,7 +360,7 @@ def _fold_point(rhs, known, unknowns, seed, tol: float, max_iter: int = 100):
     below tol.
     """
     k, z = len(unknowns), list(seed)
-    for _ in range(max_iter):
+    for _ in range(MAX_ITER):
         x, y, v = z[0], z[1:k + 1], [1.0, *z[k + 1:]]
         if not (abs(x) < 1.0 and all(map(math.isfinite, y + v))):
             break
@@ -387,7 +388,7 @@ def _fold_point(rhs, known, unknowns, seed, tol: float, max_iter: int = 100):
     raise ArithmeticError("fold-point Newton iteration did not converge")
 
 
-def solve_char_system(pointed: gf.PointedSeries, tol: float = 1e-12) -> CharSolution:
+def solve_char_system(pointed: gf.PointedSeries, tol: float) -> CharSolution:
     """The branch point of the pointed system: the fold point (x, a, u, c) of
     its unknowns (a, u), a the common R/M value, with v = (1, c), where
     det(I - J) = 0, found by :func:`_fold_point` from a fixed seed."""
@@ -399,7 +400,7 @@ def solve_char_system(pointed: gf.PointedSeries, tol: float = 1e-12) -> CharSolu
 # -- singular expansions --------------------------------------------------
 
 def singular_expansions(char: CharSolution, pointed: gf.PointedSeries,
-                        tol: float = 1e-12) -> SingularExpansion:
+                        tol: float) -> SingularExpansion:
     """Solve the system at x = rho (1 - X^2) through X^DEG, order by order.
 
     Let M = J - I and v = (1, char.c) its right null vector, both carried by

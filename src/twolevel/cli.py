@@ -8,14 +8,15 @@ verify   cross-check series coefficients against the brute-force enumeration
 asympt   branch point, singular expansions, and growth estimates
 bound    lower-bound counts (exact rows, then asymptotic rows)
 
-Only :mod:`twolevel.gfsystem` is imported here; each command imports the
-other modules it runs, so a launch loads nothing its subcommand does not use.
+Each command returns its table, ``(meta, columns, rows)``; :func:`main`
+alone prints it and sets the exit code.  Only :mod:`twolevel.gfsystem` is
+imported here; each command imports the other modules it runs, so a launch
+loads nothing its subcommand does not use.
 """
 from __future__ import annotations
 
 import argparse
 import gc
-import json
 import sys
 from typing import NamedTuple
 
@@ -57,12 +58,13 @@ def _fmt_real(v: float) -> str:
     return f"{v:.10g}"
 
 
-def _emit(config: RunConfig, meta: dict, columns: list[str], rows: list[list],
-          out=None) -> None:
-    out = out or sys.stdout
+def _emit(config: RunConfig, meta: dict, columns: list[str], rows: list[list]) -> None:
+    out = sys.stdout
     if config.fmt == "json":
+        import json
+
         data = [dict(zip(columns, r)) for r in rows]
-        out.write(json.dumps({"meta": meta, "data": data}, sort_keys=True, default=str) + "\n")
+        out.write(json.dumps({"meta": meta, "data": data}, sort_keys=True) + "\n")
     elif config.fmt == "csv":
         import csv
 
@@ -81,29 +83,25 @@ def _emit(config: RunConfig, meta: dict, columns: list[str], rows: list[list],
             out.write("  ".join(str(v).ljust(w) for v, w in zip(r, widths)).rstrip() + "\n")
 
 
-def cmd_coeffs(args, config: RunConfig) -> int:
+def cmd_coeffs(args, config: RunConfig):
     series = SERIES[args.series](gf.solve_pointed(config.order))
     rows = [[n, c] for n, c in enumerate(series.integer_coeffs())]
-    _emit(config, {"series": args.series, "order": config.order}, ["n", "coefficient"], rows)
-    return 0
+    return {"series": args.series, "order": config.order}, ["n", "coefficient"], rows
 
 
-def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
+def cmd_verify(args, config: RunConfig):
     """Cross-check series coefficients against brute-force tree enumeration.
 
-    The series arguments are injectable so that tests can exercise the
-    failure path; by default everything is computed fresh.  Self-duality is
-    checked along one chain: matroid duality, the centre-rooting count
-    ``count_self_dual`` and the coefficient of S2.
+    Self-duality is checked along one chain: matroid duality, the
+    centre-rooting count ``count_self_dual`` and the coefficient of S2.
     """
     from functools import cache
 
     from . import matroid as mat
     from . import umrtree as umr
 
-    out = out or sys.stdout
-    p = pointed or gf.solve_pointed(config.order)
-    t = t if t is not None else gf.assemble_T(p)
+    p = gf.solve_pointed(config.order)
+    t = gf.assemble_T(p)
     s_U = {v: gf.compute_selfdual(p, v) for v in ("paper", "corrected")}
     s2 = gf.assemble_S2(p, s_U["corrected"])
     n_max = min(config.tree_cap, umr.TREE_CAP, t.order)
@@ -165,17 +163,16 @@ def run_verify(config: RunConfig, t=None, pointed=None, out=None) -> int:
     add(7, "dual_of_two_sum", mat.is_isomorphic(
         mat.dual(mat.two_sum(m1, 1, m2, 7)),
         mat.two_sum(mat.dual(m1), 1, mat.dual(m2), 7)), True)
-    _emit(config, {"order": config.order, "tree_cap": n_max},
-          ["n", "check", "enumerated", "expected", "status"], rows, out=out)
-    return 1 if any(row[-1] == "MISMATCH" for row in rows) else 0
+    return ({"order": config.order, "tree_cap": n_max},
+            ["n", "check", "enumerated", "expected", "status"], rows)
 
 
-def cmd_asympt(args, config: RunConfig) -> int:
+def cmd_asympt(args, config: RunConfig):
     from . import asymptotics as asy
 
     p = gf.solve_pointed(config.order)
-    char = asy.solve_char_system(p, tol=config.tol)
-    se = asy.singular_expansions(char, p, tol=config.tol)
+    char = asy.solve_char_system(p, config.tol)
+    se = asy.singular_expansions(char, p, config.tol)
     t_poly, f_poly = se.t, asy.expand_forests(se, p)
     c_t, c_f = asy.transfer(t_poly, config.tol), asy.transfer(f_poly, config.tol)
     report = asy.verify_selfdual_growth(p, gf.compute_selfdual(p, "paper"), char.rho,
@@ -197,12 +194,10 @@ def cmd_asympt(args, config: RunConfig) -> int:
         ["selfdual_scan", report.describe(),
          "-" if report.residual is None else _fmt_real(report.residual)],
     ]
-    _emit(config, {"order": config.order, "tol": config.tol},
-          ["constant", "value", "residual"], rows)
-    return 0
+    return {"order": config.order, "tol": config.tol}, ["constant", "value", "residual"], rows
 
 
-def cmd_bound(args, config: RunConfig) -> int:
+def cmd_bound(args, config: RunConfig):
     from . import asymptotics as asy
 
     p = gf.solve_pointed(config.order)
@@ -214,15 +209,14 @@ def cmd_bound(args, config: RunConfig) -> int:
         [n, t.coeff(n), s2.coeff(n), counts.coeff(n), "exact"]
         for n in range(3, n_max + 1)
     ]
-    char = asy.solve_char_system(p, tol=config.tol)
-    se = asy.singular_expansions(char, p, tol=config.tol)
+    char = asy.solve_char_system(p, config.tol)
+    se = asy.singular_expansions(char, p, config.tol)
     c = asy.transfer(se.t, config.tol) / 2.0
     for n in (10, 20, 50, 100):
         rows.append([n, "", "", _fmt_real(c * n**asy.POLY_EXPONENT * (1.0 / char.rho)**n),
                      "asymptotic"])
-    _emit(config, {"order": config.order, "tree_cap": n_max},
-          ["n", "trees", "selfdual", "lower_bound", "kind"], rows)
-    return 0
+    return ({"order": config.order, "tree_cap": n_max},
+            ["n", "trees", "selfdual", "lower_bound", "kind"], rows)
 
 
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
@@ -248,12 +242,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     p_coeffs = sub.add_parser("coeffs", help="print exact series coefficients")
     p_coeffs.add_argument("series", choices=SERIES)
     p_coeffs.set_defaults(func=cmd_coeffs)
-    p_verify = sub.add_parser("verify", help="cross-check series vs enumeration")
-    p_verify.set_defaults(func=lambda args, config: run_verify(config))
-    p_asympt = sub.add_parser("asympt", help="singularity analysis constants")
-    p_asympt.set_defaults(func=cmd_asympt)
-    p_bound = sub.add_parser("bound", help="lower bounds for 2-level polytopes")
-    p_bound.set_defaults(func=cmd_bound)
+    sub.add_parser("verify", help="cross-check series vs enumeration").set_defaults(func=cmd_verify)
+    sub.add_parser("asympt", help="singularity analysis constants").set_defaults(func=cmd_asympt)
+    sub.add_parser("bound", help="lower bounds for 2-level polytopes").set_defaults(func=cmd_bound)
     return flags, parser
 
 
@@ -267,10 +258,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         config = RunConfig(*(getattr(args, name) for name in RunConfig._fields)).checked()
-        return args.func(args, config)
+        meta, columns, rows = args.func(args, config)
+        _emit(config, meta, columns, rows)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    return 1 if any(row[-1] == "MISMATCH" for row in rows) else 0
 
 
 def run() -> int:

@@ -5,8 +5,11 @@ from typing import NamedTuple
 import pytest
 
 from twolevel import asymptotics as asy
+from twolevel import cli
 from twolevel import gfsystem as gf
 from twolevel.powerseries import PowerSeries
+
+RUN_TOL = cli.RunConfig().tol  # the default --tol, to which the fixtures are solved
 
 
 class SelfDualSeries(NamedTuple):
@@ -47,12 +50,12 @@ def selfdual30(pointed30):
 
 @pytest.fixture(scope="session")
 def char30(pointed30):
-    return asy.solve_char_system(pointed30)
+    return asy.solve_char_system(pointed30, RUN_TOL)
 
 
 @pytest.fixture(scope="session")
 def expansion30(char30, pointed30):
-    return asy.singular_expansions(char30, pointed30)
+    return asy.singular_expansions(char30, pointed30, RUN_TOL)
 
 
 @pytest.fixture(scope="session")

@@ -20,6 +20,8 @@ from twolevel.powerseries import PowerSeries
 
 import reference_routes as ref
 
+RUN_TOL = cli.RunConfig().tol  # the default --tol
+
 
 def report(number: int, passed: bool, summary: str) -> None:
     verdict = "PASS" if passed else "FAIL"
@@ -79,12 +81,12 @@ def test_criterion_3_p6_fixture():
 def test_criterion_4_constants():
     start = time.perf_counter()
     p30 = gf.solve_pointed(30)
-    char = asy.solve_char_system(p30)
-    se = asy.singular_expansions(char, p30)
+    char = asy.solve_char_system(p30, RUN_TOL)
+    se = asy.singular_expansions(char, p30, RUN_TOL)
     t_poly = se.t
     f_poly = asy.expand_forests(se, p30)
-    c_tree = asy.transfer(t_poly, 1e-12)
-    c_forest = asy.transfer(f_poly, 1e-12)
+    c_tree = asy.transfer(t_poly, RUN_TOL)
+    c_forest = asy.transfer(f_poly, RUN_TOL)
     targets = [
         (char.rho, 0.20489584), (1 / char.rho, 4.88052854),
         (se.a[0], 0.13529174), (se.a[1], -0.23137622),
@@ -101,8 +103,8 @@ def test_criterion_4_constants():
     worst = max(abs(got - want) for got, want in targets)
     # stability against the tail truncation order
     p40 = gf.solve_pointed(40)
-    char40 = asy.solve_char_system(p40)
-    se40 = asy.singular_expansions(char40, p40)
+    char40 = asy.solve_char_system(p40, RUN_TOL)
+    se40 = asy.singular_expansions(char40, p40, RUN_TOL)
     drift = max(
         abs(char40.rho - char.rho),
         max(abs(se40.a[i] - se.a[i]) for i in range(4)),
@@ -192,7 +194,7 @@ def test_criterion_5_property_suites(reference):
            + ("" if ok else f"; failed: {sorted(set(failures))}"))
 
 
-def test_criterion_6_selfdual_arbitration(solve_selfdual):
+def test_criterion_6_selfdual_arbitration(solve_selfdual, capsys):
     sd = solve_selfdual(gf.solve_pointed(10))
     paper_all = corrected_all = True
     for n in range(3, 8):
@@ -201,10 +203,8 @@ def test_criterion_6_selfdual_arbitration(solve_selfdual):
         corrected_all = corrected_all and count == int(sd.s_U_corrected.coeff(n))
     exactly_one = paper_all != corrected_all
     # the verify report must name the winner and flag the loser
-    import io
-    buf = io.StringIO()
-    cli.run_verify(cli.RunConfig(order=10, tree_cap=7), out=buf)
-    text = buf.getvalue()
+    cli.main(["--order", "10", "--tree-cap", "7", "verify"])
+    text = capsys.readouterr().out
     named = "corrected matches; paper variant over-counts" in text
     ok = exactly_one and corrected_all and named
     report(6, ok,
@@ -231,9 +231,9 @@ def test_criterion_7_selfdual_growth(solve_selfdual):
     # stays analytic up to sqrt(rho) (growth rho^(-n/2)), is refuted: the
     # exact self-dual series already branches before sqrt(rho).
     p = gf.solve_pointed(30)
-    char = asy.solve_char_system(p)
+    char = asy.solve_char_system(p, RUN_TOL)
     sd = solve_selfdual(p)
-    scan = asy.verify_selfdual_growth(p, sd.s_U_paper, char.rho, 1e-12)
+    scan = asy.verify_selfdual_growth(p, sd.s_U_paper, char.rho, RUN_TOL)
     claimed = char.rho ** -0.5
     target = claimed if scan.no_branch_point else 1.0 / scan.branch_x
     growth = two_step_growth(sd.s_bound, 30)

@@ -13,7 +13,7 @@ import reference_routes as ref
 
 RHO = 0.20489584
 TOL = 1e-6
-RUN_TOL = 1e-12  # the default --tol, to which the fixtures are solved
+RUN_TOL = cli.RunConfig().tol  # the default --tol, to which the fixtures are solved
 
 
 def close(want):
@@ -155,18 +155,18 @@ class TestCharSystem:
 
     def test_stability_in_tail_order(self, char30):
         p40 = gf.solve_pointed(40)
-        char40 = asy.solve_char_system(p40)
+        char40 = asy.solve_char_system(p40, RUN_TOL)
         assert abs(char40.rho - char30.rho) < 1e-7
 
     @pytest.mark.parametrize("system", ["pointed", "bound"])
-    def test_bad_seed_raises(self, system, pointed30, selfdual30):
+    def test_bad_seed_raises(self, system, pointed30, selfdual30, monkeypatch):
         # a diverging seed is an ArithmeticError itself, not an OverflowError
         # or a ValueError leaking out of the ring: (0.5, 0) takes the bound's
         # iterates out of |x| < 1
         with pytest.raises(ArithmeticError) as info:
             if system == "pointed":
-                asy._fold_point(*_pointed_system(pointed30), (0.9, 50.0, 50.0, 0.8), RUN_TOL,
-                                max_iter=5)
+                monkeypatch.setattr(asy, "MAX_ITER", 5)
+                asy._fold_point(*_pointed_system(pointed30), (0.9, 50.0, 50.0, 0.8), RUN_TOL)
             else:
                 asy._fold_point(*_bound_system(pointed30, selfdual30), (0.5, 0.0), RUN_TOL)
         assert info.type is ArithmeticError
@@ -177,7 +177,7 @@ class TestCharSystem:
         # step taken: three steps from the fixed seed at every order
         p = gf.solve_pointed(order)
         moves = _record_evaluations(monkeypatch)
-        asy.solve_char_system(p)
+        asy.solve_char_system(p, RUN_TOL)
         assert len(moves) <= 12
         assert sum(moves) <= 3
 
@@ -202,8 +202,9 @@ class TestCharSystem:
                 shifted = [z + h * (i == j) for i, z in enumerate(at)]
                 columns.append([(s - b) / h for s, b in zip(_fold_residual(args, shifted),
                                                              _fold_residual(args, at))])
+            monkeypatch.setattr(asy, "MAX_ITER", 1)
             with pytest.raises(ArithmeticError):  # tol 0: one step, then no convergence
-                asy._fold_point(*args, at, 0.0, max_iter=1)
+                asy._fold_point(*args, at, 0.0)
             jacobian = jacobians.pop()
             for j, column in enumerate(columns):
                 assert [row[j] for row in jacobian] == pytest.approx(column, rel=1e-6, abs=floor), j
@@ -245,7 +246,7 @@ class TestSingularExpansions:
 
         residuals = asy._residuals
         monkeypatch.setattr(asy, "_residuals", counted)
-        asy.singular_expansions(char30, pointed30)
+        asy.singular_expansions(char30, pointed30, RUN_TOL)
         assert len(calls) <= 9
 
     def test_off_the_branch_point_raises(self, char30, pointed30):
@@ -253,7 +254,15 @@ class TestSingularExpansions:
         # 0.9 rho, so the expansion fails its residual check
         off = char30._replace(rho=0.9 * char30.rho)
         with pytest.raises(ArithmeticError):
-            asy.singular_expansions(off, pointed30)
+            asy.singular_expansions(off, pointed30, RUN_TOL)
+
+    def test_no_real_first_coefficient_raises(self, char30, pointed30):
+        # a singular J - I whose left null vector w = (1, -1) is not the
+        # system's: along it the X^2 equation asks for A_1^2 < 0, and the
+        # expansion stops at its k = 1 guard, before any residual check
+        off = char30._replace(j_minus_i=((0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(ArithmeticError, match="no square-root branch point"):
+            asy.singular_expansions(off, pointed30, RUN_TOL)
 
 
 class TestExpandT:
@@ -440,6 +449,22 @@ class TestFoldPoint:
         assert 1.0 / rho == pytest.approx(3.5608393095, rel=0, abs=1e-10)
         assert residual < RUN_TOL
 
+    def test_third_result_is_half_the_hessian(self):
+        # one unknown, v = 1: H[v, v]/2 is F_aa / 2 at the fold, against a
+        # central second difference of fresh evaluations of F - a there
+        leg = PowerSeries.x(30)
+        (a,) = fixed_point(_series_parallel_rhs, (leg,), 1)
+        (rho, y), _, (half_h,), _ = asy._fold_point(_series_parallel_rhs, (leg,), (a,),
+                                                    (0.3, 0.0), RUN_TOL)
+        point = asy.JetPoint(asy.xp(rho))
+
+        def g(y):
+            return asy._residuals(point, _series_parallel_rhs, (leg,), (a,), [asy.xp(y)])[0][0]
+
+        h = 1e-4
+        assert half_h == pytest.approx((g(y + h) - 2.0 * g(y) + g(y - h)) / h**2 / 2.0,
+                                       rel=1e-6)
+
     @pytest.mark.parametrize("variant, order, want", [
         ("paper", 30, 0.4275297645), ("paper", 60, 0.4274799190),
         ("corrected", 30, 0.4480638949), ("corrected", 60, 0.4472749997)])
@@ -498,6 +523,16 @@ class TestJetTailCutoff:
                     op(u[0], w[0]) for u, w in zip(values(f), values(g))]
                 assert all(v[1:] == self.ZEROS for v in values(h))
                 assert len(values(h)) == r_max + 1 and h.head == h[1]
+
+    def test_cutoff_below_the_first_square(self, pointed30):
+        # |x0|^2 <= TAIL_EPS < |x0|: R is 1, and r = 2 already reads f(0)
+        f = self.leaf(pointed30, 1e-11)
+        assert f.point.r_max == 1
+        assert values(f.substitute_power(2)) == [asy.xp(), asy.xp()]
+
+    def test_first_power_substitutes_nothing(self, pointed30):
+        f = self.leaf(pointed30)
+        assert f.substitute_power(1) is f
 
     def test_mset_of_substituted_leaf_is_exact(self, pointed30):
         # MSet sums k = 1..R, but the terms past R / 2 are the value at 0,

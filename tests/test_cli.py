@@ -116,17 +116,19 @@ class TestVerify:
         assert "MISMATCH" not in out
         assert "corrected matches; paper variant over-counts" in out
 
-    def test_corrupted_series_fails(self, capsys):
-        config = cli.RunConfig(order=10, tree_cap=5)
-        p = gf.solve_pointed(10)
-        t = gf.assemble_T(p)
-        corrupted = t + PowerSeries([0, 0, 0, 1] + [0] * (t.order - 3))
-        buf = io.StringIO()
-        code = cli.run_verify(config, t=corrupted, pointed=p, out=buf)
-        assert code == 1
-        assert "MISMATCH" in buf.getvalue()
+    def test_corrupted_series_fails(self, capsys, monkeypatch):
+        assemble_T = gf.assemble_T
 
-    def test_json_is_one_write(self):
+        def corrupted(p):
+            t = assemble_T(p)
+            return t + PowerSeries([0, 0, 0, 1] + [0] * (t.order - 3))
+
+        monkeypatch.setattr(gf, "assemble_T", corrupted)
+        code, out, _ = run(["--order", "10", "--tree-cap", "5", "verify"], capsys)
+        assert code == 1
+        assert "MISMATCH" in out
+
+    def test_json_is_one_write(self, monkeypatch):
         # json.dump would write each chunk of its encoder, one write apiece
         # on an unbuffered stdout
         class Counting(io.StringIO):
@@ -137,7 +139,8 @@ class TestVerify:
                 return super().write(s)
 
         buf = Counting()
-        assert cli.run_verify(cli.RunConfig(order=10, tree_cap=5, fmt="json"), out=buf) == 0
+        monkeypatch.setattr(sys, "stdout", buf)
+        assert cli.main(["--order", "10", "--tree-cap", "5", "--format", "json", "verify"]) == 0
         assert buf.writes == 1 and buf.getvalue().endswith("}\n")
         assert json.loads(buf.getvalue())["meta"] == {"order": 10, "tree_cap": 5}
 
@@ -693,11 +696,11 @@ class TestImports:
             "from twolevel import cli\n"
             f"code = cli.main({argv!r})\n"
             "print(code, sorted(m for m in sys.modules if m.startswith('twolevel.')),\n"
-            "      'dataclasses' in sys.modules)"
+            "      'dataclasses' in sys.modules, 'json' in sys.modules)"
         )
         last = run_python("-c", probe).stdout.splitlines()[-1]
         expected = sorted(f"twolevel.{m}" for m in modules | {"cli", "powerseries"})
-        assert last == f"0 {expected} False"
+        assert last == f"0 {expected} False False"
 
 
 class TestReachability:
@@ -831,6 +834,20 @@ class TestReadme:
         parsed = {flag for action in parser._actions
                   for flag in action.option_strings} - {"-h", "--help"}
         assert documented == parsed
+
+    def test_flag_defaults_live_only_in_the_run_config(self):
+        # README: "The flag defaults live once, in RunConfig's fields"
+        defaulted = []
+        for path in sorted(Path(twolevel.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, (ast.FunctionDef, ast.Lambda)):
+                    a = node.args
+                    positional = a.posonlyargs + a.args
+                    with_default = positional[len(positional) - len(a.defaults):] + [
+                        arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+                    defaulted += [f"{path.name}:{node.lineno} {arg.arg}" for arg in with_default
+                                  if arg.arg in cli.RunConfig._fields]
+        assert defaulted == []
 
 
 class TestSuiteReport:
