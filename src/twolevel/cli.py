@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from typing import NamedTuple
 
@@ -151,18 +152,17 @@ def cmd_verify(args, config: RunConfig):
                      f"corrected {hits['corrected']}/{total}, paper {hits['paper']}/{total}",
                      verdict or "NEITHER VARIANT MATCHES", "ok" if verdict else "MISMATCH"])
     # the fixtures, n being the size of the ground set.  P6: single
-    # 3-circuit, rank 3, 2-connected, not uniform
+    # 3-circuit (so not uniform), rank 3, 2-connected
     add(6, "p6_fixture", (
         mat.rank(mat.P6) == 3
-        and sorted(map(len, mat.P6.circuits)).count(3) == 1
+        and sum(len(c) == 3 for c in mat.P6.circuits) == 1
         and mat.is_2connected(mat.P6)
-        and len(mat.bases(mat.P6)) == 19
-        and not mat.is_isomorphic(mat.P6, mat.uniform(6, 3))), True)
-    # duality commutes with 2-sum on a spot-check pair
-    m1, m2 = mat.uniform(4, 2), mat.uniform(5, 2, labels=range(5, 10))
+        and len(mat.bases(mat.P6)) == 19), True)
+    # duality commutes with 2-sum; P6's orbits {1, 2, 3}, {4, 5, 6} make the base point count
+    m1, m2 = mat.P6, mat.uniform(3, 2, labels=range(7, 10))
     add(7, "dual_of_two_sum", mat.is_isomorphic(
-        mat.dual(mat.two_sum(m1, 1, m2, 7)),
-        mat.two_sum(mat.dual(m1), 1, mat.dual(m2), 7)), True)
+        mat.dual(mat.two_sum(m1, 3, m2, 9)),
+        mat.two_sum(mat.dual(m1), 3, mat.dual(m2), 9)), True)
     return ({"order": config.order, "tree_cap": n_max},
             ["n", "check", "enumerated", "expected", "status"], rows)
 
@@ -179,17 +179,15 @@ def cmd_asympt(args, config: RunConfig):
                                         config.tol)
     rows = [[name, _fmt_real(v), _fmt_real(char.residual)] for name, v in (
         ("rho", char.rho), ("inv_rho", 1.0 / char.rho), ("A0", char.a_R), ("U0", char.a_U))]
-    for name, coeffs in (("A", se.a), ("U", se.u)):
-        rows += [[f"{name}{i}", _fmt_real(coeffs[i]), _fmt_real(se.residual)] for i in (1, 2, 3)]
-    for i in (0, 2, 3):
-        rows.append([f"T{i}", _fmt_real(t_poly[i]), _fmt_real(abs(t_poly[1]))])
-    for i in (0, 2, 3):
-        rows.append([f"F{i}", _fmt_real(f_poly[i]),
-                     _fmt_real(abs(f_poly[3] - f_poly[0] * t_poly[3]))])
+    t_res, f_res = abs(t_poly[1]), abs(f_poly[3] - f_poly[0] * t_poly[3])
+    for name, coeffs, res, ks in (("A", se.a, se.residual, (1, 2, 3)),
+                                  ("U", se.u, se.residual, (1, 2, 3)),
+                                  ("T", t_poly, t_res, (0, 2, 3)), ("F", f_poly, f_res, (0, 2, 3))):
+        rows += [[f"{name}{i}", _fmt_real(coeffs[i]), _fmt_real(res)] for i in ks]
     rows += [
-        ["C", _fmt_real(c_t), _fmt_real(abs(t_poly[1]))],
+        ["C", _fmt_real(c_t), _fmt_real(t_res)],
         ["C_forest", _fmt_real(c_f), _fmt_real(abs(f_poly[1]))],
-        ["c_polytope", _fmt_real(c_t / 2.0), _fmt_real(abs(t_poly[1]))],
+        ["c_polytope", _fmt_real(c_t / 2.0), _fmt_real(t_res)],
         ["poly_exponent", _fmt_real(asy.POLY_EXPONENT), "0"],
         ["selfdual_scan", report.describe(),
          "-" if report.residual is None else _fmt_real(report.residual)],
@@ -268,14 +266,17 @@ def main(argv=None) -> int:
 
 def run() -> int:
     """The process entry (``python -m twolevel``, the ``twolevel`` script):
-    :func:`main` on ``sys.argv``, then its exit code."""
-    code = main()
-    # The process is about to end, and the OS reclaims its memory whole.
-    # Frozen objects are left out of the interpreter's shutdown collections,
-    # which would otherwise traverse every module's classes and functions
-    # and every table the command built.  atexit handlers, the stdio flush
-    # and module teardown still run; only cyclic garbage is left to the OS,
-    # and the package holds nothing that needs a finalizer.
+    :func:`main` on ``sys.argv``, then its exit code, 1 if stdout is closed."""
+    try:
+        code = main()
+        sys.stdout.flush()  # a closed stdout raises here, not at exit
+    except BrokenPipeError:
+        # the reader is gone: the interpreter's last flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    # Frozen objects are left out of the shutdown collections, which would
+    # traverse every module and table the command built; atexit, the stdio
+    # flush and module teardown still run, and nothing needs a finalizer.
     gc.freeze()
     return code
 

@@ -39,8 +39,7 @@ class PointedSeries(NamedTuple):
 def _pointed_rhs(leg, a_R, a_U):
     # on the slice a_M = a_R, where the M-equation is the R-equation
     f = a_R + a_U + leg
-    # not f + a_R, which the float ring rounds differently
-    s = a_R + a_R + a_U + leg
+    s = f + a_R
     e = s.mset()
     lin = s.substitution_sum()
     # R: multisets of at least two components.  U: the terms in s_n cancel
@@ -74,7 +73,7 @@ def assemble_T(p: PointedSeries) -> PowerSeries:
     a, u, leg = p.a_R, p.a_U, p.a_leg
     a_u = a + u
     f = a_u + leg
-    s = a + a + u + leg  # summed as in _pointed_rhs
+    s = f + a
     t_R = a - f.mset2()
     # multisets of at least three components
     t_U = u - (s.mset() - 1 - s - s.mset2())
