@@ -392,8 +392,7 @@ def solve_char_system(pointed: gf.PointedSeries, tol: float) -> CharSolution:
     """The branch point of the pointed system: the fold point (x, a, u, c) of
     its unknowns (a, u), a the common R/M value, with v = (1, c), where
     det(I - J) = 0, found by :func:`_fold_point` from a fixed seed."""
-    z, m, _, residual = _fold_point(gf._pointed_rhs, (pointed.a_leg,),
-                                    (pointed.a_R, pointed.a_U), (0.2, 0.13, 0.07, 0.8), tol)
+    z, m, _, residual = _fold_point(*gf.pointed_system(pointed), (0.2, 0.13, 0.07, 0.8), tol)
     return CharSolution(*z, m, residual)
 
 
@@ -421,14 +420,13 @@ def singular_expansions(char: CharSolution, pointed: gf.PointedSeries,
     w = (r, -p) if abs(p) + abs(r) >= abs(q) + abs(s) else (s, -q)
     me = (p * e[0] + q * e[1], r * e[0] + s * e[1])
     point = JetPoint(xp(char.rho, 0.0, -char.rho))
-    system = gf._pointed_rhs, (pointed.a_leg,), (pointed.a_R, pointed.a_U)
     a, u = xp(char.a_R), xp(char.a_U)
     d = 0.0
     for k in range(1, DEG):
         g = []
         for c in (0.0, 1.0):
             a[k], u[k] = c * v[0] + d * e[0], c * v[1] + d * e[1]
-            r_a, r_u = _residuals(point, *system, (a, u))
+            r_a, r_u = _residuals(point, *gf.pointed_system(pointed), (a, u))
             g.append((r_a[k + 1], r_u[k + 1]))
         g0, g1 = g
         dg = [y1 - y0 for y0, y1 in zip(g0, g1)]
@@ -439,7 +437,7 @@ def singular_expansions(char: CharSolution, pointed: gf.PointedSeries,
         a[k], u[k] = c * v[0] + d * e[0], c * v[1] + d * e[1]
         d = -_dot(me, [y0 + t * dy for y0, dy in zip(g0, dg)]) / _dot(me, me)
     a[DEG], u[DEG] = d * e[0], d * e[1]
-    r_a, r_u = _residuals(point, *system, (a, u))
+    r_a, r_u = _residuals(point, *gf.pointed_system(pointed), (a, u))
     g = r_a + r_u
     if not _converged(g, tol):
         raise ArithmeticError("singular-expansion residual above tolerance")
@@ -480,10 +478,9 @@ def transfer(poly: list[float], tol: float) -> float:
 
 # -- self-dual bounding series --------------------------------------------
 
-def verify_selfdual_growth(pointed: gf.PointedSeries, s_U_paper: PowerSeries, rho: float,
-                           tol: float) -> BranchPointReport:
-    """Locate the first branch point of the bounding-series system of
-    :func:`twolevel.gfsystem.compute_s_bound` in (0, sqrt(rho)], where the
+def verify_selfdual_growth(pointed: gf.PointedSeries, rho: float, tol: float) -> BranchPointReport:
+    """Locate the first branch point of the bounding-series system,
+    :func:`twolevel.gfsystem.bound_system`, in (0, sqrt(rho)], where the
     pair class at x^2 converges (past sqrt(rho) the truncated evaluations no
     longer describe the system).
 
@@ -499,9 +496,7 @@ def verify_selfdual_growth(pointed: gf.PointedSeries, s_U_paper: PowerSeries, rh
     raises ArithmeticError.
     """
     x_max = math.sqrt(rho)
-    (x, s), _, (half_f_ss,), residual = _fold_point(
-        gf._s_bound_rhs, (gf.pair_class(pointed, s_U_paper), pointed.a_leg),
-        (gf.compute_s_bound(pointed, s_U_paper),), (0.40, 0.45), tol)
+    (x, s), _, (half_f_ss,), residual = _fold_point(*gf.bound_system(pointed), (0.40, 0.45), tol)
     if not (x > 0.0 and s >= 0.0 and half_f_ss > 0.0):
         raise ArithmeticError(
             f"self-dual scan: the fold point at x = {x:.8f}, s = {s:.8f} is not a branch point")

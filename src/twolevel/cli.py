@@ -31,7 +31,7 @@ SERIES = {
     "AU": lambda p: p.a_U,
     "SU_paper": lambda p: gf.compute_selfdual(p, "paper"),
     "SU_corrected": lambda p: gf.compute_selfdual(p, "corrected"),
-    "sbound": lambda p: gf.compute_s_bound(p, gf.compute_selfdual(p, "paper")),
+    "sbound": lambda p: gf.compute_s_bound(p),
     "forest": lambda p: gf.compute_forests(gf.assemble_T(p)),
 }
 
@@ -104,7 +104,7 @@ def cmd_verify(args, config: RunConfig):
     p = gf.solve_pointed(config.order)
     t = gf.assemble_T(p)
     s_U = {v: gf.compute_selfdual(p, v) for v in ("paper", "corrected")}
-    s2 = gf.assemble_S2(p, s_U["corrected"])
+    s2 = gf.assemble_S2(p)
     n_max = min(config.tree_cap, umr.TREE_CAP, t.order)
     rows = []
 
@@ -136,6 +136,10 @@ def cmd_verify(args, config: RunConfig):
     for what, last, *_ in checks:
         if last > n_max:
             skip(f"{n_max + 1}..{last}", what)
+    # a_R, a_U, T and S2 at n = 0..2: one pointed tree (R on two legs), and no tree
+    enumerated = [umr.pointed_count(n, c) for c in "RU" for n in range(3)] + [0] * 6
+    expected = [s.coeff(n) for s in (p.a_R, p.a_U, t, s2) for n in range(3)]
+    add("0..2", "low_coefficients", *(" ".join(map(str, cs)) for cs in (enumerated, expected)))
     # self-dual variant arbitration: exactly one variant matches everywhere
     sdp = [umr.count_self_dual_pointed(n) for n in sizes]
     hits = {v: sum(c == s.coeff(n) for n, c in zip(sizes, sdp)) for v, s in s_U.items()}
@@ -175,8 +179,7 @@ def cmd_asympt(args, config: RunConfig):
     se = asy.singular_expansions(char, p, config.tol)
     t_poly, f_poly = se.t, asy.expand_forests(se, p)
     c_t, c_f = asy.transfer(t_poly, config.tol), asy.transfer(f_poly, config.tol)
-    report = asy.verify_selfdual_growth(p, gf.compute_selfdual(p, "paper"), char.rho,
-                                        config.tol)
+    report = asy.verify_selfdual_growth(p, char.rho, config.tol)
     rows = [[name, _fmt_real(v), _fmt_real(char.residual)] for name, v in (
         ("rho", char.rho), ("inv_rho", 1.0 / char.rho), ("A0", char.a_R), ("U0", char.a_U))]
     t_res, f_res = abs(t_poly[1]), abs(f_poly[3] - f_poly[0] * t_poly[3])
@@ -200,7 +203,7 @@ def cmd_bound(args, config: RunConfig):
 
     p = gf.solve_pointed(config.order)
     t = gf.assemble_T(p)
-    s2 = gf.assemble_S2(p, gf.compute_selfdual(p, "corrected"))
+    s2 = gf.assemble_S2(p)
     counts = (t + s2) / 2  # raises ArithmeticError where L2 + S2 is odd
     n_max = min(config.tree_cap, config.order)
     rows = [

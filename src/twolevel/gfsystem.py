@@ -2,9 +2,9 @@
 
 Writes the fixed-point equations for the pointed tree series, assembles the
 unrooted series T(x) and S2(x) (self-dual trees) by the dissymmetry identity,
-and derives the self-dual pointed, bounding and forest series.  Each of these
-is one ``PowerSeries`` returned by its own function, so a caller solves only
-the series it reads; only the pointed solve returns its series together.
+and derives the self-dual pointed, bounding and forest series.  Each function
+takes the pointed series and solves the self-dual variant it reads itself:
+S2 the corrected one, the bound the paper's.
 
 Duality swaps R- and M-vertices, so the M-pointed series equals the R-pointed
 one.  The pointed system is solved on that slice, a_M = a_R, in two unknowns
@@ -17,7 +17,7 @@ ring and :mod:`twolevel.asymptotics` runs them over its float ring.
 """
 from __future__ import annotations
 
-from functools import partial
+from functools import lru_cache, partial
 from typing import NamedTuple
 
 from .powerseries import PowerSeries, fixed_point
@@ -56,6 +56,11 @@ def solve_pointed(order: int) -> PointedSeries:
     leg = PowerSeries.x(order)
     a_R, a_U = fixed_point(_pointed_rhs, (leg,), 2)
     return PointedSeries(a_R, a_U, leg)
+
+
+def pointed_system(p: PointedSeries) -> tuple:
+    """The pointed system as (rhs, known, solution): rhs(*known, *solution) = solution."""
+    return _pointed_rhs, (p.a_leg,), (p.a_R, p.a_U)
 
 
 def assemble_T(p: PointedSeries) -> PowerSeries:
@@ -100,8 +105,8 @@ def _dual_pairs(variant, p, s_U):
     return pair_class(p, s_U).substitute_power(2) / _PAIR_DIVISOR[variant]
 
 
-def assemble_S2(p: PointedSeries, s_U: PowerSeries) -> PowerSeries:
-    """Self-dual UMR-trees S2(x), from the corrected self-dual pointed series.
+def assemble_S2(p: PointedSeries) -> PowerSeries:
+    """Self-dual UMR-trees S2(x), from the corrected self-dual pointed series s_U.
 
     Duality commutes with the dissymmetry identity, so S2 = S_v + S_e - S_d
     on the duality-fixed classes (Bergeron-Labelle-Leroux 1998, section 4.1):
@@ -110,6 +115,7 @@ def assemble_S2(p: PointedSeries, s_U: PowerSeries) -> PowerSeries:
     holds the multisets of core with an even number of parts, P the dual pairs.
     Collected, mset2(s_U) - s_U^2 = (s_U(x^2) - s_U^2)/2.
     """
+    s_U = compute_selfdual(p, "corrected")
     core = s_U + p.a_leg
     even = (core.mset() + core.mset(signed=True)) / 2
     pairs = _dual_pairs("corrected", p, s_U)
@@ -124,6 +130,7 @@ def _selfdual_rhs(variant, a_R, a_U, leg, s_U):
     return (pairs.mset() * odd - core,)
 
 
+@lru_cache(maxsize=2)  # both variants of one pointed series, solved once each
 def compute_selfdual(p: PointedSeries, variant: str) -> PowerSeries:
     """Self-dual U-pointed series, "paper" or "corrected" pair counting."""
     (s_U,) = fixed_point(partial(_selfdual_rhs, variant), p, 1)
@@ -138,10 +145,15 @@ def _s_bound_rhs(pairs, leg, s):
     return (pair_sets * (e - 1) - core - core.mset2(),)
 
 
-def compute_s_bound(p: PointedSeries, s_U_paper: PowerSeries) -> PowerSeries:
+def bound_system(p: PointedSeries) -> tuple:
+    """The bound's system as ``pointed_system`` gives it, on the paper variant's pair class."""
+    known = (pair_class(p, compute_selfdual(p, "paper")), p.a_leg)
+    return _s_bound_rhs, known, fixed_point(_s_bound_rhs, known, 1)
+
+
+def compute_s_bound(p: PointedSeries) -> PowerSeries:
     """Bounding series dominating the self-dual pointed series."""
-    (s,) = fixed_point(_s_bound_rhs, (pair_class(p, s_U_paper), p.a_leg), 1)
-    return s
+    return bound_system(p)[2][0]
 
 
 def compute_forests(t: PowerSeries) -> PowerSeries:

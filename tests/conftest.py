@@ -21,9 +21,8 @@ class SelfDualSeries(NamedTuple):
 
 
 def _solve_selfdual(p: gf.PointedSeries) -> SelfDualSeries:
-    s_U_paper = gf.compute_selfdual(p, "paper")
-    return SelfDualSeries(s_U_paper, gf.compute_selfdual(p, "corrected"),
-                          gf.compute_s_bound(p, s_U_paper))
+    return SelfDualSeries(gf.compute_selfdual(p, "paper"), gf.compute_selfdual(p, "corrected"),
+                          gf.compute_s_bound(p))
 
 
 @pytest.fixture(scope="session")

@@ -233,7 +233,7 @@ def test_criterion_7_selfdual_growth(solve_selfdual):
     p = gf.solve_pointed(30)
     char = asy.solve_char_system(p, RUN_TOL)
     sd = solve_selfdual(p)
-    scan = asy.verify_selfdual_growth(p, sd.s_U_paper, char.rho, RUN_TOL)
+    scan = asy.verify_selfdual_growth(p, char.rho, RUN_TOL)
     claimed = char.rho ** -0.5
     target = claimed if scan.no_branch_point else 1.0 / scan.branch_x
     growth = two_step_growth(sd.s_bound, 30)
@@ -262,7 +262,7 @@ def test_criterion_8_empirical_transfer():
 def test_criterion_9_lower_bound_table():
     p = gf.solve_pointed(10)
     t = gf.assemble_T(p)
-    s2 = gf.assemble_S2(p, gf.compute_selfdual(p, "corrected"))
+    s2 = gf.assemble_S2(p)
     selfdual = [0] * 9
     for n in range(3, 9):
         selfdual[n] = umr.count_self_dual(n)

@@ -21,21 +21,6 @@ def close(want):
     return pytest.approx(want, rel=1e-5, abs=1e-8)
 
 
-def _pairs(p, sd):
-    """The pair class of the self-dual bound, as `verify_selfdual_growth` builds it."""
-    return gf.pair_class(p, sd.s_U_paper)
-
-
-def _pointed_system(p):
-    """(rhs, known, unknowns) of the pointed system, as `solve_char_system` passes them."""
-    return gf._pointed_rhs, (p.a_leg,), (p.a_R, p.a_U)
-
-
-def _bound_system(p, sd):
-    """(rhs, known, unknowns) of the bounding series, as `verify_selfdual_growth` passes them."""
-    return gf._s_bound_rhs, (_pairs(p, sd), p.a_leg), (sd.s_bound,)
-
-
 def _record_evaluations(monkeypatch):
     """For each ring evaluation of a residual from here on, whether its point
     moves (x(X) is not constant), recorded through a JetPoint subclass."""
@@ -149,7 +134,7 @@ class TestCharSystem:
     def test_residual_norm_small(self, char30, pointed30):
         # the carried residual is the max-norm of (F - y, (J - I) v) at rho,
         # v = (1, c): the X^0 and X^1 coefficients with y + X v
-        g = _fold_residual(_pointed_system(pointed30), char30[:4])
+        g = _fold_residual(gf.pointed_system(pointed30), char30[:4])
         assert char30.residual == max(map(abs, g))
         assert char30.residual < 1e-11
 
@@ -159,16 +144,16 @@ class TestCharSystem:
         assert abs(char40.rho - char30.rho) < 1e-7
 
     @pytest.mark.parametrize("system", ["pointed", "bound"])
-    def test_bad_seed_raises(self, system, pointed30, selfdual30, monkeypatch):
+    def test_bad_seed_raises(self, system, pointed30, monkeypatch):
         # a diverging seed is an ArithmeticError itself, not an OverflowError
         # or a ValueError leaking out of the ring: (0.5, 0) takes the bound's
         # iterates out of |x| < 1
         with pytest.raises(ArithmeticError) as info:
             if system == "pointed":
                 monkeypatch.setattr(asy, "MAX_ITER", 5)
-                asy._fold_point(*_pointed_system(pointed30), (0.9, 50.0, 50.0, 0.8), RUN_TOL)
+                asy._fold_point(*gf.pointed_system(pointed30), (0.9, 50.0, 50.0, 0.8), RUN_TOL)
             else:
-                asy._fold_point(*_bound_system(pointed30, selfdual30), (0.5, 0.0), RUN_TOL)
+                asy._fold_point(*gf.bound_system(pointed30), (0.5, 0.0), RUN_TOL)
         assert info.type is ArithmeticError
 
     @pytest.mark.parametrize("order", [3, 30, 200])
@@ -181,13 +166,12 @@ class TestCharSystem:
         assert len(moves) <= 12
         assert sum(moves) <= 3
 
-    def test_jacobian_against_forward_differences(self, char30, pointed30, selfdual30,
-                                                  monkeypatch):
+    def test_jacobian_against_forward_differences(self, char30, pointed30, monkeypatch):
         # the fold-point Newton's Jacobian in z = (x, y, v_2..v_k), read from
         # its one step off the pointed system's and the bound's fold points,
         # and the carried J - I, against forward differences of fresh
         # evaluations there
-        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
+        report = asy.verify_selfdual_growth(pointed30, char30.rho, RUN_TOL)
         jacobians = []
         solve = asy._solve
         monkeypatch.setattr(asy, "_solve", lambda a, b: jacobians.append(a) or solve(a, b))
@@ -195,8 +179,8 @@ class TestCharSystem:
         bound_at = [report.branch_x, report.branch_s]
         # F_s - 1 is 0 at the bound's fold, where the difference reads h F_ss / 2;
         # the pointed system keeps a purely relative check
-        for args, at, floor in ((_pointed_system(pointed30), list(char30[:4]), 0.0),
-                                (_bound_system(pointed30, selfdual30), bound_at, 1e-6)):
+        for args, at, floor in ((gf.pointed_system(pointed30), list(char30[:4]), 0.0),
+                                (gf.bound_system(pointed30), bound_at, 1e-6)):
             columns = []
             for j in range(len(at)):
                 shifted = [z + h * (i == j) for i, z in enumerate(at)]
@@ -226,7 +210,7 @@ class TestSingularExpansions:
     def test_residuals_matched(self, char30, expansion30, pointed30):
         # every coefficient X^0..X^DEG, not only the X^0..X^3 that asympt prints
         branch_point = asy.JetPoint(asy.xp(char30.rho, 0.0, -char30.rho))
-        r_a, r_u = asy._residuals(branch_point, *_pointed_system(pointed30),
+        r_a, r_u = asy._residuals(branch_point, *gf.pointed_system(pointed30),
                                   (expansion30.a, expansion30.u))
         assert len(r_a) == len(r_u) == asy.DEG + 1
         assert max(map(abs, r_a + r_u)) < 1e-12
@@ -318,10 +302,10 @@ class TestTransfer:
 
 
 class TestSelfDualGrowth:
-    def test_scan_finds_subcritical_branch_point(self, pointed30, selfdual30, char30):
+    def test_scan_finds_subcritical_branch_point(self, pointed30, char30):
         # honest outcome: the bounding-series system coalesces before
         # sqrt(rho); the scan reports the point instead of claiming none
-        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
+        report = asy.verify_selfdual_growth(pointed30, char30.rho, RUN_TOL)
         assert not report.no_branch_point
         assert report.branch_x == pytest.approx(0.393001, abs=1e-4)
         assert 0 < report.branch_x <= math.sqrt(char30.rho)
@@ -332,43 +316,41 @@ class TestSelfDualGrowth:
         assert rep.no_branch_point
         assert rep.describe().startswith("no branch point")
 
-    def test_scan_evaluation_count(self, pointed30, selfdual30, char30, monkeypatch):
+    def test_scan_evaluation_count(self, pointed30, char30, monkeypatch):
         # one constant-point evaluation per iterate, and one at x + X^2 per
         # step taken: four steps from the fixed seed
         moves = _record_evaluations(monkeypatch)
-        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
+        report = asy.verify_selfdual_growth(pointed30, char30.rho, RUN_TOL)
         assert not report.no_branch_point
         assert len(moves) <= 9
         assert sum(moves) <= 4
 
-    def test_exact_s_column(self, pointed30, selfdual30):
+    def test_exact_s_column(self, pointed30):
         # -2 (F_ss / 2), from the X^2 coefficient, against a forward
         # difference of 1 - F_s in s at x = 0.39
+        rhs, known, (s_bound,) = gf.bound_system(pointed30)
+
         def taylor(s):
             point = asy.JetPoint(asy.xp(0.39))
-            (f,) = gf._s_bound_rhs(point.leaf(_pairs(pointed30, selfdual30)),
-                                   point.leaf(pointed30.a_leg),
-                                   point.leaf(selfdual30.s_bound, asy.xp(s, 1.0)))
+            (f,) = rhs(*map(point.leaf, known), point.leaf(s_bound, asy.xp(s, 1.0)))
             return f.head
 
         h = 1e-7
         f, g = taylor(0.45), taylor(0.45 + h)
         assert -2.0 * f[2] == pytest.approx(((1.0 - g[1]) - (1.0 - f[1])) / h, rel=1e-5)
 
-    def test_monotone_iteration_brackets_the_branch_point(self, pointed30, selfdual30,
-                                                          char30):
+    def test_monotone_iteration_brackets_the_branch_point(self, pointed30, char30):
         # s <- F(x, s) from s = 0 increases to the least fixed point where one
         # exists and grows past every bound where none does; it shares no
         # code with the fold-point Newton of the scan
-        pairs = _pairs(pointed30, selfdual30)
-        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
+        rhs, known, (s_bound,) = gf.bound_system(pointed30)
+        report = asy.verify_selfdual_growth(pointed30, char30.rho, RUN_TOL)
 
         def iterate(x):
             point = asy.JetPoint(asy.xp(x))
             s = 0.0
             for _ in range(1000):
-                (f,) = gf._s_bound_rhs(point.leaf(pairs), point.leaf(pointed30.a_leg),
-                                       point.leaf(selfdual30.s_bound, asy.xp(s)))
+                (f,) = rhs(*map(point.leaf, known), point.leaf(s_bound, asy.xp(s)))
                 s, last = f.head[0], s
                 if s > 1.0 or s - last < 1e-13:
                     return s, s - last
@@ -379,20 +361,18 @@ class TestSelfDualGrowth:
         s, _ = iterate(report.branch_x + 1e-3)
         assert s > 1.0
 
-    def test_branch_point_is_where_the_least_gap_vanishes(self, pointed30, selfdual30,
-                                                          char30):
+    def test_branch_point_is_where_the_least_gap_vanishes(self, pointed30, char30):
         # m(x) = min over s in [0, 1] of F(x, s) - s is negative while s = F
         # has a root and positive past the branch point; bisection in x over
         # golden-section minima in s shares no code with the fold-point Newton
-        pairs = _pairs(pointed30, selfdual30)
+        rhs, known, (s_bound,) = gf.bound_system(pointed30)
         golden = (math.sqrt(5.0) - 1.0) / 2.0
 
         def least_gap(x):
             point = asy.JetPoint(asy.xp(x))
 
             def gap(s):
-                (f,) = gf._s_bound_rhs(point.leaf(pairs), point.leaf(pointed30.a_leg),
-                                       point.leaf(selfdual30.s_bound, asy.xp(s)))
+                (f,) = rhs(*map(point.leaf, known), point.leaf(s_bound, asy.xp(s)))
                 return f.head[0] - s
 
             lo, hi = 0.0, 1.0
@@ -417,7 +397,7 @@ class TestSelfDualGrowth:
                 lo = mid
             else:
                 hi = mid
-        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
+        report = asy.verify_selfdual_growth(pointed30, char30.rho, RUN_TOL)
         assert (lo + hi) / 2.0 == pytest.approx(report.branch_x, rel=0, abs=1e-9)
 
 
@@ -578,15 +558,15 @@ class TestLeafKernel:
         assert calls["xp_mul"] == moving.r_max == len(moving._shifts)
 
     @pytest.mark.parametrize("system", ["pointed", "bound"])
-    def test_reads_trims_no_coefficient_it_keeps(self, system, char30, pointed30, selfdual30):
+    def test_reads_trims_no_coefficient_it_keeps(self, system, char30, pointed30):
         # at x + X^2, reads=3 drops the Taylor term b_2 shift^2 = O(X^4):
         # X^0..X^3 of every residual are the same floats as with reads=DEG
         if system == "pointed":
-            args, heads = _pointed_system(pointed30), [
+            args, heads = gf.pointed_system(pointed30), [
                 asy.xp(char30.a_R, 1.0), asy.xp(char30.a_U, char30.c)]
         else:
-            args = _bound_system(pointed30, selfdual30)
-            heads = [asy.xp(selfdual30.s_bound.eval_float(char30.rho), 1.0)]
+            args = gf.bound_system(pointed30)
+            heads = [asy.xp(args[2][0].eval_float(char30.rho), 1.0)]
         x_of_X = asy.xp(char30.rho, 0.0, 1.0)
         trimmed, full = asy.JetPoint(x_of_X, reads=3), asy.JetPoint(x_of_X)
         assert (trimmed._taylor, full._taylor) == (1, 2)
@@ -682,12 +662,11 @@ class TestJetRing:
 
     def test_pointed_rhs(self, both, pointed30):
         inputs, check = both
-        p = pointed30
-        ring, ints = inputs(p.a_leg, p.a_R, p.a_U)
+        rhs, known, solution = gf.pointed_system(pointed30)
+        ring, ints = inputs(*known, *solution)
         # the integer side on plain lists, as PowerSeries has no sum over powers
         want = ref.pointed_rhs(*(list(s.coeffs) for s in ints))
-        for got, want, solved in zip(gf._pointed_rhs(*ring), map(PowerSeries, want),
-                                     (p.a_R, p.a_U), strict=True):
+        for got, want, solved in zip(rhs(*ring), map(PowerSeries, want), solution, strict=True):
             check(got, want, solved)
 
     def test_assemble_T(self, both, pointed30, unrooted30):
@@ -697,12 +676,12 @@ class TestJetRing:
         check(gf.assemble_T(gf.PointedSeries(*ring)),
               gf.assemble_T(gf.PointedSeries(*ints)), unrooted30)
 
-    def test_s_bound_rhs(self, both, pointed30, selfdual30):
+    def test_s_bound_rhs(self, both, pointed30):
         inputs, check = both
-        p = pointed30
-        ring, ints = inputs(_pairs(p, selfdual30), p.a_leg, selfdual30.s_bound)
-        (got,), (want,) = gf._s_bound_rhs(*ring), gf._s_bound_rhs(*ints)
-        check(got, want, selfdual30.s_bound)
+        rhs, known, (s_bound,) = gf.bound_system(pointed30)
+        ring, ints = inputs(*known, s_bound)
+        (got,), (want,) = rhs(*ring), rhs(*ints)
+        check(got, want, s_bound)
 
     @pytest.mark.parametrize("variant", ["paper", "corrected"])
     def test_selfdual_rhs(self, both, pointed30, selfdual30, variant):
@@ -727,8 +706,8 @@ class TestJetRing:
             init(self, *args)
 
         monkeypatch.setattr(asy.Jet, "__init__", recorded)
-        point, p = asy.JetPoint(x_of_X), pointed30
-        gf._pointed_rhs(*map(point.leaf, (p.a_leg, p.a_R, p.a_U)))
+        point, (rhs, known, solution) = asy.JetPoint(x_of_X), gf.pointed_system(pointed30)
+        rhs(*map(point.leaf, known + solution))
         assert len(built) > 10
         for jet in built:
             got = [jet.head, *values(jet)]
@@ -743,8 +722,8 @@ class TestJetRing:
         # that an MSet or a sum over r reads, for the nodes below one); index
         # 0 is computed only where an MSet checks its input's constant term,
         # and no output holds a value past r = 1
-        point, p = asy.JetPoint(asy.xp(RHO)), pointed30
-        leaves = [point.leaf(s) for s in (p.a_leg, p.a_R, p.a_U)]
+        point, (rhs, known, solution) = asy.JetPoint(asy.xp(RHO)), gf.pointed_system(pointed30)
+        leaves = [point.leaf(s) for s in known + solution]
         running = []  # the kernels of each step being run, innermost last
         steps, arithmetic, at_0 = {}, [], []
         checking = [False]
@@ -789,7 +768,7 @@ class TestJetRing:
                 checking[0] = False
 
         monkeypatch.setattr(asy.Jet, "mset", mset)
-        outs = gf._pointed_rhs(*leaves)
+        outs = rhs(*leaves)
         # building computes nothing but the MSets' checks at index 0
         assert not running and all(set(runs) <= {0} for runs in steps.values())
         for out in outs:
@@ -829,19 +808,19 @@ class TestPinnedConstants:
         "c_polytope": "0.03791727730153594556",
     }
 
-    def test_selfdual_scan(self, char30, pointed30, selfdual30):
+    def test_selfdual_scan(self, char30, pointed30):
         # a regression pin of the root from a 2-D Newton search on (s = F,
         # F_s = 1), which is the solver itself; the routes that share no code
         # with it are test_monotone_iteration_brackets_the_branch_point and
         # test_branch_point_is_where_the_least_gap_vanishes, which finds x
         # within 1e-9 of this value
-        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, char30.rho, RUN_TOL)
+        report = asy.verify_selfdual_growth(pointed30, char30.rho, RUN_TOL)
         assert report.branch_x == pytest.approx(0.3930010376370808, rel=0, abs=1e-9)
         assert report.branch_s == pytest.approx(0.465261382005694, rel=0, abs=1e-9)
 
-    def test_selfdual_scan_window_below_branch_point(self, pointed30, selfdual30):
+    def test_selfdual_scan_window_below_branch_point(self, pointed30):
         # sqrt(0.1) = 0.316 lies below the branch point at 0.393
-        report = asy.verify_selfdual_growth(pointed30, selfdual30.s_U_paper, 0.1, RUN_TOL)
+        report = asy.verify_selfdual_growth(pointed30, 0.1, RUN_TOL)
         assert report.no_branch_point
         assert report.x_max == pytest.approx(math.sqrt(0.1))
 

@@ -129,6 +129,17 @@ class TestVerify:
         assert code == 1
         assert "MISMATCH" in out
 
+    def test_a_constant_term_is_a_mismatch(self, capsys, monkeypatch):
+        # T + 1 differs only at n = 0, which no per-size row reads
+        assemble_T = gf.assemble_T
+        monkeypatch.setattr(gf, "assemble_T", lambda p: assemble_T(p) + 1)
+        code, out, _ = run(["--order", "10", "--tree-cap", "5", "--format", "json", "verify"],
+                           capsys)
+        assert code == 1
+        assert [(r["n"], r["check"], r["enumerated"], r["expected"])
+                for r in json.loads(out)["data"] if r["status"] != "ok"] == [
+            ("0..2", "low_coefficients", "0 0 1 0 0 0 0 0 0 0 0 0", "0 0 1 0 0 0 1 0 0 0 0 0")]
+
     def test_json_is_one_write(self, monkeypatch):
         # json.dump would write each chunk of its encoder, one write apiece
         # on an unbuffered stdout
@@ -228,6 +239,7 @@ class TestVerify:
             raise AssertionError("verify solved the bounding series")
 
         monkeypatch.setattr(gf, "compute_s_bound", refuse)
+        monkeypatch.setattr(gf, "bound_system", refuse)
         code, out, _ = run(["--order", "10", "--tree-cap", "5", "verify"], capsys)
         assert code == 0
         assert "MISMATCH" not in out
@@ -559,6 +571,8 @@ class TestPinnedOutputs:
         '{"check": "selfdual_trees", "enumerated": 0, "expected": 0, "n": 9, "status": "ok"}, '
         '{"check": "pointed_R", "enumerated": 4184, "expected": 4184, "n": 9, "status": "ok"}, '
         '{"check": "pointed_U", "enumerated": 3384, "expected": 3384, "n": 9, "status": "ok"}, '
+        '{"check": "low_coefficients", "enumerated": "0 0 1 0 0 0 0 0 0 0 0 0", '
+        '"expected": "0 0 1 0 0 0 0 0 0 0 0 0", "n": "0..2", "status": "ok"}, '
         '{"check": "selfdual_variant", "enumerated": "corrected 7/7, paper 4/7", '
         '"expected": "corrected matches; paper variant over-counts", "n": "3..9", '
         '"status": "ok"}, '
@@ -649,6 +663,22 @@ class TestPinnedOutputs:
         for pin in asympt_pins:
             with pytest.raises(AssertionError):
                 self.check(*pin, capsys)
+
+
+class TestSolveCounts:
+    """Each command runs each fixed-point solve it reads once: the pointed
+    system, and each self-dual variant or bound system it reads; verify's
+    variant arbitration and S2 share the corrected variant's solve."""
+
+    @pytest.mark.parametrize("argv, solves", [
+        ("--order 90 coeffs forest", 1), ("--order 40 coeffs sbound", 3),
+        ("--order 12 --tree-cap 9 verify", 3), ("asympt", 3), ("bound", 2)])
+    def test_fixed_point_calls(self, capsys, monkeypatch, argv, solves):
+        calls, fixed_point = [], gf.fixed_point
+        monkeypatch.setattr(gf, "fixed_point", lambda *args: calls.append(0) or fixed_point(*args))
+        gf.compute_selfdual.cache_clear()  # a solve kept from an earlier test is not this one's
+        assert run(argv.split(), capsys)[0] == 0
+        assert len(calls) == solves
 
 
 class TestDeterminism:

@@ -138,8 +138,8 @@ class TestForests:
 
 
 class TestLowerBound:
-    def test_matches_hand_computation(self, pointed30, unrooted30, selfdual30):
-        s2 = gf.assemble_S2(pointed30, selfdual30.s_U_corrected)
+    def test_matches_hand_computation(self, pointed30, unrooted30):
+        s2 = gf.assemble_S2(pointed30)
         # S2(n) for n = 0..8 from the brute-force oracle
         assert s2.integer_coeffs()[:9] == [0, 0, 0, 0, 2, 0, 5, 0, 16]
         got = (unrooted30 + s2) / 2
@@ -152,7 +152,7 @@ class TestLowerBound:
 
     def test_exact_and_nonnegative_at_order_100(self):
         p = gf.solve_pointed(100)
-        s2 = gf.assemble_S2(p, gf.compute_selfdual(p, "corrected"))
+        s2 = gf.assemble_S2(p)
         (gf.assemble_T(p) + s2) / 2  # raises ArithmeticError where L2 + S2 is odd
         assert min(s2.integer_coeffs()) == 0
 
@@ -179,14 +179,14 @@ class TestCollectedForm:
         # one inside each mset2 (of f, s and a_U), and (a_R + a_U)^2
         assert self.products(monkeypatch, gf.assemble_T, pointed30) <= 4
 
-    def test_assemble_S2_runs_at_most_three_products(self, monkeypatch, pointed30, selfdual30):
-        # E MSet(P), mset2(core) and s_U^2
-        s_U = selfdual30.s_U_corrected
-        assert self.products(monkeypatch, gf.assemble_S2, pointed30, s_U) <= 3
+    def test_assemble_S2_runs_at_most_three_products(self, monkeypatch, pointed30):
+        # E MSet(P), mset2(core) and s_U^2; the self-dual solve runs on the
+        # online ring, which multiplies no PowerSeries
+        assert self.products(monkeypatch, gf.assemble_S2, pointed30) <= 3
 
     def test_S2_at_order_150_is_pinned(self):
         # SHA-256 of repr(integer_coeffs()), captured before the collected form
         p = gf.solve_pointed(150)
-        s2 = gf.assemble_S2(p, gf.compute_selfdual(p, "corrected"))
+        s2 = gf.assemble_S2(p)
         digest = hashlib.sha256(repr(s2.integer_coeffs()).encode()).hexdigest()
         assert digest == "137a671a3fc73a73fe319377bd6cc3d5c430ada9a48310ed1bcf70bd4ab0150e"

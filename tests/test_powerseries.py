@@ -311,8 +311,8 @@ class TestOnlineSolver:
             assert got.upto(60)[:61] == want
 
     def test_pointed_rhs(self, order60):
-        p, _ = order60
-        self.assert_matches_reference(gf._pointed_rhs, ref.pointed_rhs, p.a_leg, p.a_R, p.a_U)
+        rhs, known, solution = gf.pointed_system(order60[0])
+        self.assert_matches_reference(rhs, ref.pointed_rhs, *known, *solution)
 
     @pytest.mark.parametrize("variant", ["paper", "corrected"])
     def test_selfdual_rhs(self, order60, variant):
@@ -322,9 +322,8 @@ class TestOnlineSolver:
                                       p.a_leg, getattr(sd, f"s_U_{variant}"))
 
     def test_s_bound_rhs(self, order60):
-        p, sd = order60
-        self.assert_matches_reference(gf._s_bound_rhs, ref.s_bound_rhs,
-                                      gf.pair_class(p, sd.s_U_paper), p.a_leg, sd.s_bound)
+        rhs, known, solution = gf.bound_system(order60[0])
+        self.assert_matches_reference(rhs, ref.s_bound_rhs, *known, *solution)
 
 
 class TestModuleBoundary:

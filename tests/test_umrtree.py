@@ -307,8 +307,8 @@ class TestDuality:
     def test_self_dual_counts(self):
         assert [umr.count_self_dual(n) for n in range(3, 11)] == [0, 2, 0, 5, 0, 16, 0, 53]
 
-    def test_self_dual_counts_match_series(self, pointed30, selfdual30):
-        s2 = gf.assemble_S2(pointed30, selfdual30.s_U_corrected)
+    def test_self_dual_counts_match_series(self, pointed30):
+        s2 = gf.assemble_S2(pointed30)
         for n in range(3, 11):
             assert umr.count_self_dual(n) == s2.coeff(n)
 
