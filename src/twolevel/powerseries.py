@@ -4,12 +4,17 @@ Every series of this package counts objects, so coefficients are plain
 ``int``.  The multiset operator is the Euler transform, whose divisions are
 exact; any division that leaves a remainder raises ``ArithmeticError``.
 
-The ring is written once, online: an :class:`OnlineSeries` computes one
-coefficient at a time from its inputs' coefficients up to the same index, and
-:func:`fixed_point` solves a system of equations on it.  A
-:class:`PowerSeries` is a value; each of its operations reads the online one
-on its operands, so a binary operation on series of different truncation
-orders truncates to the shorter one, never zero-extends.
+The ring is written once, online, in one class (McIlroy, "Power series,
+power serious", 1999; van der Hoeven, "Relax, but don't be too lazy", 2002).
+A :class:`PowerSeries` holds the coefficients computed so far and a step
+that computes coefficient n from its inputs' coefficients up to n; its order
+is the smallest of its inputs', so a binary operation on series of different
+truncation orders truncates to the shorter one, never zero-extends.  An
+operation on known series computes every coefficient at once and keeps only
+the result, a value: an inexact division or a multiset of a nonzero constant
+term raises there.  An operation that reads an unknown of
+:func:`fixed_point` stays lazy, which lets the solve read the right-hand
+sides of :mod:`twolevel.gfsystem` one index at a time.
 """
 from __future__ import annotations
 
@@ -28,16 +33,17 @@ def _exact_div(num: int, den: int) -> int:
 
 
 class PowerSeries:
-    """Immutable power series truncated (inclusively) at a fixed order."""
+    """Power series truncated (inclusively) at ``order``, computed online."""
 
-    __slots__ = ("_coeffs",)
+    __slots__ = ("_c", "_step", "_inputs", "order")
 
     def __init__(self, coeffs):
         # operator.index accepts integers only; it never truncates a value
-        cs = tuple(map(index, coeffs))
+        cs = list(map(index, coeffs))
         if not cs:
             raise ValueError("a series needs at least the constant coefficient")
-        self._coeffs = cs
+        # a value: its step reads past the list, so past the order is IndexError
+        self._c, self._step, self._inputs, self.order = cs, cs.__getitem__, (), len(cs) - 1
 
     # -- constructors -------------------------------------------------
 
@@ -49,78 +55,133 @@ class PowerSeries:
 
     # -- basics -------------------------------------------------------
 
-    @property
-    def order(self) -> int:
-        return len(self._coeffs) - 1
+    def _upto(self, n: int) -> list:
+        """The coefficient list, computed through index n."""
+        c = self._c
+        while len(c) <= n:
+            c.append(self._step(len(c)))
+        return c
+
+    def __getitem__(self, n: int) -> int:
+        return self._upto(n)[n]
 
     @property
-    def coeffs(self):
-        return self._coeffs
+    def coeffs(self) -> tuple:
+        return tuple(self._upto(self.order))
 
     def coeff(self, n: int):
         if n < 0 or n > self.order:
             raise IndexError(f"coefficient {n} outside truncation order {self.order}")
-        return self._coeffs[n]
+        return self[n]
 
     def truncate(self, order: int) -> "PowerSeries":
         if order >= self.order:
             return self
-        return PowerSeries(self._coeffs[: order + 1])
+        return PowerSeries(self.coeffs[: order + 1])
 
     def integer_coeffs(self) -> list:
-        return list(self._coeffs)
+        return list(self.coeffs)
 
     def eval_float(self, x: float) -> float:
         total = 0.0
-        for c in reversed(self._coeffs):
+        for c in reversed(self.coeffs):
             total = total * x + c
         return total
 
     def __eq__(self, other):
-        return isinstance(other, PowerSeries) and self._coeffs == other._coeffs
+        return isinstance(other, PowerSeries) and self.coeffs == other.coeffs
 
     def __hash__(self):
-        return hash(self._coeffs)
+        return hash(self.coeffs)
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self._coeffs[:8])
+        head = ", ".join(str(c) for c in self.coeffs[:8])
         tail = ", ..." if self.order > 7 else ""
         return f"PowerSeries([{head}{tail}]; order={self.order})"
 
-    # -- ring operations, each read off the online ring ------------------
+    # -- ring operations ----------------------------------------------
+
+    def _zip(self, other, op) -> "PowerSeries":
+        if isinstance(other, int):  # a constant
+            return _node(lambda n: op(self[n], 0 if n else other), (self,))
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        return _node(lambda n: op(self[n], other[n]), (self, other))
 
     def __add__(self, other):
-        return _online(OnlineSeries.__add__, self, other)
+        return self._zip(other, add)
 
     def __sub__(self, other):
-        return _online(OnlineSeries.__sub__, self, other)
+        return self._zip(other, sub)
 
     def __neg__(self):
         return self.scale(-1)
 
     def scale(self, c) -> "PowerSeries":
-        return _online(OnlineSeries.__mul__, self, index(c))
+        c = index(c)
+        return _node(lambda n: c * self[n], (self,))
 
     def __mul__(self, other):
         if isinstance(other, int):
             return self.scale(other)
-        return _online(OnlineSeries.__mul__, self, other)
+        if not isinstance(other, PowerSeries):
+            return NotImplemented
+        a, b = self._c, other._c
+        middle = _middle(a, b)
+
+        def step(n):
+            self._upto(n)
+            other._upto(n)
+            return a[0] * b[n] + middle(n) + a[n] * b[0] if n else a[0] * b[0]
+
+        return _node(step, (self, other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         """Exact division by an integer; raises ArithmeticError on a remainder."""
-        return _online(OnlineSeries.__truediv__, self, other)
+        if not isinstance(other, int):
+            return NotImplemented
+        return _node(lambda n: _exact_div(self[n], other), (self,))
 
     # -- combinatorial operators ---------------------------------------
 
     def substitute_power(self, r: int) -> "PowerSeries":
         """Return a(x^r), truncated to this series' order."""
-        return _online(OnlineSeries.substitute_power, self, r)
+        if r < 1:
+            raise ValueError("substitution power must be >= 1")
+        if r == 1:
+            return self
+        return _node(lambda n: 0 if n % r else self[n // r], (self,))
+
+    def substitution_sum(self) -> "PowerSeries":
+        """sum_(r>=1) a(x^r), with coefficient 0 read as 0."""
+        return _node(lambda n: sum(self[d] for d in _divisors(n)), (self,))
 
     def mset(self, signed: bool = False) -> "PowerSeries":
-        """Multiset operator MSet, as :meth:`OnlineSeries.mset`."""
-        return _online(OnlineSeries.mset, self, signed)
+        """Multiset operator MSet = exp(sum_r a(x^r)/r), as the Euler transform.
+
+        n*b_n = sum_{k=1..n} c_k*b_(n-k) with c_k = sum_{d|k} d*a_d; every
+        division is exact.  With ``signed`` the term of a(x^r) carries the
+        sign (-1)^r, which counts each multiset with the sign (-1)^(number of
+        components).
+        """
+        def c_step(n):
+            return sum(-d * self[d] if signed and n // d % 2 else d * self[d]
+                       for d in _divisors(n))
+
+        c = _node(c_step, (self,))
+        b = []
+        middle = _middle(c._c, b)
+
+        def step(n):
+            if n == 0:
+                if self[0]:
+                    raise ValueError("multiset operator requires zero constant term")
+                return 1
+            return _exact_div(c[n] + middle(n), n)  # c_n b_0 + sum_(0<k<n) c_k b_(n-k)
+
+        return _node(step, (self, c), b)
 
     def mset2(self) -> "PowerSeries":
         """Multisets of exactly two components, (a^2 + a(x^2)) / 2."""
@@ -135,8 +196,21 @@ class PowerSeries:
     exp = mset_restricted = extended = None
 
 
+def _node(step, inputs: tuple, c: list | None = None) -> PowerSeries:
+    """The series whose coefficient n ``step`` computes from ``inputs``, to
+    the smallest of their orders.  On known inputs it is computed at once and
+    becomes a value, with no step or inputs to keep."""
+    s = object.__new__(PowerSeries)
+    s._c, s._step, s._inputs = [] if c is None else c, step, inputs
+    s.order = min(i.order for i in inputs)
+    if all(len(i._c) > i.order for i in inputs):  # all known: a value, as __init__ makes
+        s._step, s._inputs = s._upto(s.order).__getitem__, ()
+    return s
+
+
 @cache
 def _divisors(n: int) -> tuple[int, ...]:
+    """The divisors of n; none of 0, so a divisor sum reads 0 there."""
     return tuple(d for d in range(1, n + 1) if n % d == 0)
 
 
@@ -156,153 +230,34 @@ def _middle(a: list, b: list):
     return at
 
 
-class OnlineSeries:
-    """Series of the online ring: each coefficient is computed on first demand.
-
-    An element holds the coefficients computed so far and a step that
-    computes coefficient n from its inputs' coefficients up to n (McIlroy,
-    "Power series, power serious", 1999; van der Hoeven, "Relax, but don't
-    be too lazy", 2002).  The right-hand sides of :mod:`twolevel.gfsystem`
-    run on it unchanged, which lets :func:`fixed_point` read them one index
-    at a time.
-    """
-
-    __slots__ = ("_c", "_step", "_inputs")
-
-    def __init__(self, step, inputs=(), coeffs=None):
-        self._c = [] if coeffs is None else coeffs
-        self._step = step
-        self._inputs = inputs
-
-    def upto(self, n: int) -> list:
-        """The coefficient list, computed through index n."""
-        c = self._c
-        while len(c) <= n:
-            c.append(self._step(len(c)))
-        return c
-
-    def __getitem__(self, n: int) -> int:
-        return self.upto(n)[n]
-
-    # -- ring operations ----------------------------------------------
-
-    def _zip(self, other, op) -> "OnlineSeries":
-        if isinstance(other, int):  # a constant
-            return OnlineSeries(lambda n: op(self[n], 0 if n else other), (self,))
-        if not isinstance(other, OnlineSeries):
-            return NotImplemented
-        return OnlineSeries(lambda n: op(self[n], other[n]), (self, other))
-
-    def __add__(self, other):
-        return self._zip(other, add)
-
-    def __sub__(self, other):
-        return self._zip(other, sub)
-
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return OnlineSeries(lambda n: other * self[n], (self,))
-        if not isinstance(other, OnlineSeries):
-            return NotImplemented
-        a, b = self._c, other._c
-        middle = _middle(a, b)
-
-        def step(n):
-            self.upto(n)
-            other.upto(n)
-            return a[0] * b[n] + middle(n) + a[n] * b[0] if n else a[0] * b[0]
-
-        return OnlineSeries(step, (self, other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if not isinstance(other, int):
-            return NotImplemented
-        return OnlineSeries(lambda n: _exact_div(self[n], other), (self,))
-
-    # -- combinatorial operators ---------------------------------------
-
-    def substitute_power(self, r: int) -> "OnlineSeries":
-        if r < 1:
-            raise ValueError("substitution power must be >= 1")
-        if r == 1:
-            return self
-        return OnlineSeries(lambda n: 0 if n % r else self[n // r], (self,))
-
-    def substitution_sum(self) -> "OnlineSeries":
-        return OnlineSeries(lambda n: sum(self[d] for d in _divisors(n)) if n else 0,
-                            (self,))
-
-    def mset(self, signed: bool = False) -> "OnlineSeries":
-        """Multiset operator MSet = exp(sum_r a(x^r)/r), as the Euler transform.
-
-        n*b_n = sum_{k=1..n} c_k*b_(n-k) with c_k = sum_{d|k} d*a_d; every
-        division is exact.  With ``signed`` the term of a(x^r) carries the
-        sign (-1)^r, which counts each multiset with the sign (-1)^(number of
-        components).
-        """
-        def c_step(n):
-            return sum(-d * self[d] if signed and n // d % 2 else d * self[d]
-                       for d in _divisors(n)) if n else 0
-
-        c = OnlineSeries(c_step, (self,))
-        b = []
-        middle = _middle(c._c, b)
-
-        def step(n):
-            if n == 0:
-                if self[0]:
-                    raise ValueError("multiset operator requires zero constant term")
-                return 1
-            return _exact_div(c[n] + middle(n), n)  # c_n b_0 + sum_(0<k<n) c_k b_(n-k)
-
-        return OnlineSeries(step, (self, c), b)
-
-    mset2 = PowerSeries.mset2
-    mset_odd = PowerSeries.mset_odd
-
-
-def _known(series: PowerSeries) -> OnlineSeries:
-    """An input of the online ring: the coefficients of ``series``, no more."""
-    def beyond(n):
-        raise IndexError(f"coefficient {n} outside truncation order {series.order}")
-
-    return OnlineSeries(beyond, coeffs=list(series.coeffs))
-
-
-def _online(op, *args):
-    """``op`` on the online ring, each series of ``args`` a known input,
-    read to the shortest of their orders; NotImplemented is passed on."""
-    order = min(a.order for a in args if isinstance(a, PowerSeries))
-    out = op(*(_known(a) if isinstance(a, PowerSeries) else a for a in args))
-    return out if out is NotImplemented else PowerSeries(out.upto(order))
-
-
 def fixed_point(rhs, known, unknowns: int) -> tuple:
     """Solve ys = rhs(*known, *ys) for a tuple of series ys, one index at a time.
 
-    The right-hand sides are built once over the online ring, where each
-    unknown reads 0 at an index until it is settled there.  The system must
-    be well founded: coefficient n of every right-hand side has zero slope in
-    coefficient n of the unknowns, so it is exact while they read that
-    provisional 0.  Each unknown is then settled at n, and every node that
-    reads an unknown forgets coefficient n and recomputes it on the settled
-    unknowns; a right-hand side whose recomputed coefficient differs from the
-    settled one leaves a residual, and the solve raises ArithmeticError.
+    The right-hand sides are built once on the known series and on lazy
+    unknowns, each of which reads 0 at an index until it is settled there.
+    The system must be well founded: coefficient n of every right-hand side
+    has zero slope in coefficient n of the unknowns, so it is exact while they
+    read that provisional 0.  Each unknown is then settled at n, and every
+    node that reads an unknown forgets coefficient n and recomputes it on the
+    settled unknowns; a right-hand side whose recomputed coefficient differs
+    from the settled one leaves a residual, and the solve raises
+    ArithmeticError.  Nodes are keyed by identity, so none is hashed.
     """
     order = known[0].order
-    ys = [OnlineSeries(lambda n: 0) for _ in range(unknowns)]
-    outs = rhs(*map(_known, known), *ys)
-    reads = dict.fromkeys(ys, True)
+    ys = [object.__new__(PowerSeries) for _ in range(unknowns)]
+    for y in ys:  # lazy: each reads 0 at an index until it is settled there
+        y._c, y._step, y._inputs, y.order = [], lambda n: 0, (), order
+    outs = rhs(*known, *ys)
+    reads = dict.fromkeys(map(id, ys), True)
     readers = []  # the nodes below outs that read an unknown, the unknowns excluded
 
     def visit(node):
-        if node not in reads:
-            reads[node] = any([visit(i) for i in node._inputs])  # visit every input
-            if reads[node]:
+        key = id(node)
+        if key not in reads:
+            reads[key] = any([visit(i) for i in node._inputs])  # visit every input
+            if reads[key]:
                 readers.append(node)
-        return reads[node]
+        return reads[key]
 
     for out in outs:
         visit(out)
@@ -314,4 +269,4 @@ def fixed_point(rhs, known, unknowns: int) -> tuple:
             y._c[n:] = [v]
         if [out[n] for out in outs] != values:
             raise ArithmeticError("fixed point did not converge to residual 0")
-    return tuple(PowerSeries(y.upto(order)) for y in ys)
+    return tuple(PowerSeries(y._upto(order)) for y in ys)

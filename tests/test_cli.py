@@ -140,6 +140,21 @@ class TestVerify:
                 for r in json.loads(out)["data"] if r["status"] != "ok"] == [
             ("0..2", "low_coefficients", "0 0 1 0 0 0 0 0 0 0 0 0", "0 0 1 0 0 0 1 0 0 0 0 0")]
 
+    @pytest.mark.parametrize("cap, mismatches", [(4, []), (5, [("3..5", "selfdual_variant")])])
+    def test_a_paper_variant_that_matches_is_a_mismatch(self, capsys, monkeypatch, cap,
+                                                        mismatches):
+        # with the corrected divisor the paper variant matches brute force,
+        # which README's "Known discrepancies" says it does not from n = 5 on
+        monkeypatch.setitem(gf._PAIR_DIVISOR, "paper", 2)
+        gf.compute_selfdual.cache_clear()
+        try:
+            code, out, _ = run(["--tree-cap", str(cap), "--format", "json", "verify"], capsys)
+        finally:
+            gf.compute_selfdual.cache_clear()  # no later test reads the patched solve
+        assert code == (1 if mismatches else 0)
+        assert [(r["n"], r["check"]) for r in json.loads(out)["data"]
+                if r["status"] == "MISMATCH"] == mismatches
+
     def test_json_is_one_write(self, monkeypatch):
         # json.dump would write each chunk of its encoder, one write apiece
         # on an unbuffered stdout
@@ -809,10 +824,9 @@ class TestReachability:
     # __repr__, ...) that Python's protocols call on the tests' behalf.
     # PowerSeries.truncate and .eval_float run in no command but stay:
     # bench/tracer.py wraps vars(PowerSeries)[name] for each name of its
-    # metrics, so deleting either breaks a traced run.  For the same reason
-    # every operator of PowerSeries keeps its name (the arithmetic dunders,
-    # scale, substitute_power and mset), though each is a read of the online
-    # ring; scale runs as the integer path of __mul__.  The `exp =
+    # metrics, so deleting either breaks a traced run.  The operators it
+    # also wraps (the arithmetic dunders, scale, substitute_power and mset)
+    # are the ring's own; scale runs as the integer path of __mul__.  The `exp =
     # mset_restricted = extended = None` line stays too, and so does
     # powerseries.Rational, which bench/run.py's PROBE reads; being no
     # functions, neither is seen by these checks.

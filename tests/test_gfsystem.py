@@ -180,8 +180,9 @@ class TestCollectedForm:
         assert self.products(monkeypatch, gf.assemble_T, pointed30) <= 4
 
     def test_assemble_S2_runs_at_most_three_products(self, monkeypatch, pointed30):
-        # E MSet(P), mset2(core) and s_U^2; the self-dual solve runs on the
-        # online ring, which multiplies no PowerSeries
+        # E MSet(P), mset2(core) and s_U^2.  The self-dual solve builds one
+        # more, in its right-hand side; solved first, it is read from the memo
+        gf.compute_selfdual(pointed30, "corrected")
         assert self.products(monkeypatch, gf.assemble_S2, pointed30) <= 3
 
     def test_S2_at_order_150_is_pinned(self):

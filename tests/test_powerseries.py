@@ -1,16 +1,14 @@
-import ast
+import gc
 from fractions import Fraction
 from functools import partial
 from itertools import combinations_with_replacement
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twolevel import gfsystem as gf
-from twolevel import powerseries
-from twolevel.powerseries import OnlineSeries, PowerSeries, _known, fixed_point
+from twolevel.powerseries import PowerSeries, fixed_point
 
 import reference_routes as ref
 
@@ -93,7 +91,7 @@ class TestBasics:
         # [x^n] sum_{r>=1} a(x^r) = sum_{d | n} a_d
         s = series([0, 1, 2, 3, 4, 5, 6, 7, 8])
         want = [sum(d for d in range(1, n + 1) if n % d == 0) for n in range(ORDER + 1)]
-        assert list(online_coeffs(online(s).substitution_sum())) == want
+        assert s.substitution_sum().integer_coeffs() == want
 
     def test_division_is_exact(self):
         with pytest.raises(ArithmeticError):
@@ -136,7 +134,7 @@ class TestAlgebraProperties:
         # sum reads coefficient 0 as 0, where this truncated sum has order a_0
         want = [sum(cs) for cs in zip(*(ref.substitute(list(a.coeffs), r)
                                         for r in range(1, a.order + 1)))]
-        assert online_coeffs(online(a).substitution_sum()) == (0, *want[1:])
+        assert a.substitution_sum().coeffs == (0, *want[1:])
 
 
 def brute_force_multiset(coeffs, order, predicate):
@@ -224,70 +222,114 @@ class TestMultisetIdentities:
             series([1, 1]).mset()
 
 
-online = _known
 
 
-def online_coeffs(s):
-    return tuple(s.upto(ORDER)[: ORDER + 1])
+def lazily(build):
+    """Solve y = build(x, y), which reads the unknown y, so building it must
+    raise nothing: an error comes from the solve, where a coefficient is read."""
+    built = []
+
+    def rhs(leg, y):
+        built.append(build(leg, y))
+        return built
+
+    try:
+        fixed_point(rhs, (PowerSeries.x(ORDER),), 1)
+    finally:
+        assert len(built) == 1
+
+
+def reachable(obj) -> set:
+    """The ids of the objects reachable from ``obj`` by references."""
+    seen, todo = set(), [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) not in seen:
+            seen.add(id(o))
+            todo.extend(gc.get_referents(o))
+    return seen
 
 
 class TestOnlineSeries:
+    """The ring's operations: on known series each computes its value at
+    once, and raises there; on a series that reads an unknown of
+    ``fixed_point`` it raises when the solve reads the coefficient."""
+
     @given(series_strategy, series_strategy, no_constant_strategy, st.integers(-3, 3))
     @settings(max_examples=50)
     def test_operations_match_eager(self, a, b, c, k):
         # against the plain-list kernels of reference_routes
         a_, b_, c_ = (list(s.coeffs) for s in (a, b, c))
         pairs = (
-            ([x + y for x, y in zip(a_, b_)], online(a) + online(b)),
-            ([a_[0] - k, *a_[1:]], online(a) - k),
-            (ref.cauchy_product(a_, b_), online(a) * online(b)),
-            ([k * x for x in a_], k * online(a)),
-            (a_, 2 * online(a) / 2),
-            (a_, online(a).substitute_power(1)),
-            (ref.substitute(a_, 3), online(a).substitute_power(3)),
-            (ref.divisor_sum(c_), online(c).substitution_sum()),
-            (ref.multiset(c_), online(c).mset()),
-            (ref.multiset(c_, signed=True), online(c).mset(signed=True)),
+            ([x + y for x, y in zip(a_, b_)], a + b),
+            ([a_[0] - k, *a_[1:]], a - k),
+            (ref.cauchy_product(a_, b_), a * b),
+            ([k * x for x in a_], k * a),
+            (a_, 2 * a / 2),
+            (a_, a.substitute_power(1)),
+            (ref.substitute(a_, 3), a.substitute_power(3)),
+            (ref.divisor_sum(c_), c.substitution_sum()),
+            (ref.multiset(c_), c.mset()),
+            (ref.multiset(c_, signed=True), c.mset(signed=True)),
             ([(x + y) // 2 for x, y in zip(ref.cauchy_product(c_, c_), ref.substitute(c_, 2))],
-             online(c).mset2()),
+             c.mset2()),
             ([(x - y) // 2 for x, y in zip(ref.multiset(c_), ref.multiset(c_, signed=True))],
-             online(c).mset_odd()),
+             c.mset_odd()),
         )
-        for eager, lazy in pairs:
-            assert online_coeffs(lazy) == tuple(eager)
+        for eager, got in pairs:
+            assert got.coeffs == tuple(eager)
+
+    def test_an_operation_on_known_series_keeps_no_inputs(self):
+        a, b = series([0, 1, 2]), series([0, 3, 1])
+        for s in (a + b, a - 1, a * b, 3 * a, -a, a / 1, a.substitute_power(2),
+                  a.substitution_sum(), a.mset(), a.mset(signed=True), a.mset2(), a.mset_odd()):
+            assert s._inputs == ()
+            assert id(s) not in reachable(s._step)  # a value is no reference cycle
 
     def test_mset_requires_zero_constant(self):
         with pytest.raises(ValueError):
-            online(series([1, 1])).mset()[0]
+            series([1, 1]).mset()
+        with pytest.raises(ValueError, match="zero constant term"):
+            lazily(lambda leg, y: (y + 1).mset())
 
     def test_division_is_exact(self):
-        half = online(series([0, 3])) / 2
-        assert half[0] == 0
         with pytest.raises(ArithmeticError):
-            half[1]
+            series([0, 3]) / 2
+        with pytest.raises(ArithmeticError, match="inexact division 3/2"):
+            lazily(lambda leg, y: (3 * leg + 0 * y) / 2)
 
     def test_known_series_ends_at_its_order(self):
         with pytest.raises(IndexError):
-            online(series([1]))[ORDER + 1]
+            series([1])[ORDER + 1]
+
+
+ILL_FOUNDED = {
+    # y = x + (1 + x) y has slope 1 in y_n: the provisional 0 is not exact
+    "slope_one": (lambda leg, y: (leg + (leg + 1) * y,), (PowerSeries.x(10),)),
+    # y = z + y with z = x^10 holds below index 10, where z reads 0; at 10
+    # the provisional 0 settles y_10 = 1, and the recomputed z + y reads 2
+    "last_coefficient": (lambda z, y: (z + y,), (series([0] * 10 + [1], order=10),)),
+}
+
+
+def refuse_comparison(monkeypatch):
+    """Take equality and hashing off PowerSeries: the solve keys its nodes by
+    identity, as hashing a lazy node would read all of it."""
+    def refuse(*args):
+        raise AssertionError("a series was hashed or compared")
+
+    monkeypatch.setattr(PowerSeries, "__hash__", refuse)
+    monkeypatch.setattr(PowerSeries, "__eq__", refuse)
 
 
 class TestOnlineSolver:
     def test_ill_founded_system_fails_the_residual_pass(self):
-        # y = x + (1 + x) y has slope 1 in y_n: the provisional 0 is not exact
-        def rhs(leg, y):
-            return (leg + (leg + 1) * y,)
-
         with pytest.raises(ArithmeticError, match="residual 0"):
-            fixed_point(rhs, (PowerSeries.x(10),), 1)
+            fixed_point(*ILL_FOUNDED["slope_one"], 1)
 
     def test_residual_is_checked_at_the_last_coefficient(self):
-        # y = z + y with z = x^10 holds below index 10, where z reads 0; at 10
-        # the provisional 0 settles y_10 = 1, and the recomputed z + y reads 2
-        def rhs(z, y):
-            return (z + y,)
-
         with pytest.raises(ArithmeticError, match="residual 0"):
-            fixed_point(rhs, (series([0] * 10 + [1], order=10),), 1)
+            fixed_point(*ILL_FOUNDED["last_coefficient"], 1)
 
     def test_constant_term_read_through_substitution(self):
         # y = 1 + x y(x^2) is 1 + x + x^3 + x^7 + x^15 + ...: index 0 of y(x^2)
@@ -298,6 +340,19 @@ class TestOnlineSolver:
         (y,) = fixed_point(rhs, (PowerSeries.x(20),), 1)
         assert y.integer_coeffs() == [int(n + 1 in (1, 2, 4, 8, 16)) for n in range(21)]
 
+    def test_the_solve_hashes_no_series(self, monkeypatch):
+        want = [s.coeffs for s in gf.solve_pointed(20)]
+        refuse_comparison(monkeypatch)
+        got = gf.solve_pointed(20)
+        monkeypatch.undo()
+        assert [s.coeffs for s in got] == want
+
+    @pytest.mark.parametrize("system", ILL_FOUNDED)
+    def test_the_residual_check_hashes_no_series(self, monkeypatch, system):
+        refuse_comparison(monkeypatch)
+        with pytest.raises(ArithmeticError, match="residual 0"):
+            fixed_point(*ILL_FOUNDED[system], 1)
+
     @pytest.fixture(scope="class")
     def order60(self, solve_selfdual):
         p = gf.solve_pointed(60)
@@ -305,10 +360,10 @@ class TestOnlineSolver:
 
     @staticmethod
     def assert_matches_reference(rhs, reference, *inputs):
-        # the online ring against the same equations on plain lists
+        # the ring against the same equations on plain lists
         want = reference(*(list(s.coeffs) for s in inputs))
-        for got, want in zip(rhs(*map(_known, inputs)), want, strict=True):
-            assert got.upto(60)[:61] == want
+        for got, want in zip(rhs(*inputs), want, strict=True):
+            assert got.integer_coeffs() == want
 
     def test_pointed_rhs(self, order60):
         rhs, known, solution = gf.pointed_system(order60[0])
@@ -327,20 +382,9 @@ class TestOnlineSolver:
 
 
 class TestModuleBoundary:
-    """The online ring and its solve are one module's: other modules see only
-    ``fixed_point`` and plain ``PowerSeries``."""
-
-    def test_online_series_is_named_only_in_powerseries(self):
-        naming = set()
-        for path in Path(powerseries.__file__).parent.glob("*.py"):
-            for node in ast.walk(ast.parse(path.read_text())):
-                if (isinstance(node, ast.Name) and node.id == "OnlineSeries"
-                        or isinstance(node, ast.Attribute) and node.attr == "OnlineSeries"
-                        or isinstance(node, ast.ImportFrom)
-                        and any(alias.name == "OnlineSeries" for alias in node.names)):
-                    naming.add(path.name)
-        assert naming == {"powerseries.py"}
+    """The solve is one module's: other modules see ``fixed_point`` and the
+    operations of ``PowerSeries``, never how a node is settled."""
 
     @pytest.mark.parametrize("name", ["known", "unknown", "forget", "settle", "inputs"])
     def test_online_series_leaves_the_solve_to_fixed_point(self, name):
-        assert not hasattr(OnlineSeries, name)
+        assert not hasattr(PowerSeries, name)
